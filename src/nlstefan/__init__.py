@@ -19,8 +19,8 @@ from .continuation import (ConvergenceReport, FamilyEntry, FamilyResult,
                            LimitPair, convergence_report, limit_pair,
                            run_family)
 from .config import (RunConfig, emit_run_config, parse_run_config, realize)
-from .enthalpy import (MollifierSpec, RegularizedEnthalpy, ScaledEnthalpy,
-                       beta_graph, normalization_constant)
+from .enthalpy import (MollifierSpec, RegularizedEnthalpy, beta_graph,
+                       normalization_constant)
 from .errors import (DegenerateCutoffError, EmptyCylinderError,
                      EmptyWindowError, InconsistentFamilyError,
                      InsufficientSamplesError, InvalidExponentError,
@@ -35,7 +35,7 @@ from .solver import (CaccioppoliReport, LatticeProblem, MaxPrincipleReport,
                      RadialCutoff, SolverConfig, StepDiagnostics, Trajectory,
                      caccioppoli_audit, energy_history, implicit_step,
                      max_principle_check, normalize, solve, space_time_bump,
-                     truncate_opposite, weak_residual)
+                     structural_audit, truncate_opposite, weak_residual)
 
 __version__ = "0.1.0"
 
@@ -50,8 +50,8 @@ __all__ = [
     "MeasureDensityReport", "ModulusReport", "MollifierSpec",
     "NewtonDivergenceError", "NlstefanError", "NonpositiveExcessError",
     "OperatorWorkspace", "Preset", "RadialCutoff", "RegularizedEnthalpy",
-    "RunConfig", "ScaledEnthalpy", "SchemaViolationError", "SequenceLevel",
-    "SolverConfig", "StepDiagnostics", "Trajectory", "UnresolvedBandError",
+    "RunConfig", "SchemaViolationError", "SequenceLevel", "SolverConfig",
+    "StepDiagnostics", "Trajectory", "UnresolvedBandError",
     "apply_operator", "beta_graph", "boundary_sequences", "caccioppoli_audit",
     "check_exponents", "convergence_report", "emit_run_config",
     "energy_history", "fit_log_modulus", "geometric_convergence",
@@ -61,6 +61,6 @@ __all__ = [
     "max_principle_check", "measure_density", "modulus_ladder",
     "normalization_constant", "normalize", "oscillation", "oscillation_scale",
     "parse_run_config", "phi_p", "realize", "run_family",
-    "sequence_tail_report", "solve", "space_time_bump", "tail",
-    "truncate_opposite", "weak_residual",
+    "sequence_tail_report", "solve", "space_time_bump", "structural_audit",
+    "tail", "truncate_opposite", "weak_residual",
 ]

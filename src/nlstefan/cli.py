@@ -20,8 +20,7 @@ from . import analysis, continuation as continuation_mod, fileio
 from .config import RunConfig, emit_run_config, parse_run_config, realize
 from .errors import NlstefanError, SchemaViolationError
 from .lattice import tail as tail_fn
-from .solver import (SolverConfig, caccioppoli_audit, max_principle_check,
-                     normalize, solve)
+from .solver import caccioppoli_audit, solve, structural_audit
 
 F = "%.17g"
 
@@ -145,11 +144,8 @@ def cmd_continuation(args) -> int:
     cfg = _load_config(args)
     out = _require_out(args)
     preset, problem, solver_cfg = realize(cfg)
-    eps_values = cfg.continuation.eps_values
-    if preset is not None and cfg.continuation.eps_values == [0.2, 0.1, 0.05, 0.025]:
-        eps_values = list(preset.eps_schedule)
-    family = continuation_mod.run_family(problem, eps_values, solver_cfg,
-                                         threads=args.threads)
+    family = continuation_mod.run_family(problem, cfg.continuation.eps_values,
+                                         solver_cfg, threads=args.threads)
     for entry in family.entries:
         if entry.ok:
             fileio.write_trajectory(os.path.join(out, f"eps_{entry.eps:g}"),
@@ -229,30 +225,7 @@ def cmd_verify(args) -> int:
     out = _require_out(args)
     preset, problem, solver_cfg = realize(cfg)
     traj = solve(problem, solver_cfg)
-    checks = {}
-
-    mp = max_principle_check(traj)
-    checks["max_principle"] = {"bound": mp.bound, "defect": mp.defect,
-                               "passed": mp.passed}
-
-    # comparison: raise the initial data inside the unknown set and check
-    # the order is preserved at every stored level
-    x = problem.grid.coordinates()
-    bump = np.zeros(problem.grid.n_nodes)
-    center = x[problem.unknown_mask].mean(axis=0)
-    r2 = np.sum((x - center[None, :]) ** 2, axis=1)
-    bump[problem.unknown_mask] = 0.25 * np.exp(-8.0 * r2[problem.unknown_mask])
-    import dataclasses as _dc
-    upper_problem = _dc.replace(problem, initial=problem.initial + bump)
-    upper = solve(upper_problem, solver_cfg)
-    margin = min(float(np.min(b - a)) for a, b in zip(traj.states, upper.states))
-    checks["comparison"] = {"min_margin": margin, "passed": margin >= -1e-9}
-
-    scaled = normalize(problem, 2.0)
-    straj = solve(scaled, solver_cfg)
-    defect = max(float(np.max(np.abs(2.0 * b - a)))
-                 for a, b in zip(traj.states, straj.states))
-    checks["normalization"] = {"defect": defect, "passed": defect <= 1e-9}
+    checks = structural_audit(traj, solver_cfg)
 
     x0, t0 = _anchor(cfg, preset, problem)
     rho0 = _rho0(cfg, preset)
@@ -292,9 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", type=str, default=None, help="run config JSON")
         sp.add_argument("--out", type=str, default=None, help="output directory")
         sp.add_argument("--preset", type=str, default=None, help="preset name")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for family solves")
-        sp.add_argument("--seed", type=int, default=0, help="sampling seed")
+        if name == "continuation":
+            sp.add_argument("--threads", type=int, default=1,
+                            help="worker threads for family solves")
+        if name == "lemma-check":
+            sp.add_argument("--seed", type=int, default=0, help="sampling seed")
         sp.set_defaults(handler=fn)
     return parser
 

@@ -48,7 +48,10 @@ class FamilyResult:
 
 
 def _family_member(problem: LatticeProblem, eps: float) -> LatticeProblem:
-    return replace(problem, eps=eps, enthalpy=RegularizedEnthalpy(eps))
+    """The problem with only the layer width of its enthalpy replaced."""
+    enth = problem.enthalpy
+    return replace(problem, eps=eps,
+                   enthalpy=RegularizedEnthalpy(eps, enth.mollifier, enth.latent_heat))
 
 
 def run_family(problem: LatticeProblem, eps_values: Sequence[float],
@@ -95,18 +98,18 @@ def run_family(problem: LatticeProblem, eps_values: Sequence[float],
                             zip(entries[i].trajectory.states, entries[j].trajectory.states))
                     distances[i, j] = distances[j, i] = d
     # per-entry unresolved band: where the mollified phase indicator is
-    # strictly between the pure phases, i.e. inside the latent layer
+    # strictly between the pure phases 0 and L, i.e. inside the latent layer
     fractions = []
     for entry in entries:
         if not entry.ok:
             fractions.append(float("nan"))
             continue
-        enth = RegularizedEnthalpy(entry.eps)
+        enth = entry.trajectory.problem.enthalpy
         total = 0
         inside = 0
         for state in entry.trajectory.states:
             beta = enth.beta_eps(state)
-            inside += int(np.sum((beta > 0.0) & (beta < 1.0)))
+            inside += int(np.sum((beta > 0.0) & (beta < enth.latent_heat)))
             total += state.size
         fractions.append(inside / total)
     return FamilyResult(entries=entries, distances=distances,
@@ -128,8 +131,9 @@ def limit_pair(family: FamilyResult, delta_resolve: float = 0.05,
                max_band_fraction: float = 0.5) -> LimitPair:
     """Surrogate limit from the finest member.
 
-    w is 1 where u > delta_resolve, 0 where u < -delta_resolve, and the
-    clipped mollified value on the band between; v = u + w.  Fails if the
+    w is the latent heat L where u > delta_resolve, 0 where u <
+    -delta_resolve, and the clipped mollified value on the band between;
+    v = u + w.  L is 1 unless the problem was normalized.  Fails if the
     band swallows more than max_band_fraction of the samples.
     """
     finest = family.entries[-1]
@@ -137,14 +141,15 @@ def limit_pair(family: FamilyResult, delta_resolve: float = 0.05,
         raise InvalidParamsError("finest family member failed; no limit available")
     if not delta_resolve > 0.0:
         raise InvalidParamsError("delta_resolve must be positive")
-    enth = RegularizedEnthalpy(finest.eps)
     traj = finest.trajectory
+    enth = traj.problem.enthalpy
+    heat = enth.latent_heat
     w_states, v_states = [], []
     band_hits = 0
     total = 0
     for u in traj.states:
-        w = np.clip(enth.beta_eps(u), 0.0, 1.0)
-        w = np.where(u > delta_resolve, 1.0, w)
+        w = np.clip(enth.beta_eps(u), 0.0, heat)
+        w = np.where(u > delta_resolve, heat, w)
         w = np.where(u < -delta_resolve, 0.0, w)
         band = np.abs(u) <= delta_resolve
         band_hits += int(band.sum())

@@ -11,8 +11,10 @@ just integrates the mollifier, so
     beta_eps(xi) = Phi(xi / eps),      Phi(eta) = int_{-1}^{eta} psi,
 
 and a single pair of antiderivative tables (Phi and its antiderivative
-Phi1) serves every eps > 0.  The mollifier used throughout is the
-normalized bump
+Phi1) serves every eps > 0.  A layer of latent heat L is L * Phi(xi/eps).
+That covers rescaled solutions too: u/m sees beta_eps(m xi)/m, which is
+(1/m) * Phi(xi / (eps/m)), the layer of width eps/m and latent heat 1/m.
+The mollifier used throughout is the normalized bump
 
     psi(t) = Z * exp(-1 / (1 - t^2)) on (-1, 1),   int psi = 1.
 
@@ -131,35 +133,41 @@ class RegularizedEnthalpy:
         Regularization width; the transition layer is (-eps, eps).
     mollifier : MollifierSpec, optional
         Quadrature layout for the underlying tables.
+    latent_heat : float, optional
+        Jump L of the graph across the layer; beta_eps rises from 0 to L.
 
     The main objects are beta_eps, its derivative, the diffeomorphism
-    b(xi) = xi + beta_eps(xi) with 1 <= b' <= 1 + psi(0)*Z/eps, and the
+    b(xi) = xi + beta_eps(xi) with 1 <= b' <= 1 + L*psi(0)*Z/eps, and the
     convex potential B(xi) = xi^2/2 + int_0^xi beta_eps.
     """
 
-    def __init__(self, eps: float, mollifier: MollifierSpec = MollifierSpec()):
+    def __init__(self, eps: float, mollifier: MollifierSpec = MollifierSpec(),
+                 latent_heat: float = 1.0):
         if not eps > 0.0:
             raise ValueError("eps must be positive")
+        if not latent_heat > 0.0:
+            raise ValueError("latent_heat must be positive")
         self.eps = float(eps)
         self.mollifier = mollifier
+        self.latent_heat = float(latent_heat)
 
     # -- mollified graph -------------------------------------------------
 
     def beta_eps(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
-        return _phi(xi / self.eps, self.mollifier)
+        return self.latent_heat * _phi(xi / self.eps, self.mollifier)
 
     def beta_eps_prime(self, xi) -> np.ndarray:
-        """Exact density psi(xi/eps)/eps; integrates to one."""
+        """Exact density L*psi(xi/eps)/eps; integrates to the latent heat."""
         xi = np.asarray(xi, dtype=float)
         z = _tables(self.mollifier)[0]
-        return z * _bump_raw(xi / self.eps) / self.eps
+        return self.latent_heat * z * _bump_raw(xi / self.eps) / self.eps
 
     def beta_antiderivative(self, xi) -> np.ndarray:
         """int_0^xi beta_eps, evaluated in closed form from the tables."""
         xi = np.asarray(xi, dtype=float)
         spec = self.mollifier
-        return self.eps * (_phi1(xi / self.eps, spec) - _phi1(0.0, spec))
+        return self.latent_heat * self.eps * (_phi1(xi / self.eps, spec) - _phi1(0.0, spec))
 
     # -- change of variable ----------------------------------------------
 
@@ -175,14 +183,15 @@ class RegularizedEnthalpy:
         """Invert b.  Exact off the transition band, safeguarded Newton on it."""
         y = np.asarray(y, dtype=float)
         flat = np.atleast_1d(y)
+        heat = self.latent_heat
         out = np.where(flat <= -self.eps, flat,
-                       np.where(flat >= 1.0 + self.eps, flat - 1.0, np.nan))
+                       np.where(flat >= heat + self.eps, flat - heat, np.nan))
         band = ~np.isfinite(out)
         if np.any(band):
             yb = flat[band]
             lo = np.full(yb.shape, -self.eps)
             hi = np.full(yb.shape, self.eps)
-            xi = np.clip(yb - 0.5, lo, hi)
+            xi = np.clip(yb - 0.5 * heat, lo, hi)
             for _ in range(60):
                 f = xi + self.beta_eps(xi) - yb
                 hi = np.where(f > 0.0, xi, hi)
@@ -228,47 +237,3 @@ class RegularizedEnthalpy:
             return np.where(u > k, val, 0.0)
         val = (ak - au) - bu * (k - u)
         return np.where(u < k, val, 0.0)
-
-
-class ScaledEnthalpy:
-    """Enthalpy seen by a solution rescaled by a positive factor.
-
-    If u solves the problem with nonlinearity beta_eps then u/m solves the
-    problem with beta(xi) = beta_eps(m xi)/m.  This wrapper exposes the
-    same interface as RegularizedEnthalpy for that transformed graph.
-    """
-
-    def __init__(self, base: RegularizedEnthalpy, m: float):
-        if not m > 0.0:
-            raise ValueError("scale must be positive")
-        self.base = base
-        self.m = float(m)
-        self.eps = base.eps / self.m
-
-    def beta_eps(self, xi):
-        return self.base.beta_eps(self.m * np.asarray(xi, dtype=float)) / self.m
-
-    def beta_eps_prime(self, xi):
-        return self.base.beta_eps_prime(self.m * np.asarray(xi, dtype=float))
-
-    def beta_antiderivative(self, xi):
-        return self.base.beta_antiderivative(self.m * np.asarray(xi, dtype=float)) / self.m**2
-
-    def b(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return xi + self.beta_eps(xi)
-
-    def b_prime(self, xi):
-        return 1.0 + self.beta_eps_prime(xi)
-
-    def b_inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        return self.base.b_inverse(self.m * y) / self.m
-
-    def potential(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return 0.5 * xi * xi + self.beta_antiderivative(xi)
-
-    def truncation_energy(self, u, k, sign):
-        u = np.asarray(u, dtype=float)
-        return self.base.truncation_energy(self.m * u, self.m * k, sign) / self.m**2

@@ -232,17 +232,38 @@ def kernel_audit(kernel: KernelSpec, grid: Grid, t_samples: Sequence[float] = (0
                              upper_violation=upper, passed=passed)
 
 
+def pair_geometry(grid: Grid, s: float, p: float, points: np.ndarray,
+                  nodes: np.ndarray, exterior: bool = False):
+    """Distances and collocation weights from points to lattice nodes.
+
+    Returns (dist, weights, far): dist[i, j] = |points_i - nodes_j|, the
+    weights h^n / dist^{n+sp} with coincident pairs set to zero (the
+    principal-value rule), and far = None.  With exterior=True the nodes
+    are virtual exterior nodes: weights beyond r_infinity are cut, and far
+    is the constant sigma_n R_inf^{-sp} / (sp) that closes the medium past
+    r_infinity.
+    """
+    n = grid.dimension
+    sp = s * p
+    if exterior and abs(sp - n) < 1e-12:
+        raise InvalidExponentError(
+            "sp == n sits on the logarithmic borderline of the far-field constant")
+    diff = points[:, None, :] - nodes[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    with np.errstate(divide="ignore"):
+        weights = grid.spacing ** n / dist ** (n + sp)
+    weights[dist == 0.0] = 0.0
+    if not exterior:
+        return dist, weights, None
+    weights[dist > grid.r_infinity] = 0.0
+    return dist, weights, SPHERE_MEASURE[n] * grid.r_infinity ** (-sp) / sp
+
+
 @lru_cache(maxsize=32)
 def _box_displacement_weights(grid: Grid, s: float, p: float) -> np.ndarray:
-    """Geometric part h^n / |x_i - x_j|^{n+sp} with zero diagonal."""
+    """Box-box weights, shared by every workspace on the same grid."""
     coords = grid.coordinates()
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    n = grid.dimension
-    with np.errstate(divide="ignore"):
-        w = grid.spacing ** n / dist ** (n + s * p)
-    np.fill_diagonal(w, 0.0)
-    return w
+    return pair_geometry(grid, s, p, coords, coords)[1]
 
 
 class OperatorWorkspace:
@@ -259,20 +280,14 @@ class OperatorWorkspace:
         self.kernel = kernel
         self.s = s
         self.p = p
-        n = grid.dimension
-        sp = s * p
         self.coords = grid.coordinates()
-        self.geom_box = _box_displacement_weights(grid, s, p)
         self.ext_coords = grid.exterior_coordinates()
-        diff = self.coords[:, None, :] - self.ext_coords[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        geom = grid.spacing ** n / dist ** (n + sp)
-        geom[dist > grid.r_infinity] = 0.0
-        self.geom_ext = geom
-        if abs(sp - n) < 1e-12:
-            raise InvalidExponentError(
-                "sp == n sits on the logarithmic borderline of the far-field constant")
-        self.far_geom = SPHERE_MEASURE[n] * grid.r_infinity ** (-sp) / sp
+        # box weights first: in the other order glibc malloc keeps giving
+        # the operator temporaries fresh pages (melt1d benchmark: 187K
+        # instead of 8K minor page faults per operation)
+        self.geom_box = _box_displacement_weights(grid, s, p)
+        _, self.geom_ext, self.far_geom = pair_geometry(
+            grid, s, p, self.coords, self.ext_coords, exterior=True)
         self._static = None
         if not kernel.time_dependent:
             self._static = self._weights(0.0)
@@ -342,12 +357,14 @@ def apply_operator(fld: Field, t: float, kernel: KernelSpec, s: float, p: float)
     return ws.apply(fld.values, t, ext_values, far)
 
 
-def _ball_quadrature(coords: np.ndarray, x0: np.ndarray, rho: float, h: float):
-    """Distances from x0 and outer cell fractions for the tail quadrature."""
-    diff = coords - x0[None, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=1))
-    frac = np.clip(0.5 + (dist - rho) / h, 0.0, 1.0)
-    return dist, frac
+def _ball_weights(grid: Grid, s: float, p: float, x0: np.ndarray, rho: float,
+                  nodes: np.ndarray, exterior: bool = False):
+    """Tail weights from x0 to the nodes outside B_rho(x0), each scaled by
+    the fraction of its cell that lies outside the ball, plus the
+    far-field constant when the nodes are exterior ones."""
+    dist, weights, far = pair_geometry(grid, s, p, x0[None, :], nodes, exterior)
+    frac = np.clip(0.5 + (dist[0] - rho) / grid.spacing, 0.0, 1.0)
+    return frac * weights[0], far
 
 
 def tail(samples: Sequence, x0, rho: float, window, s: float, p: float) -> float:
@@ -377,29 +394,16 @@ def tail(samples: Sequence, x0, rho: float, window, s: float, p: float) -> float
     if not chosen:
         raise EmptyWindowError(f"no stored samples in window [{t_lo}, {t_hi}]")
     grid = chosen[0][1].grid
-    n = grid.dimension
     sp = s * p
     x0 = np.asarray(x0, dtype=float)
-    hn = grid.spacing ** n
-    d_box, f_box = _ball_quadrature(grid.coordinates(), x0, rho, grid.spacing)
-    use_box = (f_box > 0.0) & (d_box > 0.0)
-    w_box = np.zeros_like(d_box)
-    w_box[use_box] = hn * f_box[use_box] / d_box[use_box] ** (n + sp)
+    w_box, _ = _ball_weights(grid, s, p, x0, rho, grid.coordinates())
 
     has_ext = chosen[0][1].exterior is not None
     if has_ext:
         if rho >= grid.r_infinity:
             raise InvalidParamsError("tail radius must stay below r_infinity")
-        if abs(sp - n) < 1e-12:
-            raise InvalidExponentError(
-                "sp == n sits on the logarithmic borderline of the far-field constant")
         ext_coords = grid.exterior_coordinates()
-        d_ext, f_ext = _ball_quadrature(ext_coords, x0, rho, grid.spacing)
-        f_ext[d_ext > grid.r_infinity] = 0.0
-        use_ext = f_ext > 0.0
-        w_ext = np.zeros_like(d_ext)
-        w_ext[use_ext] = hn * f_ext[use_ext] / d_ext[use_ext] ** (n + sp)
-        far_geom = SPHERE_MEASURE[n] * grid.r_infinity ** (-sp) / sp
+        w_ext, far_geom = _ball_weights(grid, s, p, x0, rho, ext_coords, exterior=True)
 
     worst = 0.0
     for t, fld in chosen:

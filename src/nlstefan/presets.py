@@ -24,7 +24,6 @@ class Preset:
     rho0: float                        # base ladder radius
     ladder_levels: int = 8
     ladder_shrink: float = 0.65
-    eps_schedule: tuple = (0.2, 0.1, 0.05, 0.025)
     delta_resolve: float = 0.05
     boundary_point: Optional[tuple] = None
     boundary_modulus: Optional[Callable] = None

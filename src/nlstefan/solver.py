@@ -28,11 +28,11 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ._linalg import solve_spd
-from .enthalpy import RegularizedEnthalpy, ScaledEnthalpy
+from .enthalpy import RegularizedEnthalpy
 from .errors import (DegenerateCutoffError, EmptyCylinderError,
                      InvalidParamsError, NewtonDivergenceError)
 from .lattice import (ExteriorRule, Field, Grid, KernelSpec, OperatorWorkspace,
-                      SPHERE_MEASURE, check_exponents)
+                      check_exponents, pair_geometry)
 
 
 @dataclass
@@ -337,8 +337,9 @@ def normalize(problem: LatticeProblem, m: float, z0=None) -> LatticeProblem:
 
     The transformed problem has data and initial values divided by m, the
     kernel multiplied by m^{p-2} and the enthalpy replaced by
-    beta_eps(m xi)/m, so m times its solution reproduces the original
-    one.  Only t0 = 0 is meaningful for an initial value problem.
+    beta_eps(m xi)/m, the layer of width eps/m and latent heat L/m, so m
+    times its solution reproduces the original one.  Only t0 = 0 is
+    meaningful for an initial value problem.
     """
     if not m > 0.0:
         raise InvalidParamsError("normalization scale must be positive")
@@ -353,10 +354,7 @@ def normalize(problem: LatticeProblem, m: float, z0=None) -> LatticeProblem:
         raise InvalidParamsError("time recentering of an initial value problem "
                                  "requires t0 = 0")
     base = problem.enthalpy
-    if isinstance(base, ScaledEnthalpy):
-        scaled = ScaledEnthalpy(base.base, base.m * m)
-    else:
-        scaled = ScaledEnthalpy(base, m)
+    scaled = RegularizedEnthalpy(base.eps / m, base.mollifier, base.latent_heat / m)
     kern = problem.kernel
     if kern.func is None:
         new_func = None
@@ -410,6 +408,37 @@ def max_principle_check(traj: Trajectory, tol: float = 1e-9) -> MaxPrincipleRepo
     defect = max(defect, 0.0)
     return MaxPrincipleReport(bound=bound, defect=defect, worst_time=worst_time,
                               passed=defect <= tol)
+
+
+def structural_audit(traj: Trajectory, config: SolverConfig) -> dict:
+    """Maximum principle, comparison and normalization checks of a solve.
+
+    traj is the solve of its problem under config.  The comparison check
+    raises the initial value on the unknown set by 0.5 exp(-|x - c|^2 /
+    0.09), c the centroid of the unknown set, and requires the new
+    solution to stay above traj at every stored level; the normalization
+    check requires twice the solution of normalize(problem, 2) to
+    reproduce traj.  Each check passes within 1e-9.  Returns the figures
+    and verdict of each check, keyed by check name.
+    """
+    tol = 1e-9
+    problem = traj.problem
+    mp = max_principle_check(traj, tol=tol)
+    x = problem.grid.coordinates()
+    mask = problem.unknown_mask
+    center = x[mask].mean(axis=0)
+    r2 = np.sum((x - center[None, :]) ** 2, axis=1)
+    raised = np.where(mask, problem.initial + 0.5 * np.exp(-r2 / 0.09), problem.initial)
+    upper = solve(replace(problem, initial=raised), config)
+    margin = min(float(np.min(b - a)) for a, b in zip(traj.states, upper.states))
+    half = solve(normalize(problem, 2.0), config)
+    defect = max(float(np.max(np.abs(2.0 * b - a)))
+                 for a, b in zip(traj.states, half.states))
+    return {
+        "max_principle": {"bound": mp.bound, "defect": mp.defect, "passed": mp.passed},
+        "comparison": {"min_margin": margin, "passed": margin >= -tol},
+        "normalization": {"defect": defect, "passed": defect <= tol},
+    }
 
 
 def space_time_bump(center, radius: float, t_window) -> Callable:
@@ -554,22 +583,16 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
 
     enth = problem.enthalpy
     p = problem.p
-    hn = problem.grid.spacing ** n
+    grid = problem.grid
+    hn = grid.spacing ** n
     ball_idx = np.nonzero(in_ball)[0]
     phi_b = phi[ball_idx]
     bc = coords[ball_idx]
-    diff = bc[:, None, :] - bc[None, :, :]
-    pair_d = np.sqrt(np.sum(diff * diff, axis=2))
-    with np.errstate(divide="ignore"):
-        pair_w = hn * hn / pair_d ** (n + sp)
-    np.fill_diagonal(pair_w, 0.0)
-
-    ext_coords = problem.grid.exterior_coordinates()
+    pair_w = hn * pair_geometry(grid, problem.s, p, bc, bc)[1]
     out_box_idx = np.nonzero(~in_ball)[0]
-    d_out = np.sqrt(np.sum((coords[out_box_idx] - x0[None, :]) ** 2, axis=1))
-    d_ext = np.sqrt(np.sum((ext_coords - x0[None, :]) ** 2, axis=1))
-    ext_keep = d_ext <= problem.grid.r_infinity
-    far_geom = SPHERE_MEASURE[n] * problem.grid.r_infinity ** (-sp) / sp
+    w_out = pair_geometry(grid, problem.s, p, bc, coords[out_box_idx])[1]
+    ext_coords = grid.exterior_coordinates()
+    _, w_ext, far_geom = pair_geometry(grid, problem.s, p, bc, ext_coords, exterior=True)
 
     def truncate(vals):
         if sign == "+":
@@ -582,8 +605,6 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
     grad_term = 0.0
     tail_term = 0.0
     grad_phi = np.where(in_ball, cutoff.gradient_magnitude(dist), 0.0)[ball_idx]
-    ball_out_d = np.sqrt(np.sum((bc[:, None, :] - coords[out_box_idx][None, :, :]) ** 2, axis=2))
-    ball_ext_d = np.sqrt(np.sum((bc[:, None, :] - ext_coords[ext_keep][None, :, :]) ** 2, axis=2))
 
     prev_t = traj.times[t_sel[0]]
     for pos, idx in enumerate(t_sel):
@@ -608,14 +629,10 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
         # exterior supremum over the cutoff support of the truncated tail
         support = phi_b > 0.0
         u_out = truncate(u[out_box_idx])
-        g_ext = truncate(np.asarray(problem.dirichlet(ext_coords[ext_keep], t), dtype=float))
+        g_ext = truncate(np.asarray(problem.dirichlet(ext_coords, t), dtype=float))
         far_w = truncate(np.asarray([problem.far_value]))[0]
-        with np.errstate(divide="ignore"):
-            y_box = np.sum(np.where(ball_out_d > 0.0,
-                                    (u_out ** (p - 1.0))[None, :] / ball_out_d ** (n + sp),
-                                    0.0), axis=1) * hn
-            y_ext = np.sum((g_ext ** (p - 1.0))[None, :] / ball_ext_d ** (n + sp),
-                           axis=1) * hn
+        y_box = np.sum(w_out * (u_out ** (p - 1.0))[None, :], axis=1)
+        y_ext = np.sum(w_ext * (g_ext ** (p - 1.0))[None, :], axis=1)
         y_sum = y_box + y_ext + far_w ** (p - 1.0) * far_geom
         sup_y = float(np.max(y_sum[support], initial=0.0))
         tail_term += dt * sup_y * float(np.sum(w_ball * phi_b ** p)) * hn

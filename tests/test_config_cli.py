@@ -219,6 +219,15 @@ def test_cli_lemma_check(tmp_path, capsys):
     assert all(r.strip().endswith(",1") for r in rows)
 
 
+def test_cli_rejects_flags_its_subcommand_ignores(tmp_path, capsys):
+    # --threads belongs to continuation and --seed to lemma-check only
+    for argv in (["solve", "--threads", "2"], ["verify", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--preset", "const1d", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_verify_const_preset(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"problem": "const1d"})
     out = str(tmp_path / "verify")

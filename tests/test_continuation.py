@@ -14,7 +14,9 @@ from nlstefan import (
     UnresolvedBandError,
     convergence_report,
     limit_pair,
+    normalize,
     run_family,
+    solve,
 )
 from nlstefan.presets import const1d, melt1d
 
@@ -50,6 +52,21 @@ def test_single_member_family_has_empty_distances():
     assert fam.eps_values == [0.1]
     assert fam.successive_distances() == []
     assert len(fam.band_fractions) == 1
+
+
+def test_family_of_a_normalized_problem_keeps_its_latent_heat():
+    # the scaled problem carries latent heat 1/2; a one-member family at its
+    # own eps must be the plain solve, and its limit phase saturates at 1/2
+    pre = melt1d(n_nodes=33, n_steps=3)
+    scaled = normalize(pre.problem, 2.0)
+    fam = run_family(scaled, (scaled.eps,), pre.solver)
+    direct = solve(scaled, pre.solver)
+    for a, b in zip(fam.entries[0].trajectory.states, direct.states):
+        assert np.array_equal(a, b)
+    lp = limit_pair(fam, delta_resolve=0.05)
+    for u, w in zip(lp.u_states, lp.w_states):
+        assert np.all((w >= 0.0) & (w <= 0.5))
+        assert np.all(w[u > 0.05] == 0.5)
 
 
 # ---------------------------------------------------------------- constant family

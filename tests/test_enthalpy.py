@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from nlstefan.enthalpy import (MollifierSpec, RegularizedEnthalpy,
-                               ScaledEnthalpy, beta_graph,
+from nlstefan.enthalpy import (MollifierSpec, RegularizedEnthalpy, beta_graph,
                                normalization_constant)
 
 # reciprocal of the high-resolution quadrature of exp(-1/(1-t^2)) on (-1,1)
@@ -141,14 +140,22 @@ def test_truncation_energy_nonnegative_inside_layer():
 
 
 def test_scaled_enthalpy_matches_graph_rescaling():
+    # u/2 sees beta_eps(2 xi)/2: the layer of width eps/2 and latent heat 1/2
     base = RegularizedEnthalpy(0.1)
-    scaled = ScaledEnthalpy(base, 2.0)
+    scaled = RegularizedEnthalpy(0.05, latent_heat=0.5)
     xs = np.linspace(-0.3, 0.3, 41)
     assert np.allclose(scaled.beta_eps(xs), base.beta_eps(2.0 * xs) / 2.0,
                        rtol=0, atol=1e-14)
+    assert np.allclose(scaled.beta_eps_prime(xs), base.beta_eps_prime(2.0 * xs),
+                       rtol=0, atol=1e-12)
+    assert np.allclose(scaled.beta_antiderivative(xs),
+                       base.beta_antiderivative(2.0 * xs) / 4.0, rtol=0, atol=1e-14)
+    for k, sign in ((0.01, "+"), (-0.02, "-")):
+        assert np.allclose(scaled.truncation_energy(xs, k, sign),
+                           base.truncation_energy(2.0 * xs, 2.0 * k, sign) / 4.0,
+                           rtol=0, atol=1e-14)
     assert np.allclose(scaled.b(xs), xs + scaled.beta_eps(xs), rtol=0, atol=1e-14)
     assert np.max(np.abs(scaled.b_inverse(scaled.b(xs)) - xs)) < 1e-10
-    assert scaled.eps == pytest.approx(0.05)
 
 
 def test_mollifier_table_resolution_is_converged():

@@ -274,8 +274,8 @@ def test_normalize_validation():
 def test_normalize_composes_scales():
     pre = tiny_melt()
     twice = normalize(normalize(pre.problem, 2.0), 3.0)
-    assert twice.enthalpy.m == 6.0
-    assert twice.eps == pre.problem.eps / 6.0
+    assert twice.enthalpy.latent_heat == 1.0 / 6.0
+    assert twice.eps == twice.enthalpy.eps == pre.problem.eps / 6.0
 
 
 # ---------------------------------------------------------------- weak form
