@@ -1,43 +1,32 @@
-"""BLAS-free dense SPD solve.
+"""Thread-invariant dense SPD solve on LAPACK's packed Cholesky.
 
-Library factorizations may pick thread-count-dependent reduction orders,
-while trajectory files are required to be bit-identical across thread
-counts.  Everything here sticks to numpy elementwise kernels and np.sum,
-whose pairwise reduction order is fixed, so results do not depend on the
-runtime environment.  Systems stay small (a few hundred unknowns), so the
-O(N^3) python-level loop is cheap.
+Trajectory files must be bit-identical whatever the BLAS thread count.
+Dense ``dpotrf`` (``scipy.linalg.cho_factor``) is blocked: its panel
+updates go through threaded level-3 BLAS, whose reduction order follows
+the thread count, so factor bits (and the fields of a long melt1d solve)
+differ between ``OPENBLAS_NUM_THREADS=1`` and ``=2``.  The packed lower
+factorization ``dpptrf`` works column by column with ``dscal`` and the
+rank-1 update ``dspr``, both elementwise with no reductions, and
+``dpptrs`` solves with the triangular ``dtpsv``; neither depends on the
+thread count.  This module hides the packed storage from the solver.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def cholesky_factor(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    low = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - np.sum(low[j, :j] * low[j, :j])
-        if pivot <= 0.0:
-            raise np.linalg.LinAlgError("matrix is not positive definite")
-        low[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            dots = np.sum(low[j + 1:, :j] * low[j, :j][None, :], axis=1)
-            low[j + 1:, j] = (a[j + 1:, j] - dots) / low[j, j]
-    return low
+from scipy.linalg.lapack import dpptrf, dpptrs
 
 
 def solve_spd(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a x = rhs for SPD a via the deterministic factorization."""
-    low = cholesky_factor(a)
-    rhs = np.asarray(rhs, dtype=float)
-    n = low.shape[0]
-    y = np.zeros(n)
-    for i in range(n):
-        y[i] = (rhs[i] - np.sum(low[i, :i] * y[:i])) / low[i, i]
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - np.sum(low[i + 1:, i] * x[i + 1:])) / low[i, i]
-    return x
+    """Solve a x = rhs for symmetric positive definite a.
+
+    Raises np.linalg.LinAlgError when the factorization breaks down.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    # row-major upper triangle == column-major packed lower triangle
+    low, info = dpptrf(n, a[np.triu_indices(n)], lower=1, overwrite_ap=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"matrix is not positive definite (dpptrf info {info})")
+    # dpptrs reports only illegal arguments, which cannot occur here
+    return dpptrs(n, low, np.asarray(rhs, dtype=float), lower=1)[0]

@@ -6,7 +6,7 @@ class NlstefanError(Exception):
 
 
 class InvalidExponentError(NlstefanError):
-    """Raised when (s, p) leave the admissible range or hit a borderline."""
+    """Raised when (s, p) leave the admissible range 0 < s < 1, p > 2."""
 
 
 class InvalidParamsError(NlstefanError):

@@ -245,9 +245,6 @@ def pair_geometry(grid: Grid, s: float, p: float, points: np.ndarray,
     """
     n = grid.dimension
     sp = s * p
-    if exterior and abs(sp - n) < 1e-12:
-        raise InvalidExponentError(
-            "sp == n sits on the logarithmic borderline of the far-field constant")
     diff = points[:, None, :] - nodes[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     with np.errstate(divide="ignore"):

@@ -14,9 +14,9 @@ functional
 
 with B the enthalpy potential and E the pairwise p-energy, so a damped
 Newton iteration with an SPD Jacobian and an Armijo line search is
-globally convergent.  All linear algebra goes through the deterministic
-BLAS-free routines so trajectories are bit-identical across thread
-counts.
+globally convergent.  The Newton systems go through the packed Cholesky
+of _linalg, whose result does not depend on the BLAS thread count, so
+trajectories are bit-identical across thread counts.
 """
 
 from __future__ import annotations
@@ -84,6 +84,8 @@ class LatticeProblem:
             raise InvalidParamsError("unknown_mask must match the grid size")
         if self.initial.shape != (n_nodes,):
             raise InvalidParamsError("initial field must match the grid size")
+        if not np.all(np.isfinite(self.initial)):
+            raise InvalidParamsError("initial field must be finite")
         if not self.unknown_mask.any():
             raise InvalidParamsError("unknown set is empty")
         if self.unknown_mask.all():
@@ -231,27 +233,35 @@ class _Stepper:
         v = u_prev[self.mask].copy()
         full = self.compose(v, pinned_vals)
         history = []
-        first_obj = None
-        last_obj = None
+        f_start = None
         backtracks = 0
+        r = self.residual(full, b_prev, t_next, dt, ext_vals)
         for iteration in range(cfg.newton_max + 1):
-            r = self.residual(full, b_prev, t_next, dt, ext_vals)
             r_norm = float(np.max(np.abs(r)))
             history.append(r_norm)
+            if not math.isfinite(r_norm):
+                raise NewtonDivergenceError(
+                    f"non-finite residual at t={t_next:.6g}, Newton iteration {iteration}",
+                    last_iterate=full, residuals=history)
             if r_norm <= cfg.newton_tol:
+                drop = 0.0
+                if f_start is not None:
+                    drop = f_start - self.objective(full, b_prev, t_next, dt, ext_vals)
                 diag = StepDiagnostics(
                     t=t_next, dt=dt, newton_iterations=iteration,
-                    residual_norm=r_norm,
-                    objective_drop=(first_obj - last_obj) if first_obj is not None else 0.0,
-                    backtracks=backtracks)
+                    residual_norm=r_norm, objective_drop=drop, backtracks=backtracks)
                 return full, diag
             if iteration == cfg.newton_max:
                 break
             jac = self.jacobian(full, t_next, dt, ext_vals)
-            delta = solve_spd(jac, -r)
-            f0 = self.objective(full, b_prev, t_next, dt, ext_vals)
-            if first_obj is None:
-                first_obj = f0
+            try:
+                delta = solve_spd(jac, -r)
+            except np.linalg.LinAlgError as exc:
+                raise NewtonDivergenceError(
+                    f"Newton linear solve failed at t={t_next:.6g}: {exc}",
+                    last_iterate=full, residuals=history) from exc
+            if f_start is None:
+                f_start = self.objective(full, b_prev, t_next, dt, ext_vals)
             # local phase: the full step stands on its own whenever it
             # shrinks the residual; the objective is flat to rounding near
             # the minimizer and cannot arbitrate there
@@ -260,8 +270,10 @@ class _Stepper:
             if float(np.max(np.abs(r_trial))) <= 0.9 * r_norm:
                 v = v + delta
                 full = trial
-                last_obj = self.objective(full, b_prev, t_next, dt, ext_vals)
+                r = r_trial
                 continue
+            f0 = f_start if iteration == 0 else self.objective(
+                full, b_prev, t_next, dt, ext_vals)
             slope = self.hn * float(np.sum(r * delta))
             alpha = 1.0
             f_trial = self.objective(trial, b_prev, t_next, dt, ext_vals)
@@ -274,7 +286,7 @@ class _Stepper:
             backtracks += nb
             v = v + alpha * delta
             full = self.compose(v, pinned_vals)
-            last_obj = f_trial
+            r = r_trial if nb == 0 else self.residual(full, b_prev, t_next, dt, ext_vals)
         raise NewtonDivergenceError(
             f"Newton stalled at t={t_next:.6g} with residual {history[-1]:.3e}",
             last_iterate=full, residuals=history)

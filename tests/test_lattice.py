@@ -207,10 +207,15 @@ def test_far_field_closure_matches_radial_integral():
     np.testing.assert_allclose(out, expected, rtol=1e-13)
 
 
-def test_borderline_exponent_pair_is_rejected():
-    g = line_grid()
-    with pytest.raises(InvalidExponentError, match="logarithmic borderline"):
-        OperatorWorkspace(g, KernelSpec(), 1.0 / 3.0, 3.0)
+def test_far_field_closure_at_sp_equal_to_dimension():
+    # sp = n = 1: the closure phi_p(a) sigma_1 R^{-sp}/(sp) stays finite
+    g = line_grid(n=5, h=0.5, r_inf=8.0)
+    ws = OperatorWorkspace(g, KernelSpec(), 1.0 / 3.0, 3.0)
+    a = 1.7
+    v = np.full(g.n_nodes, a)
+    ext = np.full(g.exterior_coordinates().shape[0], a)
+    out = ws.apply(v, 0.0, ext, 0.0)
+    np.testing.assert_allclose(out, phi_p(a, 3.0) * 2.0 / 8.0, rtol=1e-13)
 
 
 def test_pair_energy_gradient_matches_operator():
@@ -347,13 +352,12 @@ def test_tail_rejects_bad_radius():
         tail([(0.0, f)], (0.0,), 2000.0 * 0.25, (0.0, 0.0), 0.5, 3.0)
 
 
-def test_tail_borderline_exponents_only_blocked_with_exterior():
-    g, f = tail_setup(16, 1.0)
-    with pytest.raises(InvalidExponentError, match="logarithmic borderline"):
-        tail([(0.0, f)], (0.0,), 0.25, (0.0, 0.0), 1.0 / 3.0, 3.0)
-    bare = Field(g, f.values)
-    # without an exterior there is no analytic closure to go borderline
-    assert tail([(0.0, bare)], (0.0,), 0.25, (0.0, 0.0), 1.0 / 3.0, 3.0) > 0.0
+def test_tail_closed_form_at_sp_equal_to_dimension():
+    # constant field, sp = n = 1: exact value (2/(sp))^{1/(p-1)} |c| = sqrt(2) |c|
+    s, p, rho, c = 1.0 / 3.0, 3.0, 0.25, 1.3
+    _, f = tail_setup(64, c, rho=rho, s=s, p=p)
+    val = tail([(0.0, f)], (0.0,), rho, (0.0, 0.0), s, p)
+    assert val == pytest.approx(np.sqrt(2.0) * c, rel=5e-5)
 
 
 def test_tail_quadrature_first_order_or_better():

@@ -1,5 +1,7 @@
 """Implicit stepping: Newton contract, comparison, scaling, weak form, audits."""
 
+import json
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -18,17 +20,19 @@ from nlstefan import (
     RadialCutoff,
     SolverConfig,
     caccioppoli_audit,
+    cli,
     energy_history,
     implicit_step,
     intrinsic_theta,
     max_principle_check,
     normalize,
+    run_family,
     solve,
     space_time_bump,
     weak_residual,
 )
 from nlstefan.presets import const1d, melt1d
-from nlstefan.solver import _intrinsic_dt
+from nlstefan.solver import _intrinsic_dt, _Stepper
 
 
 def tiny_melt(n_nodes=33, horizon=0.05, eps=0.2, n_steps=10):
@@ -68,6 +72,10 @@ def test_problem_validation():
         replace(prob, eps=-0.1)
     with pytest.raises(InvalidParamsError, match="disagrees with the datum"):
         replace(prob, initial=prob.initial + 1.0)
+    bad = prob.initial.copy()
+    bad[np.nonzero(prob.unknown_mask)[0][0]] = np.nan
+    with pytest.raises(InvalidParamsError, match="finite"):
+        replace(prob, initial=bad)
 
 
 # ---------------------------------------------------------------- exact cases
@@ -139,6 +147,70 @@ def test_newton_divergence_carries_its_history():
     assert len(err.residuals) == 2
     assert err.last_iterate.shape == (pre.problem.grid.n_nodes,)
     assert err.residuals[-1] < err.residuals[0]
+
+
+def test_newton_stops_at_the_first_non_finite_residual():
+    pre = tiny_melt(n_steps=4, horizon=0.1)
+    g = pre.problem.dirichlet
+
+    def turns_nan(x, t):
+        vals = np.asarray(g(x, t), dtype=float)
+        return vals if t == 0.0 else np.full(vals.shape, np.nan)
+
+    with pytest.raises(NewtonDivergenceError, match="non-finite") as exc:
+        solve(replace(pre.problem, dirichlet=turns_nan), pre.solver)
+    assert len(exc.value.residuals) == 1
+    assert np.isnan(exc.value.residuals[0])
+
+
+def test_linear_solve_failure_is_a_newton_divergence(monkeypatch, tmp_path, capsys):
+    def broken(a, rhs):
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+
+    monkeypatch.setattr("nlstefan.solver.solve_spd", broken)
+    pre = tiny_melt(n_steps=4, horizon=0.1)
+    with pytest.raises(NewtonDivergenceError, match="linear solve failed") as exc:
+        implicit_step(pre.problem, pre.problem.initial, 0.025, 0.025)
+    assert exc.value.residuals and exc.value.residuals[0] > 0.0
+    assert exc.value.last_iterate.shape == (pre.problem.grid.n_nodes,)
+    fam = run_family(pre.problem, (0.4, 0.2), pre.solver)
+    assert [e.ok for e in fam.entries] == [False, False]
+    assert "linear solve failed" in fam.entries[0].error
+    rc = cli.main(["solve", "--preset", "melt1d", "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "NewtonDivergenceError"
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.02])
+def test_objective_drop_is_start_minus_final_objective(eps, monkeypatch):
+    # eps 0.2 converges on full steps alone; eps 0.02 needs the line search
+    pre = melt1d(n_nodes=33, horizon=0.05, eps=eps, n_steps=10)
+    prob, dt = pre.problem, 0.025
+    stepper = _Stepper(prob, SolverConfig(dt=dt))
+    calls = []
+    objective = _Stepper.objective
+
+    def counted(self, *args):
+        calls.append(1)
+        return objective(self, *args)
+
+    monkeypatch.setattr(_Stepper, "objective", counted)
+    final, diag = stepper.step(prob.initial, dt, dt)
+    monkeypatch.undo()
+    pinned, ext = stepper.datum(dt)
+    b_prev = prob.enthalpy.b(prob.initial[prob.unknown_mask])
+    start = stepper.compose(prob.initial[prob.unknown_mask], pinned)
+    f_start = stepper.objective(start, b_prev, dt, dt, ext)
+    f_final = stepper.objective(final, b_prev, dt, dt, ext)
+    assert diag.newton_iterations >= 1
+    assert diag.objective_drop == f_start - f_final
+    if eps == 0.2:
+        assert diag.backtracks == 0
+        # F(start) and F(final) only: no line search ran
+        assert len(calls) == 2
+    else:
+        assert diag.backtracks > 0
 
 
 def test_implicit_step_small_dt_expansion():
