@@ -13,8 +13,18 @@ thread count.  This module hides the packed storage from the solver.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.linalg.lapack import dpptrf, dpptrs
+
+
+@lru_cache(maxsize=8)
+def _upper_triangle(n: int):
+    """Row-major upper triangle indices of an n x n matrix (read-only)."""
+    rows, cols = np.triu_indices(n)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def solve_spd(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -25,7 +35,7 @@ def solve_spd(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     # row-major upper triangle == column-major packed lower triangle
-    low, info = dpptrf(n, a[np.triu_indices(n)], lower=1, overwrite_ap=1)
+    low, info = dpptrf(n, a[_upper_triangle(n)], lower=1, overwrite_ap=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"matrix is not positive definite (dpptrf info {info})")
     # dpptrs reports only illegal arguments, which cannot occur here

@@ -47,37 +47,6 @@ def _require_out(args) -> str:
     return args.out
 
 
-def _anchor(cfg: RunConfig, preset, problem):
-    if cfg.analysis.anchor is not None:
-        vals = cfg.analysis.anchor
-        return tuple(vals[:-1]), vals[-1]
-    if preset is not None:
-        return tuple(preset.anchor[0]), float(preset.anchor[1])
-    dim = problem.grid.dimension
-    center = tuple(problem.grid.origin[d]
-                   + 0.5 * (problem.grid.shape[d] - 1) * problem.grid.spacing
-                   for d in range(dim))
-    return center, problem.horizon
-
-
-def _rho0(cfg: RunConfig, preset) -> float:
-    if cfg.analysis.rho0 is not None:
-        return cfg.analysis.rho0
-    if preset is not None:
-        return preset.rho0
-    return 0.25
-
-
-def _ladder_spec(cfg: RunConfig, preset):
-    levels = cfg.analysis.levels
-    shrink = cfg.analysis.shrink
-    if levels is None:
-        levels = preset.ladder_levels if preset is not None else 8
-    if shrink is None:
-        shrink = preset.ladder_shrink if preset is not None else 0.65
-    return levels, shrink
-
-
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
     out = _require_out(args)
@@ -94,10 +63,10 @@ def cmd_tail(args) -> int:
     out = _require_out(args)
     preset, problem, solver_cfg = realize(cfg)
     traj = solve(problem, solver_cfg)
-    x0, t0 = _anchor(cfg, preset, problem)
+    x0, t0 = preset.anchor
     center = list(cfg.tail.center[:-1]) if cfg.tail.center else list(x0)
     t_at = cfg.tail.center[-1] if cfg.tail.center else t0
-    rho = cfg.tail.rho if cfg.tail.rho is not None else _rho0(cfg, preset)
+    rho = cfg.tail.rho if cfg.tail.rho is not None else preset.rho0
     window = tuple(cfg.tail.window) if cfg.tail.window else (0.0, problem.horizon)
     value = tail_fn(traj.samples(), center, rho, window, problem.s, problem.p)
     payload = {"center": center + [t_at], "rho": rho, "window": list(window),
@@ -112,11 +81,10 @@ def cmd_analyze_modulus(args) -> int:
     out = _require_out(args)
     preset, problem, solver_cfg = realize(cfg)
     traj = solve(problem, solver_cfg)
-    x0, t0 = _anchor(cfg, preset, problem)
-    rho0 = _rho0(cfg, preset)
-    n_levels, shrink = _ladder_spec(cfg, preset)
+    x0, t0 = preset.anchor
+    rho0, n_levels = preset.rho0, preset.ladder_levels
     levels, omega0 = analysis.modulus_ladder(
-        traj, (x0, t0), rho0, n_levels=n_levels, shrink=shrink)
+        traj, preset.anchor, rho0, n_levels=n_levels, shrink=preset.ladder_shrink)
     report = analysis.fit_log_modulus(levels, problem.eps, rho0)
     params = analysis.IterationParams(
         s=problem.s, p=problem.p, eps=problem.eps, omega0=omega0, rho0=rho0)
@@ -150,7 +118,7 @@ def cmd_continuation(args) -> int:
         if entry.ok:
             fileio.write_trajectory(os.path.join(out, f"eps_{entry.eps:g}"),
                                     entry.trajectory)
-    pair = continuation_mod.limit_pair(family, cfg.continuation.delta_resolve)
+    pair = continuation_mod.limit_pair(family, preset.delta_resolve)
     report = continuation_mod.convergence_report(family)
     grid = family.entries[-1].trajectory.problem.grid
     fileio.write_field_csv(os.path.join(out, "limit_u.csv"), grid, pair.u_states[-1])
@@ -227,21 +195,18 @@ def cmd_verify(args) -> int:
     traj = solve(problem, solver_cfg)
     checks = structural_audit(traj, solver_cfg)
 
-    x0, t0 = _anchor(cfg, preset, problem)
-    rho0 = _rho0(cfg, preset)
+    x0, t0 = preset.anchor
     theta = analysis.intrinsic_theta(1.0, problem.p)
-    cyl = analysis.Cylinder(x0, t0, rho0, theta)
+    cyl = analysis.Cylinder(x0, t0, preset.rho0, theta)
     audit = caccioppoli_audit(traj, level=problem.eps, sign="+", cylinder=cyl)
     checks["caccioppoli"] = {"ratio": audit.ratio, "lhs": audit.lhs,
                              "rhs": audit.rhs,
                              "passed": bool(np.isfinite(audit.ratio))}
 
-    bpoint = preset.boundary_point[0] if (preset and preset.boundary_point) else \
-        (problem.grid.origin[0],)
     h = problem.grid.spacing
     radii = [8 * h, 16 * h, 32 * h]
     density = analysis.measure_density(problem.grid, problem.unknown_mask,
-                                       bpoint, radii, alpha0=0.25)
+                                       preset.boundary_point[0], radii, alpha0=0.25)
     checks["measure_density"] = {"radii": radii, "fractions": density.fractions,
                                  "min_fraction": density.min_fraction,
                                  "passed": density.passed}

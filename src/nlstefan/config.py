@@ -2,20 +2,25 @@
 
 Unknown keys are rejected everywhere and every violation is reported at
 once, each prefixed by its JSON path.  Emission reproduces a fixed field
-order, so emit(parse(x)) canonicalizes any accepted input.
+order, so emit(parse(x)) canonicalizes any accepted input.  Overrides
+depend on the preset, which the command line may replace after parsing,
+so `realize` checks them against the preset the run actually uses.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import List, Optional, Union
 
 import numpy as np
 
 from .errors import SchemaViolationError
 from .lattice import Grid, KernelSpec
-from .presets import load_preset
+from .presets import CATALOG, Preset, load_preset
 from .solver import LatticeProblem, SolverConfig
 
 
@@ -45,17 +50,6 @@ class InlineProblem:
 
 
 @dataclass
-class SolverSection:
-    dt_policy: str = "fixed"
-    dt: Optional[float] = None
-    dt_factor: float = 1.0
-    newton_tol: float = 1e-10
-    newton_max: int = 40
-    damping: float = 0.5
-    store_every: int = 1
-
-
-@dataclass
 class AnalysisSection:
     anchor: Optional[List[float]] = None    # [x..., t]
     rho0: Optional[float] = None
@@ -66,7 +60,7 @@ class AnalysisSection:
 @dataclass
 class ContinuationSection:
     eps_values: List[float] = field(default_factory=lambda: [0.2, 0.1, 0.05, 0.025])
-    delta_resolve: float = 0.05
+    delta_resolve: float = Preset.delta_resolve
 
 
 @dataclass
@@ -80,17 +74,21 @@ class TailSection:
 class RunConfig:
     problem: Union[str, InlineProblem] = "melt1d"
     overrides: dict = field(default_factory=dict)
-    solver: Optional[SolverSection] = None
+    solver: dict = field(default_factory=dict)  # the SolverConfig fields it replaces
     analysis: AnalysisSection = field(default_factory=AnalysisSection)
     continuation: ContinuationSection = field(default_factory=ContinuationSection)
     tail: TailSection = field(default_factory=TailSection)
-    seed: int = 0
 
 
-_NUMBER = (int, float)
+def _is_number(value) -> bool:
+    # json.loads reads NaN and Infinity, which no field accepts
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 class _Validator:
+    """Collects violations; each check returns the accepted value or None."""
+
     def __init__(self):
         self.violations: List[str] = []
 
@@ -103,13 +101,20 @@ class _Validator:
                 self.fail(f"{path}.{key}" if path else key, "unknown key")
 
     def number(self, path: str, value, positive=False):
-        if not isinstance(value, _NUMBER) or isinstance(value, bool):
+        if not _is_number(value):
             self.fail(path, "expected a number")
             return None
         if positive and not value > 0:
             self.fail(path, "must be positive")
             return None
         return float(value)
+
+    def fraction(self, path: str, value):
+        got = self.number(path, value, positive=True)
+        if got is not None and not got < 1.0:
+            self.fail(path, "must lie in (0, 1)")
+            return None
+        return got
 
     def integer(self, path: str, value, minimum=None):
         if not isinstance(value, int) or isinstance(value, bool):
@@ -121,14 +126,50 @@ class _Validator:
         return value
 
     def number_list(self, path: str, value, length=None):
-        if not isinstance(value, list) or not all(
-                isinstance(v, _NUMBER) and not isinstance(v, bool) for v in value):
+        if not isinstance(value, list) or not all(_is_number(v) for v in value):
             self.fail(path, "expected a list of numbers")
             return None
         if length is not None and len(value) != length:
             self.fail(path, f"expected length {length}")
             return None
         return [float(v) for v in value]
+
+    def choice(self, path: str, value, options):
+        if value not in options:
+            self.fail(path, "expected " + " or ".join(f"'{o}'" for o in options))
+            return None
+        return value
+
+
+_POSITIVE = partial(_Validator.number, positive=True)
+
+# One check per key of each section, in emission order.
+_SECTIONS = {
+    "solver": {
+        "dt_policy": partial(_Validator.choice, options=("fixed", "intrinsic")),
+        "dt": _POSITIVE,
+        "dt_factor": _POSITIVE,
+        "newton_tol": _POSITIVE,
+        "newton_max": partial(_Validator.integer, minimum=1),
+        "damping": _Validator.fraction,
+        "store_every": partial(_Validator.integer, minimum=1),
+    },
+    "analysis": {
+        "anchor": _Validator.number_list,
+        "rho0": _POSITIVE,
+        "levels": partial(_Validator.integer, minimum=2),
+        "shrink": _Validator.fraction,
+    },
+    "continuation": {
+        "eps_values": _Validator.number_list,
+        "delta_resolve": _POSITIVE,
+    },
+    "tail": {
+        "center": _Validator.number_list,
+        "rho": _POSITIVE,
+        "window": partial(_Validator.number_list, length=2),
+    },
+}
 
 
 def _parse_inline_problem(v: _Validator, raw: dict) -> Optional[InlineProblem]:
@@ -156,8 +197,12 @@ def _parse_inline_problem(v: _Validator, raw: dict) -> Optional[InlineProblem]:
         lo = v.number_list("problem.box.lo", raw["box"].get("lo"))
         hi = v.number_list("problem.box.hi", raw["box"].get("hi"))
         nodes = raw["box"].get("nodes")
-        if not isinstance(nodes, list) or not all(isinstance(n, int) for n in nodes):
+        if not isinstance(nodes, list) or not all(
+                isinstance(n, int) and not isinstance(n, bool) for n in nodes):
             v.fail("problem.box.nodes", "expected a list of integers")
+            nodes = None
+        elif any(n < 2 for n in nodes):
+            v.fail("problem.box.nodes", "each axis needs at least 2 nodes")
             nodes = None
         r_inf = v.number("problem.box.r_infinity", raw["box"].get("r_infinity", 0.0),
                          positive=True)
@@ -172,8 +217,9 @@ def _parse_inline_problem(v: _Validator, raw: dict) -> Optional[InlineProblem]:
     unknown_lo = unknown_hi = None
     if isinstance(raw["unknown"], dict):
         v.check_keys("problem.unknown", raw["unknown"], {"lo", "hi"})
-        unknown_lo = v.number_list("problem.unknown.lo", raw["unknown"].get("lo"))
-        unknown_hi = v.number_list("problem.unknown.hi", raw["unknown"].get("hi"))
+        dim = len(box.lo) if box is not None else None
+        unknown_lo = v.number_list("problem.unknown.lo", raw["unknown"].get("lo"), dim)
+        unknown_hi = v.number_list("problem.unknown.hi", raw["unknown"].get("hi"), dim)
     else:
         v.fail("problem.unknown", "expected an object")
 
@@ -186,71 +232,28 @@ def _parse_inline_problem(v: _Validator, raw: dict) -> Optional[InlineProblem]:
     else:
         v.fail("problem.datum", "expected an object")
 
-    initial_kind = "constant"
-    initial_value = datum_value if datum_value is not None else 0.0
-    initial_inside = 0.0
-    initial_radius = 0.0
-    if "initial" in raw:
-        if isinstance(raw["initial"], dict):
-            v.check_keys("problem.initial", raw["initial"],
-                         {"type", "value", "inside", "radius"})
-            kind = raw["initial"].get("type", "constant")
-            if kind not in ("constant", "core"):
-                v.fail("problem.initial.type", "expected 'constant' or 'core'")
-            else:
-                initial_kind = kind
-            if initial_kind == "constant":
-                got = v.number("problem.initial.value",
-                               raw["initial"].get("value", initial_value))
-                initial_value = got if got is not None else initial_value
-            else:
-                initial_inside = v.number("problem.initial.inside",
-                                          raw["initial"].get("inside", 0.0)) or 0.0
-                initial_radius = v.number("problem.initial.radius",
-                                          raw["initial"].get("radius", 0.0),
-                                          positive=True) or 0.0
-                got = v.number("problem.initial.value",
-                               raw["initial"].get("value", initial_value))
-                initial_value = got if got is not None else initial_value
-        else:
-            v.fail("problem.initial", "expected an object")
+    initial = raw.get("initial", {})
+    if not isinstance(initial, dict):
+        v.fail("problem.initial", "expected an object")
+        initial = {}
+    v.check_keys("problem.initial", initial, {"type", "value", "inside", "radius"})
+    initial_kind = v.choice("problem.initial.type", initial.get("type", "constant"),
+                            ("constant", "core"))
+    initial_value = v.number("problem.initial.value", initial.get(
+        "value", datum_value if datum_value is not None else 0.0))
+    initial_inside = initial_radius = 0.0
+    if initial_kind == "core":
+        initial_inside = v.number("problem.initial.inside", initial.get("inside", 0.0))
+        initial_radius = v.number("problem.initial.radius", initial.get("radius", 0.0),
+                                  positive=True)
 
     if v.violations:
         return None
     return InlineProblem(s=s, p=p, lam=lam, eps=eps, horizon=horizon, box=box,
-                         unknown_lo=unknown_lo or [], unknown_hi=unknown_hi or [],
+                         unknown_lo=unknown_lo, unknown_hi=unknown_hi,
                          datum_value=datum_value, initial_kind=initial_kind,
                          initial_value=initial_value, initial_inside=initial_inside,
                          initial_radius=initial_radius)
-
-
-def _parse_solver(v: _Validator, raw: dict) -> Optional[SolverSection]:
-    allowed = {"dt_policy", "dt", "dt_factor", "newton_tol", "newton_max",
-               "damping", "store_every"}
-    v.check_keys("solver", raw, allowed)
-    sec = SolverSection()
-    if "dt_policy" in raw:
-        if raw["dt_policy"] not in ("fixed", "intrinsic"):
-            v.fail("solver.dt_policy", "expected 'fixed' or 'intrinsic'")
-        else:
-            sec.dt_policy = raw["dt_policy"]
-    if "dt" in raw:
-        sec.dt = v.number("solver.dt", raw["dt"], positive=True)
-    if "dt_factor" in raw:
-        sec.dt_factor = v.number("solver.dt_factor", raw["dt_factor"], positive=True) or 1.0
-    if "newton_tol" in raw:
-        sec.newton_tol = v.number("solver.newton_tol", raw["newton_tol"], positive=True) or 1e-10
-    if "newton_max" in raw:
-        sec.newton_max = v.integer("solver.newton_max", raw["newton_max"], minimum=1) or 40
-    if "damping" in raw:
-        d = v.number("solver.damping", raw["damping"], positive=True)
-        if d is not None and not d < 1.0:
-            v.fail("solver.damping", "must lie in (0, 1)")
-        elif d is not None:
-            sec.damping = d
-    if "store_every" in raw:
-        sec.store_every = v.integer("solver.store_every", raw["store_every"], minimum=1) or 1
-    return sec
 
 
 def parse_run_config(source) -> RunConfig:
@@ -266,9 +269,7 @@ def parse_run_config(source) -> RunConfig:
     if not isinstance(raw, dict):
         raise SchemaViolationError(["top level: expected an object"])
     v = _Validator()
-    allowed = {"problem", "overrides", "solver", "analysis", "continuation",
-               "tail", "seed"}
-    v.check_keys("", raw, allowed)
+    v.check_keys("", raw, {"problem", "overrides", *_SECTIONS})
     cfg = RunConfig()
     prob = raw.get("problem", "melt1d")
     if isinstance(prob, str):
@@ -280,75 +281,22 @@ def parse_run_config(source) -> RunConfig:
     else:
         v.fail("problem", "expected a preset name or an object")
 
-    if "overrides" in raw:
-        if not isinstance(raw["overrides"], dict):
-            v.fail("overrides", "expected an object")
-        else:
-            ok_keys = {"n_nodes", "horizon", "eps", "n_steps", "c_g", "delta", "value"}
-            v.check_keys("overrides", raw["overrides"], ok_keys)
-            cfg.overrides = dict(raw["overrides"])
+    if not isinstance(raw.get("overrides", {}), dict):
+        v.fail("overrides", "expected an object")
+    else:
+        cfg.overrides = dict(raw.get("overrides", {}))
 
-    if "solver" in raw:
-        if not isinstance(raw["solver"], dict):
-            v.fail("solver", "expected an object")
-        else:
-            cfg.solver = _parse_solver(v, raw["solver"])
-
-    if "analysis" in raw:
-        if not isinstance(raw["analysis"], dict):
-            v.fail("analysis", "expected an object")
-        else:
-            v.check_keys("analysis", raw["analysis"], {"anchor", "rho0", "levels", "shrink"})
-            sec = AnalysisSection()
-            if "anchor" in raw["analysis"]:
-                sec.anchor = v.number_list("analysis.anchor", raw["analysis"]["anchor"])
-            if "rho0" in raw["analysis"]:
-                sec.rho0 = v.number("analysis.rho0", raw["analysis"]["rho0"], positive=True)
-            if "levels" in raw["analysis"]:
-                sec.levels = v.integer("analysis.levels", raw["analysis"]["levels"], minimum=2)
-            if "shrink" in raw["analysis"]:
-                sh = v.number("analysis.shrink", raw["analysis"]["shrink"], positive=True)
-                if sh is not None and not sh < 1.0:
-                    v.fail("analysis.shrink", "must lie in (0, 1)")
-                elif sh is not None:
-                    sec.shrink = sh
-            cfg.analysis = sec
-
-    if "continuation" in raw:
-        if not isinstance(raw["continuation"], dict):
-            v.fail("continuation", "expected an object")
-        else:
-            v.check_keys("continuation", raw["continuation"], {"eps_values", "delta_resolve"})
-            sec = ContinuationSection()
-            if "eps_values" in raw["continuation"]:
-                vals = v.number_list("continuation.eps_values", raw["continuation"]["eps_values"])
-                if vals is not None:
-                    sec.eps_values = vals
-            if "delta_resolve" in raw["continuation"]:
-                dr = v.number("continuation.delta_resolve",
-                              raw["continuation"]["delta_resolve"], positive=True)
-                if dr is not None:
-                    sec.delta_resolve = dr
-            cfg.continuation = sec
-
-    if "tail" in raw:
-        if not isinstance(raw["tail"], dict):
-            v.fail("tail", "expected an object")
-        else:
-            v.check_keys("tail", raw["tail"], {"center", "rho", "window"})
-            sec = TailSection()
-            if "center" in raw["tail"]:
-                sec.center = v.number_list("tail.center", raw["tail"]["center"])
-            if "rho" in raw["tail"]:
-                sec.rho = v.number("tail.rho", raw["tail"]["rho"], positive=True)
-            if "window" in raw["tail"]:
-                sec.window = v.number_list("tail.window", raw["tail"]["window"], length=2)
-            cfg.tail = sec
-
-    if "seed" in raw:
-        got = v.integer("seed", raw["seed"], minimum=0)
-        if got is not None:
-            cfg.seed = got
+    for name, checks in _SECTIONS.items():
+        section = raw.get(name, {})
+        if not isinstance(section, dict):
+            v.fail(name, "expected an object")
+            continue
+        v.check_keys(name, section, checks)
+        values = {key: check(v, f"{name}.{key}", section[key])
+                  for key, check in checks.items() if key in section}
+        values = {key: value for key, value in values.items() if value is not None}
+        setattr(cfg, name, values if name == "solver"
+                else replace(getattr(cfg, name), **values))
 
     if v.violations:
         raise SchemaViolationError(v.violations)
@@ -373,33 +321,45 @@ def emit_run_config(cfg: RunConfig) -> str:
                     "r_infinity": ip.box.r_infinity},
             "unknown": {"lo": ip.unknown_lo, "hi": ip.unknown_hi},
             "datum": {"type": "constant", "value": ip.datum_value},
+            "initial": {"type": ip.initial_kind, "value": ip.initial_value},
         }
-        if ip.initial_kind == "constant":
-            prob["initial"] = {"type": "constant", "value": ip.initial_value}
-        else:
-            prob["initial"] = {"type": "core", "value": ip.initial_value,
-                               "inside": ip.initial_inside,
-                               "radius": ip.initial_radius}
+        if ip.initial_kind == "core":
+            prob["initial"].update(inside=ip.initial_inside, radius=ip.initial_radius)
     payload = {"problem": prob}
     if cfg.overrides:
         payload["overrides"] = dict(cfg.overrides)
-    if cfg.solver is not None:
-        payload["solver"] = {k: v for k, v in asdict(cfg.solver).items()
-                             if v is not None}
-    analysis = {k: v for k, v in asdict(cfg.analysis).items() if v is not None}
-    if analysis:
-        payload["analysis"] = analysis
-    payload["continuation"] = asdict(cfg.continuation)
-    tail_sec = {k: v for k, v in asdict(cfg.tail).items() if v is not None}
-    if tail_sec:
-        payload["tail"] = tail_sec
-    payload["seed"] = cfg.seed
+    for name in _SECTIONS:
+        section = getattr(cfg, name)
+        values = section if isinstance(section, dict) else asdict(section)
+        values = {key: value for key, value in values.items() if value is not None}
+        if values:
+            payload[name] = values
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _build_inline(inline: InlineProblem) -> LatticeProblem:
+def _catalog_preset(name: str, overrides: dict) -> Preset:
+    """Load a catalog preset; each override must name a parameter of the
+    preset function and is typed from that parameter's default."""
+    if name not in CATALOG:
+        return load_preset(name)    # raises the unknown-preset error
+    params = inspect.signature(CATALOG[name]).parameters
+    v = _Validator()
+    kwargs = {}
+    for key, value in overrides.items():
+        path = f"overrides.{key}"
+        if key not in params:
+            v.fail(path, f"not a parameter of preset '{name}'")
+        elif isinstance(params[key].default, int):
+            kwargs[key] = v.integer(path, value, minimum=1)
+        else:
+            kwargs[key] = v.number(path, value)
+    if v.violations:
+        raise SchemaViolationError(v.violations)
+    return load_preset(name, **kwargs)
+
+
+def _inline_preset(inline: InlineProblem) -> Preset:
     box = inline.box
-    dim = len(box.lo)
     spacings = [(h - l) / (n - 1) for l, h, n in zip(box.lo, box.hi, box.nodes)]
     spacing = spacings[0]
     if any(abs(sp - spacing) > 1e-12 * abs(spacing) for sp in spacings):
@@ -407,47 +367,48 @@ def _build_inline(inline: InlineProblem) -> LatticeProblem:
     grid = Grid(spacing=spacing, shape=tuple(box.nodes), origin=tuple(box.lo),
                 r_infinity=box.r_infinity)
     coords = grid.coordinates()
-    mask = np.ones(grid.n_nodes, dtype=bool)
-    for d in range(dim):
-        mask &= (coords[:, d] > inline.unknown_lo[d] + 1e-12)
-        mask &= (coords[:, d] < inline.unknown_hi[d] - 1e-12)
+    mask = np.all((coords > np.asarray(inline.unknown_lo) + 1e-12)
+                  & (coords < np.asarray(inline.unknown_hi) - 1e-12), axis=1)
     value = inline.datum_value
     g = lambda x, t, _v=value: np.full(np.atleast_2d(x).shape[0], _v)
-    if inline.initial_kind == "constant":
-        initial = np.where(mask, inline.initial_value, value)
-    else:
-        r = np.sqrt(np.sum(coords ** 2, axis=1))
-        core = np.where(r < inline.initial_radius, inline.initial_inside,
-                        inline.initial_value)
-        initial = np.where(mask, core, value)
-    return LatticeProblem(
+    # a constant initial value has radius 0, so no node lies in its core
+    r = np.sqrt(np.sum(coords ** 2, axis=1))
+    core = np.where(r < inline.initial_radius, inline.initial_inside, inline.initial_value)
+    initial = np.where(mask, core, value)
+    problem = LatticeProblem(
         s=inline.s, p=inline.p, kernel=KernelSpec(lam=inline.lam), grid=grid,
         unknown_mask=mask, dirichlet=g, far_value=value, initial=initial,
         horizon=inline.horizon, eps=inline.eps)
+    return Preset(name="inline", problem=problem,
+                  solver=SolverConfig(dt=inline.horizon / 100.0))
 
 
 def realize(cfg: RunConfig):
     """Turn a parsed config into (preset, problem, solver_config).
 
-    Preset names go through the catalog with the overrides applied; the
-    solver section then overrides the preset's stepping controls.
+    A preset name goes through the catalog with the overrides applied; an
+    inline problem becomes a preset with the `Preset` defaults.  The
+    solver section replaces the solver fields it names, and the analysis
+    section and continuation.delta_resolve are written onto the preset.
     """
     if isinstance(cfg.problem, str):
-        preset = load_preset(cfg.problem, **cfg.overrides)
-        problem = preset.problem
-        solver_cfg = preset.solver
+        preset = _catalog_preset(cfg.problem, cfg.overrides)
+    elif cfg.overrides:
+        raise SchemaViolationError(["overrides: an inline problem takes no overrides"])
     else:
-        preset = None
-        problem = _build_inline(cfg.problem)
-        solver_cfg = SolverConfig(dt=problem.horizon / 100.0)
-    if cfg.solver is not None:
-        sec = cfg.solver
-        solver_cfg = SolverConfig(
-            dt=sec.dt if sec.dt is not None else solver_cfg.dt,
-            dt_policy=sec.dt_policy,
-            dt_factor=sec.dt_factor,
-            newton_tol=sec.newton_tol,
-            newton_max=sec.newton_max,
-            damping=sec.damping,
-            store_every=sec.store_every)
-    return preset, problem, solver_cfg
+        preset = _inline_preset(cfg.problem)
+    v = _Validator()
+    dim = preset.problem.grid.dimension
+    for path, point in (("analysis.anchor", cfg.analysis.anchor),
+                        ("tail.center", cfg.tail.center)):
+        if point is not None:
+            v.number_list(path, point, length=dim + 1)
+    if v.violations:
+        raise SchemaViolationError(v.violations)
+    a = cfg.analysis
+    ladder = {"anchor": (tuple(a.anchor[:-1]), a.anchor[-1]) if a.anchor else None,
+              "rho0": a.rho0, "ladder_levels": a.levels, "ladder_shrink": a.shrink}
+    preset = replace(preset, solver=replace(preset.solver, **cfg.solver),
+                     delta_resolve=cfg.continuation.delta_resolve,
+                     **{k: value for k, value in ladder.items() if value is not None})
+    return preset, preset.problem, preset.solver

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -15,23 +15,36 @@ from .solver import LatticeProblem, SolverConfig
 
 @dataclass
 class Preset:
-    """A ready-to-run problem plus the knobs analysis tools read."""
+    """A ready-to-run problem plus the knobs analysis tools read.
+
+    The anchor defaults to the box centre at the horizon and the boundary
+    point to the box's lower corner at t = 0.
+    """
 
     name: str
     problem: LatticeProblem
     solver: SolverConfig
-    anchor: tuple                      # (x0, t0) for oscillation ladders
-    rho0: float                        # base ladder radius
+    anchor: Optional[tuple] = None     # (x0, t0) for oscillation ladders
+    rho0: float = 0.25                 # base ladder radius
     ladder_levels: int = 8
     ladder_shrink: float = 0.65
     delta_resolve: float = 0.05
     boundary_point: Optional[tuple] = None
     boundary_modulus: Optional[Callable] = None
-    modulus_params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        grid = self.problem.grid
+        if self.anchor is None:
+            center = tuple(o + 0.5 * (n - 1) * grid.spacing
+                           for o, n in zip(grid.origin, grid.shape))
+            self.anchor = (center, self.problem.horizon)
+        if self.boundary_point is None:
+            self.boundary_point = (tuple(grid.origin), 0.0)
 
 
 def _interval_grid(lo: float, hi: float, n_nodes: int, r_infinity: float) -> Grid:
-    spacing = (hi - lo) / (n_nodes - 1)
+    # fewer than two nodes reach Grid's own check instead of dividing by zero
+    spacing = (hi - lo) / max(n_nodes - 1, 1)
     return Grid(spacing=spacing, shape=(n_nodes,), origin=(lo,), r_infinity=r_infinity)
 
 
@@ -108,8 +121,7 @@ def logbdy(n_nodes: int = 257, horizon: float = 0.5, eps: float = 0.01,
     solver = SolverConfig(dt=horizon / n_steps, dt_policy="fixed")
     return Preset(name="logbdy", problem=problem, solver=solver,
                   anchor=((0.5,), horizon), rho0=0.3,
-                  boundary_point=((0.0,), 0.0), boundary_modulus=modulus,
-                  modulus_params={"c_g": c_g, "delta": delta, "r_scale": r_scale})
+                  boundary_point=((0.0,), 0.0), boundary_modulus=modulus)
 
 
 def const1d(n_nodes: int = 65, horizon: float = 0.1, eps: float = 0.05,

@@ -41,7 +41,6 @@ def test_parse_minimal_preset_config():
 def test_parse_empty_config_defaults_to_melt():
     cfg = parse_run_config("{}")
     assert cfg.problem == "melt1d"
-    assert cfg.seed == 0
     assert cfg.continuation.eps_values == [0.2, 0.1, 0.05, 0.025]
 
 
@@ -49,7 +48,11 @@ def test_parse_inline_problem():
     cfg = parse_run_config(json.dumps(INLINE))
     assert isinstance(cfg.problem, InlineProblem)
     preset, problem, solver_cfg = realize(cfg)
-    assert preset is None
+    assert preset.problem is problem and preset.solver is solver_cfg
+    assert preset.anchor == ((0.0,), 0.1)
+    assert preset.rho0 == 0.25
+    assert (preset.ladder_levels, preset.ladder_shrink) == (8, 0.65)
+    assert preset.boundary_point == ((-1.0,), 0.0)
     assert problem.grid.shape == (33,)
     assert problem.eps == 0.05
     assert problem.far_value == 1.0
@@ -111,7 +114,7 @@ def test_top_level_must_be_an_object():
 
 
 def test_emit_parse_is_idempotent():
-    for source in ('{"problem": "twophase1d", "seed": 7}', json.dumps(INLINE),
+    for source in ('{"problem": "twophase1d"}', json.dumps(INLINE),
                    json.dumps({"problem": "melt1d",
                                "solver": {"dt_policy": "intrinsic", "dt_factor": 2.0},
                                "analysis": {"anchor": [0.5, 0.5], "rho0": 0.3},
@@ -119,6 +122,9 @@ def test_emit_parse_is_idempotent():
         once = emit_run_config(parse_run_config(source))
         twice = emit_run_config(parse_run_config(once))
         assert once == twice
+    with pytest.raises(SchemaViolationError) as exc:
+        parse_run_config('{"seed": 7}')
+    assert exc.value.violations == ["seed: unknown key"]
 
 
 def test_realize_applies_overrides_and_solver_section():
@@ -318,3 +324,93 @@ def test_cli_unknown_preset(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "InvalidParamsError"
     assert "unknown preset" in err["error"]["message"]
+
+
+def inline_with(**changes):
+    payload = json.loads(json.dumps(INLINE))
+    payload["problem"].update(changes)
+    return payload
+
+
+INLINE_2D = inline_with(
+    horizon=0.02,
+    box={"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "nodes": [9, 9], "r_infinity": 3.0},
+    unknown={"lo": [-1.0, -1.0], "hi": [1.0, 1.0]})
+
+# (command line, config, path of the violation reported first)
+MALFORMED = {
+    "unknown-lo-shorter-than-box": (
+        ["solve"], inline_with(unknown={"lo": [], "hi": [1.0]}), "problem.unknown.lo"),
+    "override-foreign-to-preset": (
+        ["solve"], {"problem": "melt1d", "overrides": {"c_g": 0.5}}, "overrides.c_g"),
+    "override-foreign-to-flag-preset": (
+        ["solve", "--preset", "melt1d"], {"problem": "logbdy", "overrides": {"c_g": 0.4}},
+        "overrides.c_g"),
+    "override-of-wrong-type": (
+        ["solve"], {"problem": "melt1d", "overrides": {"n_nodes": "abc"}},
+        "overrides.n_nodes"),
+    "override-count-zero": (
+        ["solve"], {"problem": "const1d", "overrides": {"n_steps": 0}}, "overrides.n_steps"),
+    "override-on-inline-problem": (["solve"], dict(INLINE, overrides={"eps": 0.1}), "overrides"),
+    "box-nodes-bool": (
+        ["solve"], inline_with(box={"lo": [-1.0], "hi": [1.0], "nodes": [True],
+                                    "r_infinity": 4.0}), "problem.box.nodes"),
+    "box-nodes-one": (
+        ["solve"], inline_with(box={"lo": [-1.0], "hi": [1.0], "nodes": [1],
+                                    "r_infinity": 4.0}), "problem.box.nodes"),
+    "anchor-wrong-length": (
+        ["analyze-modulus"], {"problem": "const1d", "analysis": {"anchor": [0.1]}},
+        "analysis.anchor"),
+    "tail-center-wrong-length": (
+        ["tail"], {"problem": "const1d", "tail": {"center": [0.1]}}, "tail.center"),
+    # json.dumps writes NaN and -Infinity, which json.loads reads back
+    "nan-number": (["solve"], inline_with(lam=float("nan")), "problem.lam"),
+    "infinite-list-entry": (
+        ["tail"], {"problem": "const1d", "tail": {"window": [float("-inf"), 0.1]}},
+        "tail.window"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_exits_2_with_a_path_prefixed_violation(tmp_path, capsys, case):
+    argv, payload, path = MALFORMED[case]
+    cfg = write_cfg(tmp_path, payload)
+    rc = cli.main(argv + ["--config", cfg, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "SchemaViolationError"
+    assert err["error"]["violations"][0].startswith(path + ":")
+
+
+def test_too_few_preset_nodes_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"problem": "const1d", "overrides": {"n_nodes": 1}})
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == {"type": "InvalidParamsError",
+                            "message": "each axis needs at least two nodes"}
+
+
+def test_cli_verify_2d_inline_problem(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dict(INLINE_2D, solver={"dt": 0.01}))
+    out = str(tmp_path / "verify")
+    assert cli.main(["verify", "--config", cfg, "--out", out]) == 0
+    assert "verify measure_density: PASS" in capsys.readouterr().out
+    checks = read_json(os.path.join(out, "verify.json"))["checks"]
+    assert checks["measure_density"]["radii"] == [2.0, 4.0, 8.0]
+    assert checks["max_principle"]["passed"] and checks["comparison"]["passed"]
+
+
+@pytest.mark.parametrize("payload", [
+    INLINE,
+    {"problem": "melt1d", "overrides": {"n_nodes": 33, "horizon": 0.05, "n_steps": 5},
+     "solver": {"newton_tol": 1e-11, "store_every": 2}},
+], ids=["inline", "preset-partial-solver"])
+def test_manifest_config_echo_reproduces_the_run(tmp_path, payload):
+    first, second = str(tmp_path / "first"), str(tmp_path / "second")
+    assert cli.main(["solve", "--config", write_cfg(tmp_path, payload),
+                     "--out", first]) == 0
+    echo = read_json(os.path.join(first, "manifest.json"))["config"]
+    assert echo.get("solver") == payload.get("solver")
+    assert cli.main(["solve", "--config", write_cfg(tmp_path, echo, name="echo.json"),
+                     "--out", second]) == 0
+    assert tree_bytes(first) == tree_bytes(second)
