@@ -49,8 +49,8 @@ def _require_out(args) -> str:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
-    out = _require_out(args)
     preset, problem, solver_cfg = realize(cfg)
+    out = _require_out(args)
     traj = solve(problem, solver_cfg)
     fileio.write_trajectory(out, traj, config_echo=_echo(cfg))
     worst = max(d.residual_norm for d in traj.diagnostics)
@@ -60,8 +60,8 @@ def cmd_solve(args) -> int:
 
 def cmd_tail(args) -> int:
     cfg = _load_config(args)
-    out = _require_out(args)
     preset, problem, solver_cfg = realize(cfg)
+    out = _require_out(args)
     traj = solve(problem, solver_cfg)
     x0, t0 = preset.anchor
     center = list(cfg.tail.center[:-1]) if cfg.tail.center else list(x0)
@@ -78,8 +78,8 @@ def cmd_tail(args) -> int:
 
 def cmd_analyze_modulus(args) -> int:
     cfg = _load_config(args)
-    out = _require_out(args)
     preset, problem, solver_cfg = realize(cfg)
+    out = _require_out(args)
     traj = solve(problem, solver_cfg)
     x0, t0 = preset.anchor
     rho0, n_levels = preset.rho0, preset.ladder_levels
@@ -110,8 +110,8 @@ def cmd_analyze_modulus(args) -> int:
 
 def cmd_continuation(args) -> int:
     cfg = _load_config(args)
-    out = _require_out(args)
     preset, problem, solver_cfg = realize(cfg)
+    out = _require_out(args)
     family = continuation_mod.run_family(problem, cfg.continuation.eps_values,
                                          solver_cfg, threads=args.threads)
     for entry in family.entries:
@@ -190,8 +190,8 @@ def cmd_lemma_check(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
-    out = _require_out(args)
     preset, problem, solver_cfg = realize(cfg)
+    out = _require_out(args)
     traj = solve(problem, solver_cfg)
     checks = structural_audit(traj, solver_cfg)
 

@@ -9,8 +9,10 @@ discrete principal-value rule.  Nodes beyond the stored box are virtual:
 their values come from the field's exterior rule out to the truncation
 radius R_inf, and beyond R_inf the medium is closed with the constant
 far value, whose contribution is the exact radial integral
-
-    phi_p(v_i - far) * k_far * sigma_n * R_inf^{-sp} / (sp).
+phi_p(v_i - far) w_far, w_far = k_far sigma_n R_inf^{-sp} / (sp).  Exterior
+columns whose datum equals the far value fold into it: phi_p(v_i - far)
+carries S_i - sum_{j in band} w_ij + w_far, S_i = sum_j w_ij, and only the
+band of columns where the datum differs is summed.
 
 Tail quantities follow the same explicit-plus-analytic split, with a
 cell-fraction correction where lattice cells straddle the inner ball, so
@@ -285,43 +287,55 @@ class OperatorWorkspace:
         self.geom_box = _box_displacement_weights(grid, s, p)
         _, self.geom_ext, self.far_geom = pair_geometry(
             grid, s, p, self.coords, self.ext_coords, exterior=True)
-        self._static = None
+        self._level = self._band = None
         if not kernel.time_dependent:
-            self._static = self._weights(0.0)
-
-    def _weights(self, t: float):
-        k_box = self.kernel.evaluate(self.coords[:, None, :], self.coords[None, :, :], t)
-        k_ext = self.kernel.evaluate(self.coords[:, None, :], self.ext_coords[None, :, :], t)
-        return (k_box * self.geom_box, k_ext * self.geom_ext,
-                self.kernel.far_kernel * self.far_geom)
+            self.weights(0.0)
 
     def weights(self, t: float):
-        if self._static is not None:
-            return self._static
-        return self._weights(t)
+        """(w_box, w_ext, closure) at time t, closure_i = S_i + w_far."""
+        if self._level is None or (self.kernel.time_dependent and self._level[0] != t):
+            k_box = self.kernel.evaluate(self.coords[:, None, :], self.coords[None, :, :], t)
+            k_ext = self.kernel.evaluate(self.coords[:, None, :], self.ext_coords[None, :, :], t)
+            w_ext = k_ext * self.geom_ext
+            self._level = (t, (k_box * self.geom_box, w_ext,
+                               np.sum(w_ext, axis=1) + self.kernel.far_kernel * self.far_geom))
+        return self._level[1]
+
+    def exterior(self, t: float, ext_values: np.ndarray, far_value: float):
+        """(w_band, g_band, w_fold): weights and datum of the band, where the
+        datum differs from far_value, and the folded weight of each node."""
+        _, w_ext, closure = self.weights(t)
+        band = ext_values != far_value
+        kept = self._band
+        if kept is None or kept[0] is not w_ext or not np.array_equal(kept[1], band):
+            w_band = w_ext if band.all() else w_ext[:, band]
+            kept = self._band = (w_ext, band, w_band, closure - np.sum(w_band, axis=1))
+        return kept[2], ext_values[band], kept[3]
 
     def apply(self, values: np.ndarray, t: float,
               ext_values: Optional[np.ndarray], far_value: Optional[float]) -> np.ndarray:
         """Operator values at every box node."""
-        w_box, w_ext, w_far = self.weights(t)
+        w_box = self.weights(t)[0]
         v = np.asarray(values, dtype=float)
         out = np.sum(w_box * phi_p(v[:, None] - v[None, :], self.p), axis=1)
         if ext_values is not None:
-            out += np.sum(w_ext * phi_p(v[:, None] - ext_values[None, :], self.p), axis=1)
-            out += w_far * phi_p(v - far_value, self.p)
+            w_band, g_band, w_fold = self.exterior(t, ext_values, far_value)
+            out += np.sum(w_band * phi_p(v[:, None] - g_band[None, :], self.p), axis=1)
+            out += w_fold * phi_p(v - far_value, self.p)
         return out
 
     def pair_energy(self, values: np.ndarray, t: float,
                     ext_values: Optional[np.ndarray], far_value: Optional[float]) -> float:
         """Convex energy whose node gradient is h^n times the operator."""
-        w_box, w_ext, w_far = self.weights(t)
+        w_box = self.weights(t)[0]
         hn = self.grid.spacing ** self.grid.dimension
         p = self.p
         v = np.asarray(values, dtype=float)
         e = np.sum(w_box * np.abs(v[:, None] - v[None, :]) ** p) / (2.0 * p)
         if ext_values is not None:
-            e += np.sum(w_ext * np.abs(v[:, None] - ext_values[None, :]) ** p) / p
-            e += np.sum(w_far * np.abs(v - far_value) ** p) / p
+            w_band, g_band, w_fold = self.exterior(t, ext_values, far_value)
+            e += np.sum(w_band * np.abs(v[:, None] - g_band[None, :]) ** p) / p
+            e += np.sum(w_fold * np.abs(v - far_value) ** p) / p
         return hn * float(e)
 
     def test_pairing(self, values: np.ndarray, t: float,
@@ -329,16 +343,17 @@ class OperatorWorkspace:
                      test_values: np.ndarray) -> float:
         """Symmetric form  (1/2) sum w_ij phi_p(v_i - v_j)(q_i - q_j) h^n
         plus exterior coupling, with the test function zero off the box."""
-        w_box, w_ext, w_far = self.weights(t)
+        w_box = self.weights(t)[0]
         hn = self.grid.spacing ** self.grid.dimension
         v = np.asarray(values, dtype=float)
         q = np.asarray(test_values, dtype=float)
         form = 0.5 * np.sum(w_box * phi_p(v[:, None] - v[None, :], self.p)
                             * (q[:, None] - q[None, :]))
         if ext_values is not None:
-            form += np.sum(w_ext * phi_p(v[:, None] - ext_values[None, :], self.p)
+            w_band, g_band, w_fold = self.exterior(t, ext_values, far_value)
+            form += np.sum(w_band * phi_p(v[:, None] - g_band[None, :], self.p)
                            * q[:, None])
-            form += np.sum(w_far * phi_p(v - far_value, self.p) * q)
+            form += np.sum(w_fold * phi_p(v - far_value, self.p) * q)
         return hn * float(form)
 
 

@@ -98,6 +98,10 @@ class LatticeProblem:
             self.enthalpy = RegularizedEnthalpy(self.eps)
         pinned = ~self.unknown_mask
         datum0 = np.asarray(self.dirichlet(self.grid.coordinates()[pinned], 0.0), dtype=float)
+        ext0 = np.asarray(self.dirichlet(self.grid.exterior_coordinates(), 0.0), dtype=float)
+        if not all(np.all(np.isfinite(a)) for a in (datum0, ext0, self.far_value)):
+            raise InvalidParamsError("far_value and the datum on pinned and exterior "
+                                     "nodes at t = 0 must be finite")
         if np.max(np.abs(self.initial[pinned] - datum0)) > 1e-9:
             raise InvalidParamsError("initial field disagrees with the datum on pinned nodes")
 
@@ -204,12 +208,13 @@ class _Stepper:
     def jacobian(self, full: np.ndarray, t: float, dt: float,
                  ext_vals: np.ndarray) -> np.ndarray:
         p = self.problem.p
-        w_box, w_ext, w_far = self.ws.weights(t)
+        w_box = self.ws.weights(t)[0]
+        w_band, g_band, w_fold = self.ws.exterior(t, ext_vals, self.problem.far_value)
         dphi_box = (p - 1.0) * np.abs(full[:, None] - full[None, :]) ** (p - 2.0) * w_box
         row = np.sum(dphi_box, axis=1)
-        row += np.sum((p - 1.0) * np.abs(full[:, None] - ext_vals[None, :]) ** (p - 2.0)
-                      * w_ext, axis=1)
-        row += (p - 1.0) * np.abs(full - self.problem.far_value) ** (p - 2.0) * w_far
+        row += np.sum((p - 1.0) * np.abs(full[:, None] - g_band[None, :]) ** (p - 2.0)
+                      * w_band, axis=1)
+        row += (p - 1.0) * np.abs(full - self.problem.far_value) ** (p - 2.0) * w_fold
         m = self.mask
         # dphi_box has a zero diagonal, so this leaves the diagonal empty
         jac = -dt * dphi_box[np.ix_(m, m)]

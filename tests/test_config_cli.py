@@ -414,3 +414,13 @@ def test_manifest_config_echo_reproduces_the_run(tmp_path, payload):
     assert cli.main(["solve", "--config", write_cfg(tmp_path, echo, name="echo.json"),
                      "--out", second]) == 0
     assert tree_bytes(first) == tree_bytes(second)
+
+
+@pytest.mark.parametrize("command", ["solve", "tail", "analyze-modulus", "continuation",
+                                     "verify"])
+def test_rejected_config_leaves_no_output_directory(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, {"problem": "melt1d", "overrides": {"c_g": 1}})
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "SchemaViolationError"
+    assert not out.exists()

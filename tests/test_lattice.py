@@ -13,13 +13,16 @@ from nlstefan import (
     InvalidExponentError,
     InvalidParamsError,
     KernelSpec,
+    LatticeProblem,
     OperatorWorkspace,
+    SolverConfig,
     apply_operator,
     check_exponents,
     kernel_audit,
     phi_p,
     tail,
 )
+from nlstefan.solver import _Stepper
 from nlstefan.fileio import (
     read_field_bin,
     read_field_csv,
@@ -250,6 +253,153 @@ def test_test_pairing_matches_gradient_inner_product():
     lv = ws.apply(v, 0.0, ext, -0.4)
     form = ws.test_pairing(v, 0.0, ext, -0.4, q)
     assert form == pytest.approx(hn * float(np.dot(q, lv)), rel=1e-12)
+
+
+# ---------------------------------------------------------------- exterior fold
+
+
+def dense_exterior_reference(grid, kernel, s, p, v, q, t, ext, far):
+    """Operator, energy, pairing and Jacobian row sums with every exterior
+    column summed explicitly, built from the weight formula alone."""
+    n, sp, h = grid.dimension, s * p, grid.spacing
+    x, y = grid.coordinates(), grid.exterior_coordinates()
+
+    def weights(a, b):
+        d = np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2))
+        w = np.where(d > 0.0, h ** n / np.where(d > 0.0, d, 1.0) ** (n + sp), 0.0)
+        return d, w * kernel.evaluate(a[:, None, :], b[None, :, :], t)
+
+    _, w_box = weights(x, x)
+    d_ext, w_ext = weights(x, y)
+    w_ext[d_ext > grid.r_infinity] = 0.0
+    sphere = 2.0 if n == 1 else 2.0 * np.pi
+    w_far = kernel.far_kernel * sphere * grid.r_infinity ** (-sp) / sp
+    db, de, df = v[:, None] - v[None, :], v[:, None] - ext[None, :], v - far
+    apply_ = (np.sum(w_box * phi_p(db, p), axis=1) + np.sum(w_ext * phi_p(de, p), axis=1)
+              + w_far * phi_p(df, p))
+    energy = h ** n * (np.sum(w_box * np.abs(db) ** p) / (2.0 * p)
+                       + np.sum(w_ext * np.abs(de) ** p) / p + np.sum(w_far * np.abs(df) ** p) / p)
+    pairing = h ** n * (0.5 * np.sum(w_box * phi_p(db, p) * (q[:, None] - q[None, :]))
+                        + np.sum(w_ext * phi_p(de, p) * q[:, None])
+                        + np.sum(w_far * phi_p(df, p) * q))
+    rows = (p - 1.0) * (np.sum(w_box * np.abs(db) ** (p - 2.0), axis=1)
+                        + np.sum(w_ext * np.abs(de) ** (p - 2.0), axis=1)
+                        + w_far * np.abs(df) ** (p - 2.0))
+    return apply_, energy, pairing, rows
+
+
+FAR = 0.6
+DATA = {
+    "empty-band": lambda x, t: np.full(x.shape[0], FAR),
+    # logbdy-like: off the far value only near the box, on a band that shrinks in time
+    "partial-band": lambda x, t: FAR - 0.8 * np.clip(1.9 - np.linalg.norm(x, axis=1) - t,
+                                                      0.0, None),
+    "full-band": lambda x, t: FAR + 0.3 + 0.2 * np.cos(x[:, 0] + t),
+    "constant-off-far": lambda x, t: np.full(x.shape[0], FAR - 0.4),
+}
+GRIDS = {
+    1: Grid(spacing=0.25, shape=(9,), origin=(-1.0,), r_infinity=3.0),
+    2: Grid(spacing=0.5, shape=(5, 5), origin=(-1.0, -1.0), r_infinity=3.0),
+}
+KERNELS = {
+    "constant": KernelSpec(lam=1.0, scale=1.3, far_value=0.9),
+    "time-dependent": KernelSpec(
+        lam=2.0, time_dependent=True,
+        func=lambda x, y, t: 1.0 + 0.3 * np.cos(x[..., 0] + y[..., 0] + 3.0 * t)),
+}
+
+
+@pytest.mark.parametrize("kernel_name", sorted(KERNELS))
+@pytest.mark.parametrize("datum", sorted(DATA))
+@pytest.mark.parametrize("dim", sorted(GRIDS))
+def test_exterior_fold_matches_the_dense_sum(dim, datum, kernel_name):
+    grid, kernel, g = GRIDS[dim], KERNELS[kernel_name], DATA[datum]
+    s, p, dt = 0.45, 3.2, 0.01
+    x = grid.coordinates()
+    mask = np.all(np.abs(x) < 1.0 - 1e-9, axis=1)
+    problem = LatticeProblem(s=s, p=p, kernel=kernel, grid=grid, unknown_mask=mask,
+                             dirichlet=g, far_value=FAR, initial=g(x, 0.0), horizon=1.0,
+                             eps=0.1)
+    stepper = _Stepper(problem, SolverConfig(dt=dt))
+    ws = stepper.ws
+    rng = np.random.default_rng([dim, len(datum)])
+    band_sizes = set()
+    # two levels on one workspace: the band and the time-dependent weights change
+    for t in (0.0, 0.3):
+        v = rng.uniform(-1.0, 1.0, grid.n_nodes)
+        q = rng.uniform(-1.0, 1.0, grid.n_nodes)
+        ext = g(grid.exterior_coordinates(), t)
+        band_sizes.add(int(np.sum(ext != FAR)))
+        apply_, energy, pairing, rows = dense_exterior_reference(
+            grid, kernel, s, p, v, q, t, ext, FAR)
+        np.testing.assert_allclose(ws.apply(v, t, ext, FAR), apply_, rtol=1e-13)
+        assert ws.pair_energy(v, t, ext, FAR) == pytest.approx(energy, rel=1e-13)
+        assert ws.test_pairing(v, t, ext, FAR, q) == pytest.approx(pairing, rel=1e-13)
+        diag = np.diag(stepper.jacobian(v, t, dt, ext))
+        np.testing.assert_allclose(
+            diag, problem.enthalpy.b_prime(v[mask]) + dt * rows[mask], rtol=1e-13)
+    n_ext = grid.exterior_coordinates().shape[0]
+    if datum == "empty-band":
+        assert band_sizes == {0}
+    elif datum == "partial-band":
+        assert 0 < min(band_sizes) < max(band_sizes) < n_ext
+    else:
+        assert band_sizes == {n_ext}
+
+
+def test_a_time_constant_band_is_gathered_once():
+    grid = GRIDS[1]
+    ws = OperatorWorkspace(grid, KernelSpec(), 0.5, 3.0)
+    ext = DATA["partial-band"](grid.exterior_coordinates(), 0.0)
+    first = ws.exterior(0.0, ext, FAR)
+    again = ws.exterior(0.5, ext.copy(), FAR)
+    assert again[0] is first[0] and again[2] is first[2]
+    moved = ws.exterior(0.5, DATA["partial-band"](grid.exterior_coordinates(), 0.5), FAR)
+    assert moved[0].shape[1] < first[0].shape[1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(3, 5), ny=st.integers(3, 5), seed=st.integers(0, 2 ** 32 - 1),
+       s=st.floats(0.2, 0.8), p=st.floats(2.5, 4.0))
+def test_fold_keeps_residual_the_gradient_of_the_objective(nx, ny, seed, s, p):
+    """On tiny 2D grids with a random partial band, central differences of
+    pair_energy give h^n apply, and of the residual give the Jacobian."""
+    rng = np.random.default_rng(seed)
+    grid = Grid(spacing=0.5, shape=(nx, ny), origin=(0.0, 0.0), r_infinity=3.0)
+    x = grid.coordinates()
+    mask = np.zeros(grid.n_nodes, dtype=bool)
+    mask[rng.permutation(grid.n_nodes)[:max(1, grid.n_nodes // 2)]] = True
+    far = float(rng.uniform(-1.0, 1.0))
+    problem = LatticeProblem(s=s, p=p, kernel=KernelSpec(), grid=grid, unknown_mask=mask,
+                             dirichlet=lambda y, t: np.full(y.shape[0], far), far_value=far,
+                             initial=np.full(grid.n_nodes, far), horizon=1.0, eps=0.2)
+    dt = 0.05
+    stepper = _Stepper(problem, SolverConfig(dt=dt))
+    n_ext = grid.exterior_coordinates().shape[0]
+    ext = np.full(n_ext, far)
+    band = rng.random(n_ext) < 0.3
+    ext[band] += rng.uniform(-1.0, 1.0, int(band.sum()))
+    full = rng.uniform(-1.0, 1.0, grid.n_nodes)
+    hn = grid.spacing ** 2
+    step = 1e-6
+    lv = stepper.ws.apply(full, 0.0, ext, far)
+    for i in range(grid.n_nodes):
+        up, down = full.copy(), full.copy()
+        up[i] += step
+        down[i] -= step
+        fd = (stepper.ws.pair_energy(up, 0.0, ext, far)
+              - stepper.ws.pair_energy(down, 0.0, ext, far)) / (2.0 * step)
+        assert fd == pytest.approx(hn * lv[i], rel=1e-5, abs=1e-8)
+    b_prev = problem.enthalpy.b(rng.uniform(-1.0, 1.0, int(mask.sum())))
+    jac = stepper.jacobian(full, 0.0, dt, ext)
+    fd_jac = np.empty_like(jac)
+    for col, i in enumerate(np.nonzero(mask)[0]):
+        up, down = full.copy(), full.copy()
+        up[i] += step
+        down[i] -= step
+        fd_jac[:, col] = (stepper.residual(up, b_prev, 0.0, dt, ext)
+                          - stepper.residual(down, b_prev, 0.0, dt, ext)) / (2.0 * step)
+    np.testing.assert_allclose(fd_jac, jac, rtol=1e-5, atol=1e-7 * np.max(np.abs(jac)))
 
 
 # ---------------------------------------------------------------- kernel audit

@@ -78,6 +78,30 @@ def test_problem_validation():
         replace(prob, initial=bad)
 
 
+def test_non_finite_far_value_is_rejected():
+    prob = tiny_melt().problem
+    for far in (np.nan, np.inf):
+        with pytest.raises(InvalidParamsError, match="far_value and the datum .* must be finite"):
+            replace(prob, far_value=far)
+
+
+@pytest.mark.parametrize("where", ["pinned", "exterior"])
+def test_non_finite_datum_at_the_start_is_rejected(where):
+    prob = tiny_melt().problem
+    g = prob.dirichlet
+    # the box spans [-1, 1]: pinned nodes sit on its faces, exterior nodes off it
+    hit = (lambda x: np.abs(x[:, 0]) == 1.0) if where == "pinned" else (
+        lambda x: np.abs(x[:, 0]) > 1.0)
+
+    def bad(x, t):
+        vals = np.asarray(g(x, t), dtype=float).copy()
+        vals[hit(np.atleast_2d(x))] = np.nan
+        return vals
+
+    with pytest.raises(InvalidParamsError, match="far_value and the datum .* must be finite"):
+        replace(prob, dirichlet=bad)
+
+
 # ---------------------------------------------------------------- exact cases
 
 
