@@ -287,13 +287,14 @@ class OperatorWorkspace:
         self.geom_box = _box_displacement_weights(grid, s, p)
         _, self.geom_ext, self.far_geom = pair_geometry(
             grid, s, p, self.coords, self.ext_coords, exterior=True)
-        self._level = self._band = None
+        self._level = None
         if not kernel.time_dependent:
             self.weights(0.0)
 
     def weights(self, t: float):
         """(w_box, w_ext, closure) at time t, closure_i = S_i + w_far."""
         if self._level is None or (self.kernel.time_dependent and self._level[0] != t):
+            self._level = None  # free the old level before building the new one
             k_box = self.kernel.evaluate(self.coords[:, None, :], self.coords[None, :, :], t)
             k_ext = self.kernel.evaluate(self.coords[:, None, :], self.ext_coords[None, :, :], t)
             w_ext = k_ext * self.geom_ext
@@ -306,11 +307,8 @@ class OperatorWorkspace:
         datum differs from far_value, and the folded weight of each node."""
         _, w_ext, closure = self.weights(t)
         band = ext_values != far_value
-        kept = self._band
-        if kept is None or kept[0] is not w_ext or not np.array_equal(kept[1], band):
-            w_band = w_ext if band.all() else w_ext[:, band]
-            kept = self._band = (w_ext, band, w_band, closure - np.sum(w_band, axis=1))
-        return kept[2], ext_values[band], kept[3]
+        w_band = w_ext[:, band]
+        return w_band, ext_values[band], closure - np.sum(w_band, axis=1)
 
     def apply(self, values: np.ndarray, t: float,
               ext_values: Optional[np.ndarray], far_value: Optional[float]) -> np.ndarray:

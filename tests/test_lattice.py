@@ -347,17 +347,6 @@ def test_exterior_fold_matches_the_dense_sum(dim, datum, kernel_name):
         assert band_sizes == {n_ext}
 
 
-def test_a_time_constant_band_is_gathered_once():
-    grid = GRIDS[1]
-    ws = OperatorWorkspace(grid, KernelSpec(), 0.5, 3.0)
-    ext = DATA["partial-band"](grid.exterior_coordinates(), 0.0)
-    first = ws.exterior(0.0, ext, FAR)
-    again = ws.exterior(0.5, ext.copy(), FAR)
-    assert again[0] is first[0] and again[2] is first[2]
-    moved = ws.exterior(0.5, DATA["partial-band"](grid.exterior_coordinates(), 0.5), FAR)
-    assert moved[0].shape[1] < first[0].shape[1]
-
-
 @settings(max_examples=25, deadline=None)
 @given(nx=st.integers(3, 5), ny=st.integers(3, 5), seed=st.integers(0, 2 ** 32 - 1),
        s=st.floats(0.2, 0.8), p=st.floats(2.5, 4.0))
