@@ -18,7 +18,8 @@ import numpy as np
 
 from . import analysis, continuation as continuation_mod, fileio
 from .config import RunConfig, emit_run_config, parse_run_config, realize
-from .errors import NlstefanError, SchemaViolationError
+from .errors import (InsufficientSamplesError, NlstefanError, NonpositiveExcessError,
+                     SchemaViolationError)
 from .lattice import tail as tail_fn
 from .solver import caccioppoli_audit, solve, structural_audit
 
@@ -85,7 +86,13 @@ def cmd_analyze_modulus(args) -> int:
     rho0, n_levels = preset.rho0, preset.ladder_levels
     levels, omega0 = analysis.modulus_ladder(
         traj, preset.anchor, rho0, n_levels=n_levels, shrink=preset.ladder_shrink)
-    report = analysis.fit_log_modulus(levels, problem.eps, rho0)
+    try:
+        report = analysis.fit_log_modulus(levels, problem.eps, rho0)
+    except (InsufficientSamplesError, NonpositiveExcessError) as exc:
+        raise type(exc)(
+            f"{exc}: ladder anchored at {list(x0) + [t0]} with rho0 {rho0}; "
+            "set analysis.anchor ([x..., t]) and analysis.rho0 so that at least "
+            "3 ladder levels oscillate by more than 4 eps") from exc
     params = analysis.IterationParams(
         s=problem.s, p=problem.p, eps=problem.eps, omega0=omega0, rho0=rho0)
     seq = analysis.interior_sequences(params, n_levels=n_levels)

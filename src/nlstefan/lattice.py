@@ -12,7 +12,9 @@ far value, whose contribution is the exact radial integral
 phi_p(v_i - far) w_far, w_far = k_far sigma_n R_inf^{-sp} / (sp).  Exterior
 columns whose datum equals the far value fold into it: phi_p(v_i - far)
 carries S_i - sum_{j in band} w_ij + w_far, S_i = sum_j w_ij, and only the
-band of columns where the datum differs is summed.
+band of columns where the datum differs is summed.  No box x exterior
+matrix is kept: S_i is summed from row blocks once per kernel level, and
+the band's weights are built from the band's own nodes.
 
 Tail quantities follow the same explicit-plus-analytic split, with a
 cell-fraction correction where lattice cells straddle the inner ball, so
@@ -32,6 +34,11 @@ from .errors import EmptyWindowError, InvalidExponentError, InvalidParamsError
 
 # surface measure of the unit sphere for the supported dimensions
 SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi}
+
+# entries per row block of box x exterior weights while a closure is summed.
+# Smaller blocks left the operator's N_box x N_box temporaries on fresh
+# pages: at 2^15, 54K instead of 6K minor faults per melt1d benchmark op.
+BLOCK_ENTRIES = 1 << 20
 
 
 def phi_p(tau, p: float):
@@ -150,10 +157,11 @@ class KernelSpec:
         if not self.scale > 0.0:
             raise InvalidParamsError("kernel scale must be positive")
 
-    def evaluate(self, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
+    def evaluate(self, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray | float:
+        """Kernel values on the broadcast pairs; the scalar scale when the
+        kernel is constant."""
         if self.func is None:
-            shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-            return np.full(shape, self.scale)
+            return self.scale
         return self.scale * np.asarray(self.func(x, y, t), dtype=float)
 
     @property
@@ -266,11 +274,17 @@ def _box_displacement_weights(grid: Grid, s: float, p: float) -> np.ndarray:
 
 
 class OperatorWorkspace:
-    """Precomputed geometry and kernel weights for one (grid, kernel, s, p).
+    """Kernel weights for one (grid, kernel, s, p), reused by the stepper
+    across Newton iterations and time steps.
 
-    The stepper reuses one instance across Newton iterations and time
-    steps; kernel weights are rebuilt per time level only when the kernel
-    is time dependent.
+    It holds the box weights and one closure weight per node,
+    closure_i = S_i + w_far, and no box x exterior matrix: S_i is summed
+    from row blocks of the exterior weights, each dropped after its sum.
+    The band's weights and the fold are built from the band's nodes and
+    kept until the band, or the time level of a time-dependent kernel,
+    changes; a step's datum is fixed, so its Newton calls share them.
+    Weights are rebuilt per time level only when the kernel is time
+    dependent.
     """
 
     def __init__(self, grid: Grid, kernel: KernelSpec, s: float, p: float):
@@ -280,35 +294,46 @@ class OperatorWorkspace:
         self.s = s
         self.p = p
         self.coords = grid.coordinates()
-        self.ext_coords = grid.exterior_coordinates()
-        # box weights first: in the other order glibc malloc keeps giving
-        # the operator temporaries fresh pages (melt1d benchmark: 187K
-        # instead of 8K minor page faults per operation)
-        self.geom_box = _box_displacement_weights(grid, s, p)
-        _, self.geom_ext, self.far_geom = pair_geometry(
-            grid, s, p, self.coords, self.ext_coords, exterior=True)
         self._level = None
+        self._band = None
         if not kernel.time_dependent:
             self.weights(0.0)
 
+    def _exterior_weights(self, columns, t: float, rows=slice(None)):
+        """Kernel weights from box rows to the given exterior nodes, and the
+        far-field constant."""
+        points, nodes = self.coords[rows], self.grid.exterior_coordinates()[columns]
+        _, geom, far = pair_geometry(self.grid, self.s, self.p, points, nodes, exterior=True)
+        return self.kernel.evaluate(points[:, None, :], nodes[None, :, :], t) * geom, far
+
     def weights(self, t: float):
-        """(w_box, w_ext, closure) at time t, closure_i = S_i + w_far."""
+        """(w_box, closure) at time t, closure_i = S_i + w_far."""
         if self._level is None or (self.kernel.time_dependent and self._level[0] != t):
             self._level = None  # free the old level before building the new one
-            k_box = self.kernel.evaluate(self.coords[:, None, :], self.coords[None, :, :], t)
-            k_ext = self.kernel.evaluate(self.coords[:, None, :], self.ext_coords[None, :, :], t)
-            w_ext = k_ext * self.geom_ext
-            self._level = (t, (k_box * self.geom_box, w_ext,
-                               np.sum(w_ext, axis=1) + self.kernel.far_kernel * self.far_geom))
+            x = self.coords
+            w_box = (self.kernel.evaluate(x[:, None, :], x[None, :, :], t)
+                     * _box_displacement_weights(self.grid, self.s, self.p))
+            n_box, n_ext = self.grid.n_nodes, self.grid.exterior_coordinates().shape[0]
+            rows = max(1, BLOCK_ENTRIES // n_ext)
+            closure = np.empty(n_box)
+            for i in range(0, n_box, rows):
+                w_ext, far = self._exterior_weights(slice(None), t, slice(i, i + rows))
+                closure[i:i + rows] = np.sum(w_ext, axis=1)
+            closure += self.kernel.far_kernel * far
+            self._level = (t, (w_box, closure))
         return self._level[1]
 
     def exterior(self, t: float, ext_values: np.ndarray, far_value: float):
         """(w_band, g_band, w_fold): weights and datum of the band, where the
         datum differs from far_value, and the folded weight of each node."""
-        _, w_ext, closure = self.weights(t)
-        band = ext_values != far_value
-        w_band = w_ext[:, band]
-        return w_band, ext_values[band], closure - np.sum(w_band, axis=1)
+        closure = self.weights(t)[1]
+        band = np.flatnonzero(ext_values != far_value)
+        key = (t if self.kernel.time_dependent else None, band.tobytes())
+        if self._band is None or self._band[0] != key:
+            self._band = None
+            w_band = self._exterior_weights(band, t)[0]
+            self._band = (key, w_band, closure - np.sum(w_band, axis=1))
+        return self._band[1], ext_values[band], self._band[2]
 
     def apply(self, values: np.ndarray, t: float,
               ext_values: Optional[np.ndarray], far_value: Optional[float]) -> np.ndarray:

@@ -300,6 +300,23 @@ def test_cli_analyze_modulus_small_melt(tmp_path, capsys):
         assert fh.readline().strip() == "level,rho,omega,theta,osc,tail_ratio"
 
 
+def test_cli_analyze_modulus_names_the_ladder_it_could_not_fit(tmp_path, capsys):
+    # a symmetric inline melt stays flat at the default anchor, the box centre
+    rc = cli.main(["analyze-modulus", "--config", write_cfg(tmp_path, INLINE),
+                   "--out", str(tmp_path / "flat")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "InsufficientSamplesError"
+    for part in ("[0.0, 0.1]", "rho0 0.25", "analysis.anchor", "analysis.rho0"):
+        assert part in err["message"]
+    # following the advice gives a fit
+    tuned = dict(INLINE, analysis={"anchor": [0.5, 0.1], "rho0": 0.3})
+    rc = cli.main(["analyze-modulus", "--config", write_cfg(tmp_path, tuned, "tuned.json"),
+                   "--out", str(tmp_path / "tuned")])
+    assert rc == 0
+    assert "modulus fit:" in capsys.readouterr().out
+
+
 def test_cli_missing_out_is_a_schema_violation(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"problem": "const1d"})
     rc = cli.main(["solve", "--config", cfg])

@@ -22,6 +22,8 @@ from nlstefan import (
     phi_p,
     tail,
 )
+from nlstefan import lattice
+from nlstefan.lattice import pair_geometry
 from nlstefan.solver import _Stepper
 from nlstefan.fileio import (
     read_field_bin,
@@ -345,6 +347,50 @@ def test_exterior_fold_matches_the_dense_sum(dim, datum, kernel_name):
         assert 0 < min(band_sizes) < max(band_sizes) < n_ext
     else:
         assert band_sizes == {n_ext}
+
+
+def reachable_arrays(value):
+    """Every array held by an object's attributes, tuples, lists and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from reachable_arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from reachable_arrays(item)
+    elif isinstance(value, OperatorWorkspace):
+        yield from reachable_arrays(vars(value))
+
+
+def test_workspace_holds_no_exterior_sized_array():
+    grid = line_grid(n=9, h=0.25, r_inf=100.0)
+    n_ext = grid.exterior_coordinates().shape[0]
+    assert n_ext > 50 * grid.n_nodes
+    ws = OperatorWorkspace(grid, KernelSpec(scale=1.3), 0.5, 3.0)
+    shapes = [a.shape for a in reachable_arrays(ws)]
+    # an empty band leaves nothing of exterior size behind either
+    ws.apply(np.zeros(grid.n_nodes), 0.0, np.full(n_ext, 0.4), 0.4)
+    shapes += [a.shape for a in reachable_arrays(ws)]
+    assert shapes
+    assert all(n_ext not in shape for shape in shapes), shapes
+
+
+@pytest.mark.parametrize("kernel_name", sorted(KERNELS))
+def test_closure_from_row_blocks_matches_the_dense_row_sum(kernel_name):
+    # N_ext = BLOCK_ENTRIES / 4 gives 4 rows per block: blocks of 4, 4 and 2 rows
+    kernel, s, p, t = KERNELS[kernel_name], 0.45, 3.2, 0.3
+    h, n_box = 0.25, 10
+    reach = lattice.BLOCK_ENTRIES // 8
+    grid = line_grid(n=n_box, h=h, r_inf=reach * h)
+    x, y = grid.coordinates(), grid.exterior_coordinates()
+    rows_per_block = lattice.BLOCK_ENTRIES // y.shape[0]
+    assert 1 < rows_per_block < n_box and n_box % rows_per_block != 0
+    _, geom, far = pair_geometry(grid, s, p, x, y, exterior=True)
+    expected = (np.sum(kernel.evaluate(x[:, None, :], y[None, :, :], t) * geom, axis=1)
+                + kernel.far_kernel * far)
+    ws = OperatorWorkspace(grid, kernel, s, p)
+    assert np.array_equal(ws.weights(t)[1], expected)
 
 
 @settings(max_examples=25, deadline=None)
