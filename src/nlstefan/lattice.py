@@ -14,7 +14,10 @@ columns whose datum equals the far value fold into it: phi_p(v_i - far)
 carries S_i - sum_{j in band} w_ij + w_far, S_i = sum_j w_ij, and only the
 band of columns where the datum differs is summed.  No box x exterior
 matrix is kept: S_i is summed from row blocks once per kernel level, and
-the band's weights are built from the band's own nodes.
+the band's weights are built from the band's own nodes.  For a constant
+kernel the box weights and the closure depend on the grid, s, p and the
+kernel only, so they are cached and shared by every workspace on the
+same grid.  Cached arrays are read-only.
 
 Tail quantities follow the same explicit-plus-analytic split, with a
 cell-fraction correction where lattice cells straddle the inner ball, so
@@ -36,8 +39,10 @@ from .errors import EmptyWindowError, InvalidExponentError, InvalidParamsError
 SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi}
 
 # entries per row block of box x exterior weights while a closure is summed.
-# Smaller blocks left the operator's N_box x N_box temporaries on fresh
-# pages: at 2^15, 54K instead of 6K minor faults per melt1d benchmark op.
+# Freeing the first block lifts glibc's mmap threshold for the process; at
+# 2^15 the operator's N_box x N_box temporaries stayed on fresh pages:
+# 52K instead of 2 minor faults per melt1d benchmark op, 39K instead of 2
+# on melt2d, although the closure is built once per grid.
 BLOCK_ENTRIES = 1 << 20
 
 
@@ -108,12 +113,18 @@ class Grid:
         return replace(self, origin=new_origin)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Freeze an array that a cache hands to every caller."""
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=32)
 def _box_coordinates(grid: Grid) -> np.ndarray:
     axes = [grid.origin[d] + grid.spacing * np.arange(grid.shape[d])
             for d in range(grid.dimension)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return _read_only(np.stack([m.ravel() for m in mesh], axis=1))
 
 
 @lru_cache(maxsize=32)
@@ -131,7 +142,7 @@ def _exterior_coordinates(grid: Grid) -> np.ndarray:
     flags = np.meshgrid(*inside, indexing="ij")
     for f in flags:
         in_box &= f.ravel()
-    return coords[~in_box]
+    return _read_only(coords[~in_box])
 
 
 @dataclass(frozen=True)
@@ -255,8 +266,11 @@ def pair_geometry(grid: Grid, s: float, p: float, points: np.ndarray,
     """
     n = grid.dimension
     sp = s * p
-    diff = points[:, None, :] - nodes[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    # axis by axis: the same a^2 + b^2 as a sum over a difference tensor
+    dist = np.square(np.subtract.outer(points[:, 0], nodes[:, 0]))
+    for a in range(1, n):
+        dist += np.square(np.subtract.outer(points[:, a], nodes[:, a]))
+    np.sqrt(dist, out=dist)
     with np.errstate(divide="ignore"):
         weights = grid.spacing ** n / dist ** (n + sp)
     weights[dist == 0.0] = 0.0
@@ -270,7 +284,33 @@ def pair_geometry(grid: Grid, s: float, p: float, points: np.ndarray,
 def _box_displacement_weights(grid: Grid, s: float, p: float) -> np.ndarray:
     """Box-box weights, shared by every workspace on the same grid."""
     coords = grid.coordinates()
-    return pair_geometry(grid, s, p, coords, coords)[1]
+    return _read_only(pair_geometry(grid, s, p, coords, coords)[1])
+
+
+def _exterior_weights(grid: Grid, kernel: KernelSpec, s: float, p: float,
+                      columns, t: float, rows=slice(None)):
+    """Kernel weights from box rows to the given exterior nodes, and the
+    far-field constant."""
+    points, nodes = grid.coordinates()[rows], grid.exterior_coordinates()[columns]
+    _, geom, far = pair_geometry(grid, s, p, points, nodes, exterior=True)
+    return kernel.evaluate(points[:, None, :], nodes[None, :, :], t) * geom, far
+
+
+def _closure(grid: Grid, kernel: KernelSpec, s: float, p: float, t: float) -> np.ndarray:
+    """closure_i = S_i + w_far, S_i summed from row blocks of the exterior
+    weights, each dropped after its sum."""
+    rows = max(1, BLOCK_ENTRIES // grid.exterior_coordinates().shape[0])
+    closure = np.empty(grid.n_nodes)
+    for i in range(0, grid.n_nodes, rows):
+        w_ext, far = _exterior_weights(grid, kernel, s, p, slice(None), t, slice(i, i + rows))
+        closure[i:i + rows] = np.sum(w_ext, axis=1)
+    closure += kernel.far_kernel * far
+    return _read_only(closure)
+
+
+# a constant kernel's closure depends on (grid, kernel, s, p, t) only, all
+# frozen data, so workspaces share it; a kernel func may carry state
+_constant_kernel_closure = lru_cache(maxsize=32)(_closure)
 
 
 class OperatorWorkspace:
@@ -278,13 +318,15 @@ class OperatorWorkspace:
     across Newton iterations and time steps.
 
     It holds the box weights and one closure weight per node,
-    closure_i = S_i + w_far, and no box x exterior matrix: S_i is summed
-    from row blocks of the exterior weights, each dropped after its sum.
-    The band's weights and the fold are built from the band's nodes and
-    kept until the band, or the time level of a time-dependent kernel,
-    changes; a step's datum is fixed, so its Newton calls share them.
-    Weights are rebuilt per time level only when the kernel is time
-    dependent.
+    closure_i = S_i + w_far, and no box x exterior matrix.  For a
+    constant kernel the closure comes from a cache keyed on (grid,
+    kernel, s, p, t) and, at scale 1, the box weights are the cached box
+    geometry itself, so a later workspace on the same problem costs
+    nothing to build.  The band's weights and the fold are built from
+    the band's nodes and kept until the band, or the time level of a
+    time-dependent kernel, changes; a step's datum is fixed, so its
+    Newton calls share them.  Weights are rebuilt per time level only
+    when the kernel is time dependent.
     """
 
     def __init__(self, grid: Grid, kernel: KernelSpec, s: float, p: float):
@@ -299,28 +341,18 @@ class OperatorWorkspace:
         if not kernel.time_dependent:
             self.weights(0.0)
 
-    def _exterior_weights(self, columns, t: float, rows=slice(None)):
-        """Kernel weights from box rows to the given exterior nodes, and the
-        far-field constant."""
-        points, nodes = self.coords[rows], self.grid.exterior_coordinates()[columns]
-        _, geom, far = pair_geometry(self.grid, self.s, self.p, points, nodes, exterior=True)
-        return self.kernel.evaluate(points[:, None, :], nodes[None, :, :], t) * geom, far
-
     def weights(self, t: float):
         """(w_box, closure) at time t, closure_i = S_i + w_far."""
         if self._level is None or (self.kernel.time_dependent and self._level[0] != t):
             self._level = None  # free the old level before building the new one
-            x = self.coords
-            w_box = (self.kernel.evaluate(x[:, None, :], x[None, :, :], t)
-                     * _box_displacement_weights(self.grid, self.s, self.p))
-            n_box, n_ext = self.grid.n_nodes, self.grid.exterior_coordinates().shape[0]
-            rows = max(1, BLOCK_ENTRIES // n_ext)
-            closure = np.empty(n_box)
-            for i in range(0, n_box, rows):
-                w_ext, far = self._exterior_weights(slice(None), t, slice(i, i + rows))
-                closure[i:i + rows] = np.sum(w_ext, axis=1)
-            closure += self.kernel.far_kernel * far
-            self._level = (t, (w_box, closure))
+            kernel, x = self.kernel, self.coords
+            geom = _box_displacement_weights(self.grid, self.s, self.p)
+            if kernel.func is None and kernel.scale == 1.0:
+                w_box = geom
+            else:
+                w_box = kernel.evaluate(x[:, None, :], x[None, :, :], t) * geom
+            summed = _constant_kernel_closure if kernel.func is None else _closure
+            self._level = (t, (w_box, summed(self.grid, kernel, self.s, self.p, t)))
         return self._level[1]
 
     def exterior(self, t: float, ext_values: np.ndarray, far_value: float):
@@ -331,7 +363,7 @@ class OperatorWorkspace:
         key = (t if self.kernel.time_dependent else None, band.tobytes())
         if self._band is None or self._band[0] != key:
             self._band = None
-            w_band = self._exterior_weights(band, t)[0]
+            w_band = _exterior_weights(self.grid, self.kernel, self.s, self.p, band, t)[0]
             self._band = (key, w_band, closure - np.sum(w_band, axis=1))
         return self._band[1], ext_values[band], self._band[2]
 

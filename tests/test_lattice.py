@@ -1,5 +1,7 @@
 """Lattice operator: collocation sums, kernel audit, tail quadrature, field IO."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,14 @@ from nlstefan import (
     SolverConfig,
     apply_operator,
     check_exponents,
+    energy_history,
     kernel_audit,
+    load_preset,
     phi_p,
+    solve,
+    space_time_bump,
     tail,
+    weak_residual,
 )
 from nlstefan import lattice
 from nlstefan.lattice import pair_geometry
@@ -391,6 +398,108 @@ def test_closure_from_row_blocks_matches_the_dense_row_sum(kernel_name):
                 + kernel.far_kernel * far)
     ws = OperatorWorkspace(grid, kernel, s, p)
     assert np.array_equal(ws.weights(t)[1], expected)
+
+
+def difference_tensor_geometry(grid, s, p, points, nodes, exterior):
+    """pair_geometry's distances and weights from the broadcast difference
+    tensor and a sum over its last axis."""
+    n = grid.dimension
+    diff = points[:, None, :] - nodes[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    with np.errstate(divide="ignore"):
+        weights = grid.spacing ** n / dist ** (n + s * p)
+    weights[dist == 0.0] = 0.0
+    if exterior:
+        weights[dist > grid.r_infinity] = 0.0
+    return dist, weights
+
+
+@pytest.mark.parametrize("exterior", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pair_geometry_matches_the_difference_tensor_bit_for_bit(dim, exterior):
+    # r_infinity off the lattice: the outermost exterior nodes lie past it
+    grid = Grid(spacing=0.25, shape=(7,) * dim, origin=(-0.8,) * dim, r_infinity=2.2)
+    x = grid.coordinates()
+    nodes = grid.exterior_coordinates() if exterior else x
+    # box nodes and off-lattice points; in the box, every node meets itself
+    points = np.concatenate([x, np.random.default_rng(5).uniform(-1.0, 1.0, (6, dim))])
+    dist, weights, _ = pair_geometry(grid, 0.45, 3.2, points, nodes, exterior=exterior)
+    ref_dist, ref_weights = difference_tensor_geometry(grid, 0.45, 3.2, points, nodes, exterior)
+    assert np.array_equal(dist, ref_dist)
+    assert np.array_equal(weights, ref_weights)
+    if exterior:
+        assert np.any(dist > grid.r_infinity)
+    else:
+        assert np.count_nonzero(dist == 0.0) == grid.n_nodes
+
+
+def test_cached_lattice_arrays_are_read_only():
+    grid = line_grid(n=7)
+    ws = OperatorWorkspace(grid, KernelSpec(), 0.5, 3.0)
+    cached = [grid.coordinates(), grid.exterior_coordinates(),
+              lattice._box_displacement_weights(grid, 0.5, 3.0), ws.weights(0.0)[1]]
+    for array in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def test_scale_one_workspace_holds_the_cached_box_geometry():
+    grid = line_grid(n=7)
+    geom = lattice._box_displacement_weights(grid, 0.5, 3.0)
+    assert np.shares_memory(OperatorWorkspace(grid, KernelSpec(), 0.5, 3.0).weights(0.0)[0], geom)
+    scaled = OperatorWorkspace(grid, KernelSpec(scale=2.0), 0.5, 3.0).weights(0.0)[0]
+    assert not np.shares_memory(scaled, geom)
+    assert np.array_equal(scaled, 2.0 * geom)
+
+
+def closure_of(grid, kernel, s=0.5, p=3.0):
+    return OperatorWorkspace(grid, kernel, s, p).weights(0.0)[1]
+
+
+def test_workspaces_on_one_grid_share_one_closure():
+    grid = line_grid(n=7, r_inf=20.0)
+    first = closure_of(grid, KernelSpec(far_value=0.7))
+    misses = lattice._constant_kernel_closure.cache_info().misses
+    assert closure_of(grid, KernelSpec(far_value=0.7)) is first
+    assert lattice._constant_kernel_closure.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("change", ["scale", "far_value", "s", "p", "grid"])
+def test_a_changed_problem_gets_its_own_closure(change):
+    grid, kernel, s, p = line_grid(n=7, r_inf=21.0), KernelSpec(), 0.5, 3.0
+    base = closure_of(grid, kernel, s, p)
+    if change in ("scale", "far_value"):
+        kernel = KernelSpec(**{change: 1.5})
+    elif change == "s":
+        s = 0.6
+    elif change == "p":
+        p = 3.5
+    else:
+        grid = line_grid(n=7, r_inf=22.0)
+    other = closure_of(grid, kernel, s, p)
+    assert other is not base
+    assert not np.array_equal(other, base)
+
+
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_a_kernel_func_bypasses_the_closure_cache(time_dependent):
+    kernel = replace(KERNELS["time-dependent"], time_dependent=time_dependent)
+    before = lattice._constant_kernel_closure.cache_info()
+    ws = OperatorWorkspace(line_grid(n=7), kernel, 0.5, 3.0)
+    ws.weights(0.0)
+    ws.weights(0.25)
+    assert lattice._constant_kernel_closure.cache_info() == before
+
+
+def test_audits_after_a_solve_build_no_closure():
+    preset = load_preset("melt1d", n_nodes=37, n_steps=2, horizon=0.01)
+    traj = solve(preset.problem, preset.solver)
+    before = lattice._constant_kernel_closure.cache_info()
+    energy_history(traj)
+    weak_residual(traj, space_time_bump((0.0,), 0.5, (0.0, 0.01)))
+    after = lattice._constant_kernel_closure.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
 
 
 @settings(max_examples=25, deadline=None)
