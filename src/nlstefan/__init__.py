@@ -27,9 +27,8 @@ from .errors import (DegenerateCutoffError, EmptyCylinderError,
                      InvalidParamsError, NewtonDivergenceError, NlstefanError,
                      NonpositiveExcessError, SchemaViolationError,
                      UnresolvedBandError)
-from .lattice import (ExteriorRule, Field, Grid, KernelAuditReport,
-                      KernelSpec, OperatorWorkspace, apply_operator,
-                      check_exponents, kernel_audit, phi_p, tail)
+from .lattice import (ExteriorRule, Field, Grid, KernelSpec, OperatorWorkspace,
+                      apply_operator, check_exponents, phi_p, tail)
 from .presets import CATALOG, Preset, load_preset
 from .solver import (CaccioppoliReport, LatticeProblem, MaxPrincipleReport,
                      RadialCutoff, SolverConfig, StepDiagnostics, Trajectory,
@@ -45,7 +44,7 @@ __all__ = [
     "ExteriorRule", "FamilyEntry", "FamilyResult", "Field",
     "GeometricDecayReport", "Grid", "InconsistentFamilyError",
     "InsufficientSamplesError", "InvalidExponentError", "InvalidParamsError",
-    "IterVerdict", "IterationParams", "KernelAuditReport", "KernelSpec",
+    "IterVerdict", "IterationParams", "KernelSpec",
     "LatticeProblem", "LevelTailRecord", "LimitPair", "MaxPrincipleReport",
     "MeasureDensityReport", "ModulusReport", "MollifierSpec",
     "NewtonDivergenceError", "NlstefanError", "NonpositiveExcessError",
@@ -56,7 +55,7 @@ __all__ = [
     "check_exponents", "convergence_report", "emit_run_config",
     "energy_history", "fit_log_modulus", "geometric_convergence",
     "implicit_step", "initial_sequences", "interior_sequences",
-    "intrinsic_theta", "kernel_audit", "lemma_iter_epsilon",
+    "intrinsic_theta", "lemma_iter_epsilon",
     "lemma_iter_verify", "level_set_fraction", "limit_pair", "load_preset",
     "max_principle_check", "measure_density", "modulus_ladder",
     "normalization_constant", "normalize", "oscillation", "oscillation_scale",

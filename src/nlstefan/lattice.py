@@ -2,22 +2,23 @@
 
 The operator acting on a lattice field v is the collocation sum
 
-    (L v)_i = sum_{j != i} phi_p(v_i - v_j) k(x_i, x_j, t) h^n / |x_i - x_j|^{n+sp}
+    (L v)_i = k sum_{j != i} phi_p(v_i - v_j) h^n / |x_i - x_j|^{n+sp}
 
-with phi_p(tau) = |tau|^{p-2} tau.  Skipping the diagonal cell is the
-discrete principal-value rule.  Nodes beyond the stored box are virtual:
-their values come from the field's exterior rule out to the truncation
-radius R_inf, and beyond R_inf the medium is closed with the constant
-far value, whose contribution is the exact radial integral
-phi_p(v_i - far) w_far, w_far = k_far sigma_n R_inf^{-sp} / (sp).  Exterior
-columns whose datum equals the far value fold into it: phi_p(v_i - far)
-carries S_i - sum_{j in band} w_ij + w_far, S_i = sum_j w_ij, and only the
-band of columns where the datum differs is summed.  No box x exterior
-matrix is kept: S_i is summed from row blocks once per kernel level, and
-the band's weights are built from the band's own nodes.  For a constant
-kernel the box weights and the closure depend on the grid, s, p and the
-kernel only, so they are cached and shared by every workspace on the
-same grid.  Cached arrays are read-only.
+with phi_p(tau) = |tau|^{p-2} tau and the constant kernel value k.
+Skipping the diagonal cell is the discrete principal-value rule.  Nodes
+beyond the stored box are virtual: their values come from the field's
+exterior rule out to the truncation radius R_inf, and beyond R_inf the
+medium is closed with the constant far value, whose contribution is the
+exact radial integral phi_p(v_i - far) w_far, w_far = k_far sigma_n
+R_inf^{-sp} / (sp).  Exterior columns whose datum equals the far value
+fold into it: phi_p(v_i - far) carries S_i - sum_{j in band} g_ij + w_far,
+S_i = sum_j g_ij over the geometry weights g_ij, and only the band of
+columns where the datum differs is summed.  No box x exterior matrix is
+kept: S_i is summed from row blocks once per grid, and the band's weights
+are built from the band's own nodes.  The box weights and the closure
+depend on the grid, s, p and the far value only, so they are cached and
+shared by every workspace on the grid, and the kernel scale multiplies
+the sums.  Cached arrays are read-only and built once, under one lock.
 
 Tail quantities follow the same explicit-plus-analytic split, with a
 cell-fraction correction where lattice cells straddle the inner ball, so
@@ -27,8 +28,9 @@ the quadrature converges at first order or better in h.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -119,7 +121,24 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=32)
+_CACHE_LOCK = threading.RLock()  # reentrant: the closure reads the coordinate caches
+
+
+def _lattice_cache(fn):
+    """lru_cache whose lookups and builds hold _CACHE_LOCK, so threads
+    that miss together build the entry once."""
+    cached = lru_cache(maxsize=32)(fn)
+
+    @wraps(fn)
+    def locked(*args):
+        with _CACHE_LOCK:
+            return cached(*args)
+
+    locked.cache_info = cached.cache_info
+    return locked
+
+
+@_lattice_cache
 def _box_coordinates(grid: Grid) -> np.ndarray:
     axes = [grid.origin[d] + grid.spacing * np.arange(grid.shape[d])
             for d in range(grid.dimension)]
@@ -127,7 +146,7 @@ def _box_coordinates(grid: Grid) -> np.ndarray:
     return _read_only(np.stack([m.ravel() for m in mesh], axis=1))
 
 
-@lru_cache(maxsize=32)
+@_lattice_cache
 def _exterior_coordinates(grid: Grid) -> np.ndarray:
     reach = int(math.ceil(grid.r_infinity / grid.spacing))
     axes = []
@@ -147,37 +166,23 @@ def _exterior_coordinates(grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Symmetric comparison-class kernel k(x, y, t).
+    """Constant comparison-class kernel: k(x, y) = scale on every lattice
+    pair and scale * far_value in the analytic closure beyond r_infinity.
 
-    func == None means the constant kernel 1.  The effective kernel is
-    scale * func and is expected to stay between scale/lam and
-    scale*lam; rescaled problems carry scale != 1.  far_value is the
-    representative (pre-scale) value used for the analytic closure
-    beyond r_infinity.
+    lam is the ellipticity constant of the class, 1/lam <= k/scale <= lam;
+    rescaled problems carry scale != 1.  The geometry weights are shared
+    by every scale, which multiplies the operator's sums.
     """
 
     lam: float = 1.0
-    func: Optional[Callable] = None
     scale: float = 1.0
     far_value: float = 1.0
-    time_dependent: bool = False
 
     def __post_init__(self):
         if self.lam < 1.0:
             raise InvalidParamsError("ellipticity constant must be >= 1")
         if not self.scale > 0.0:
             raise InvalidParamsError("kernel scale must be positive")
-
-    def evaluate(self, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray | float:
-        """Kernel values on the broadcast pairs; the scalar scale when the
-        kernel is constant."""
-        if self.func is None:
-            return self.scale
-        return self.scale * np.asarray(self.func(x, y, t), dtype=float)
-
-    @property
-    def far_kernel(self) -> float:
-        return self.scale * self.far_value
 
 
 @dataclass(frozen=True)
@@ -221,38 +226,6 @@ class Field:
         return Field(self.grid, fn(self.values), wrapped)
 
 
-@dataclass
-class KernelAuditReport:
-    n_samples: int
-    symmetry_defect: float
-    lower_violation: float
-    upper_violation: float
-    passed: bool
-
-
-def kernel_audit(kernel: KernelSpec, grid: Grid, t_samples: Sequence[float] = (0.0,),
-                 n_samples: int = 1024, seed: int = 0, tol: float = 1e-12) -> KernelAuditReport:
-    """Spot-check symmetry and the ellipticity bounds on random point pairs."""
-    rng = np.random.default_rng(seed)
-    lo = np.asarray(grid.origin)
-    hi = lo + (np.asarray(grid.shape) - 1) * grid.spacing
-    sym = 0.0
-    lower = 0.0
-    upper = 0.0
-    for t in t_samples:
-        x = rng.uniform(lo, hi, size=(n_samples, grid.dimension))
-        y = rng.uniform(lo, hi, size=(n_samples, grid.dimension))
-        kxy = kernel.evaluate(x, y, t)
-        kyx = kernel.evaluate(y, x, t)
-        sym = max(sym, float(np.max(np.abs(kxy - kyx), initial=0.0)))
-        lower = max(lower, float(np.max(kernel.scale / kernel.lam - kxy, initial=0.0)))
-        upper = max(upper, float(np.max(kxy - kernel.scale * kernel.lam, initial=0.0)))
-    passed = sym <= tol and lower <= tol and upper <= tol
-    return KernelAuditReport(n_samples=n_samples * len(t_samples),
-                             symmetry_defect=sym, lower_violation=lower,
-                             upper_violation=upper, passed=passed)
-
-
 def pair_geometry(grid: Grid, s: float, p: float, points: np.ndarray,
                   nodes: np.ndarray, exterior: bool = False):
     """Distances and collocation weights from points to lattice nodes.
@@ -280,53 +253,44 @@ def pair_geometry(grid: Grid, s: float, p: float, points: np.ndarray,
     return dist, weights, SPHERE_MEASURE[n] * grid.r_infinity ** (-sp) / sp
 
 
-@lru_cache(maxsize=32)
+@_lattice_cache
 def _box_displacement_weights(grid: Grid, s: float, p: float) -> np.ndarray:
     """Box-box weights, shared by every workspace on the same grid."""
     coords = grid.coordinates()
     return _read_only(pair_geometry(grid, s, p, coords, coords)[1])
 
 
-def _exterior_weights(grid: Grid, kernel: KernelSpec, s: float, p: float,
-                      columns, t: float, rows=slice(None)):
-    """Kernel weights from box rows to the given exterior nodes, and the
+def _exterior_geometry(grid: Grid, s: float, p: float, columns, rows=slice(None)):
+    """Geometry weights from box rows to the given exterior nodes, and the
     far-field constant."""
     points, nodes = grid.coordinates()[rows], grid.exterior_coordinates()[columns]
-    _, geom, far = pair_geometry(grid, s, p, points, nodes, exterior=True)
-    return kernel.evaluate(points[:, None, :], nodes[None, :, :], t) * geom, far
+    return pair_geometry(grid, s, p, points, nodes, exterior=True)[1:]
 
 
-def _closure(grid: Grid, kernel: KernelSpec, s: float, p: float, t: float) -> np.ndarray:
-    """closure_i = S_i + w_far, S_i summed from row blocks of the exterior
-    weights, each dropped after its sum."""
+@_lattice_cache
+def _closure(grid: Grid, s: float, p: float, far_value: float) -> np.ndarray:
+    """closure_i = S_i + far_value w_far, S_i summed from row blocks of the
+    exterior weights, each dropped after its sum."""
     rows = max(1, BLOCK_ENTRIES // grid.exterior_coordinates().shape[0])
     closure = np.empty(grid.n_nodes)
     for i in range(0, grid.n_nodes, rows):
-        w_ext, far = _exterior_weights(grid, kernel, s, p, slice(None), t, slice(i, i + rows))
-        closure[i:i + rows] = np.sum(w_ext, axis=1)
-    closure += kernel.far_kernel * far
+        geom, far = _exterior_geometry(grid, s, p, slice(None), slice(i, i + rows))
+        closure[i:i + rows] = np.sum(geom, axis=1)
+    closure += far_value * far
     return _read_only(closure)
 
 
-# a constant kernel's closure depends on (grid, kernel, s, p, t) only, all
-# frozen data, so workspaces share it; a kernel func may carry state
-_constant_kernel_closure = lru_cache(maxsize=32)(_closure)
-
-
 class OperatorWorkspace:
-    """Kernel weights for one (grid, kernel, s, p), reused by the stepper
-    across Newton iterations and time steps.
+    """Geometry weights for one (grid, s, p) and kernel, reused by the
+    stepper across Newton iterations and time steps.
 
-    It holds the box weights and one closure weight per node,
-    closure_i = S_i + w_far, and no box x exterior matrix.  For a
-    constant kernel the closure comes from a cache keyed on (grid,
-    kernel, s, p, t) and, at scale 1, the box weights are the cached box
-    geometry itself, so a later workspace on the same problem costs
-    nothing to build.  The band's weights and the fold are built from
-    the band's nodes and kept until the band, or the time level of a
-    time-dependent kernel, changes; a step's datum is fixed, so its
-    Newton calls share them.  Weights are rebuilt per time level only
-    when the kernel is time dependent.
+    w_box is the cached box geometry and closure the cached closure
+    weight of each node, closure_i = S_i + w_far, both shared by every
+    workspace on the grid, so a later workspace costs nothing to build;
+    no box x exterior matrix is held.  The band's weights and the fold
+    are built from the band's nodes and kept until the band changes; a
+    step's datum is fixed, so its Newton calls share them.  The kernel
+    scale multiplies every sum.
     """
 
     def __init__(self, grid: Grid, kernel: KernelSpec, s: float, p: float):
@@ -335,81 +299,61 @@ class OperatorWorkspace:
         self.kernel = kernel
         self.s = s
         self.p = p
-        self.coords = grid.coordinates()
-        self._level = None
+        self.w_box = _box_displacement_weights(grid, s, p)
+        self.closure = _closure(grid, s, p, kernel.far_value)
         self._band = None
-        if not kernel.time_dependent:
-            self.weights(0.0)
 
-    def weights(self, t: float):
-        """(w_box, closure) at time t, closure_i = S_i + w_far."""
-        if self._level is None or (self.kernel.time_dependent and self._level[0] != t):
-            self._level = None  # free the old level before building the new one
-            kernel, x = self.kernel, self.coords
-            geom = _box_displacement_weights(self.grid, self.s, self.p)
-            if kernel.func is None and kernel.scale == 1.0:
-                w_box = geom
-            else:
-                w_box = kernel.evaluate(x[:, None, :], x[None, :, :], t) * geom
-            summed = _constant_kernel_closure if kernel.func is None else _closure
-            self._level = (t, (w_box, summed(self.grid, kernel, self.s, self.p, t)))
-        return self._level[1]
-
-    def exterior(self, t: float, ext_values: np.ndarray, far_value: float):
+    def exterior(self, ext_values: np.ndarray, far_value: float):
         """(w_band, g_band, w_fold): weights and datum of the band, where the
         datum differs from far_value, and the folded weight of each node."""
-        closure = self.weights(t)[1]
         band = np.flatnonzero(ext_values != far_value)
-        key = (t if self.kernel.time_dependent else None, band.tobytes())
+        key = band.tobytes()
         if self._band is None or self._band[0] != key:
-            self._band = None
-            w_band = _exterior_weights(self.grid, self.kernel, self.s, self.p, band, t)[0]
-            self._band = (key, w_band, closure - np.sum(w_band, axis=1))
+            self._band = None  # free the old band before building the new one
+            w_band = _exterior_geometry(self.grid, self.s, self.p, band)[0]
+            self._band = (key, w_band, self.closure - np.sum(w_band, axis=1))
         return self._band[1], ext_values[band], self._band[2]
 
-    def apply(self, values: np.ndarray, t: float,
-              ext_values: Optional[np.ndarray], far_value: Optional[float]) -> np.ndarray:
+    def apply(self, values: np.ndarray, ext_values: Optional[np.ndarray],
+              far_value: Optional[float]) -> np.ndarray:
         """Operator values at every box node."""
-        w_box = self.weights(t)[0]
         v = np.asarray(values, dtype=float)
-        out = np.sum(w_box * phi_p(v[:, None] - v[None, :], self.p), axis=1)
+        out = np.sum(self.w_box * phi_p(v[:, None] - v[None, :], self.p), axis=1)
         if ext_values is not None:
-            w_band, g_band, w_fold = self.exterior(t, ext_values, far_value)
+            w_band, g_band, w_fold = self.exterior(ext_values, far_value)
             out += np.sum(w_band * phi_p(v[:, None] - g_band[None, :], self.p), axis=1)
             out += w_fold * phi_p(v - far_value, self.p)
+        out *= self.kernel.scale
         return out
 
-    def pair_energy(self, values: np.ndarray, t: float,
-                    ext_values: Optional[np.ndarray], far_value: Optional[float]) -> float:
+    def pair_energy(self, values: np.ndarray, ext_values: Optional[np.ndarray],
+                    far_value: Optional[float]) -> float:
         """Convex energy whose node gradient is h^n times the operator."""
-        w_box = self.weights(t)[0]
         hn = self.grid.spacing ** self.grid.dimension
         p = self.p
         v = np.asarray(values, dtype=float)
-        e = np.sum(w_box * np.abs(v[:, None] - v[None, :]) ** p) / (2.0 * p)
+        e = np.sum(self.w_box * np.abs(v[:, None] - v[None, :]) ** p) / (2.0 * p)
         if ext_values is not None:
-            w_band, g_band, w_fold = self.exterior(t, ext_values, far_value)
+            w_band, g_band, w_fold = self.exterior(ext_values, far_value)
             e += np.sum(w_band * np.abs(v[:, None] - g_band[None, :]) ** p) / p
             e += np.sum(w_fold * np.abs(v - far_value) ** p) / p
-        return hn * float(e)
+        return self.kernel.scale * hn * float(e)
 
-    def test_pairing(self, values: np.ndarray, t: float,
-                     ext_values: Optional[np.ndarray], far_value: Optional[float],
-                     test_values: np.ndarray) -> float:
+    def test_pairing(self, values: np.ndarray, ext_values: Optional[np.ndarray],
+                     far_value: Optional[float], test_values: np.ndarray) -> float:
         """Symmetric form  (1/2) sum w_ij phi_p(v_i - v_j)(q_i - q_j) h^n
         plus exterior coupling, with the test function zero off the box."""
-        w_box = self.weights(t)[0]
         hn = self.grid.spacing ** self.grid.dimension
         v = np.asarray(values, dtype=float)
         q = np.asarray(test_values, dtype=float)
-        form = 0.5 * np.sum(w_box * phi_p(v[:, None] - v[None, :], self.p)
+        form = 0.5 * np.sum(self.w_box * phi_p(v[:, None] - v[None, :], self.p)
                             * (q[:, None] - q[None, :]))
         if ext_values is not None:
-            w_band, g_band, w_fold = self.exterior(t, ext_values, far_value)
+            w_band, g_band, w_fold = self.exterior(ext_values, far_value)
             form += np.sum(w_band * phi_p(v[:, None] - g_band[None, :], self.p)
                            * q[:, None])
             form += np.sum(w_fold * phi_p(v - far_value, self.p) * q)
-        return hn * float(form)
+        return self.kernel.scale * hn * float(form)
 
 
 def apply_operator(fld: Field, t: float, kernel: KernelSpec, s: float, p: float) -> np.ndarray:
@@ -421,7 +365,7 @@ def apply_operator(fld: Field, t: float, kernel: KernelSpec, s: float, p: float)
     else:
         ext_values = None
         far = None
-    return ws.apply(fld.values, t, ext_values, far)
+    return ws.apply(fld.values, ext_values, far)
 
 
 def _ball_weights(grid: Grid, s: float, p: float, x0: np.ndarray, rho: float,

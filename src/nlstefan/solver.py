@@ -32,7 +32,7 @@ from .enthalpy import RegularizedEnthalpy
 from .errors import (DegenerateCutoffError, EmptyCylinderError,
                      InvalidParamsError, NewtonDivergenceError)
 from .lattice import (ExteriorRule, Field, Grid, KernelSpec, OperatorWorkspace,
-                      check_exponents, pair_geometry)
+                      check_exponents)
 
 
 @dataclass
@@ -199,36 +199,34 @@ class _Stepper:
         full[~self.mask] = pinned_vals
         return full
 
-    def residual(self, full: np.ndarray, b_prev: np.ndarray, t: float, dt: float,
+    def residual(self, full: np.ndarray, b_prev: np.ndarray, dt: float,
                  ext_vals: np.ndarray) -> np.ndarray:
         enth = self.problem.enthalpy
-        lv = self.ws.apply(full, t, ext_vals, self.problem.far_value)
+        lv = self.ws.apply(full, ext_vals, self.problem.far_value)
         return (enth.b(full[self.mask]) - b_prev) + dt * lv[self.mask]
 
-    def jacobian(self, full: np.ndarray, t: float, dt: float,
-                 ext_vals: np.ndarray) -> np.ndarray:
+    def jacobian(self, full: np.ndarray, dt: float, ext_vals: np.ndarray) -> np.ndarray:
         p = self.problem.p
-        w_box = self.ws.weights(t)[0]
-        w_band, g_band, w_fold = self.ws.exterior(t, ext_vals, self.problem.far_value)
-        dphi_box = (p - 1.0) * np.abs(full[:, None] - full[None, :]) ** (p - 2.0) * w_box
+        w_band, g_band, w_fold = self.ws.exterior(ext_vals, self.problem.far_value)
+        dphi_box = (p - 1.0) * np.abs(full[:, None] - full[None, :]) ** (p - 2.0) * self.ws.w_box
         row = np.sum(dphi_box, axis=1)
         row += np.sum((p - 1.0) * np.abs(full[:, None] - g_band[None, :]) ** (p - 2.0)
                       * w_band, axis=1)
         row += (p - 1.0) * np.abs(full - self.problem.far_value) ** (p - 2.0) * w_fold
         m = self.mask
+        dt_k = dt * self.problem.kernel.scale
         # dphi_box has a zero diagonal, so this leaves the diagonal empty
-        jac = -dt * dphi_box[np.ix_(m, m)]
+        jac = -dt_k * dphi_box[np.ix_(m, m)]
         jac[np.diag_indices_from(jac)] = (
-            self.problem.enthalpy.b_prime(full[m]) + dt * row[m])
+            self.problem.enthalpy.b_prime(full[m]) + dt_k * row[m])
         return jac
 
-    def objective(self, full: np.ndarray, b_prev: np.ndarray, t: float, dt: float,
+    def objective(self, full: np.ndarray, b_prev: np.ndarray, dt: float,
                   ext_vals: np.ndarray) -> float:
         enth = self.problem.enthalpy
         vm = full[self.mask]
         bulk = np.sum(enth.potential(vm) - b_prev * vm) * self.hn
-        return float(bulk) + dt * self.ws.pair_energy(full, t, ext_vals,
-                                                      self.problem.far_value)
+        return float(bulk) + dt * self.ws.pair_energy(full, ext_vals, self.problem.far_value)
 
     def step(self, u_prev: np.ndarray, t_next: float, dt: float):
         cfg = self.config
@@ -240,7 +238,7 @@ class _Stepper:
         history = []
         f_start = None
         backtracks = 0
-        r = self.residual(full, b_prev, t_next, dt, ext_vals)
+        r = self.residual(full, b_prev, dt, ext_vals)
         for iteration in range(cfg.newton_max + 1):
             r_norm = float(np.max(np.abs(r)))
             history.append(r_norm)
@@ -251,14 +249,14 @@ class _Stepper:
             if r_norm <= cfg.newton_tol:
                 drop = 0.0
                 if f_start is not None:
-                    drop = f_start - self.objective(full, b_prev, t_next, dt, ext_vals)
+                    drop = f_start - self.objective(full, b_prev, dt, ext_vals)
                 diag = StepDiagnostics(
                     t=t_next, dt=dt, newton_iterations=iteration,
                     residual_norm=r_norm, objective_drop=drop, backtracks=backtracks)
                 return full, diag
             if iteration == cfg.newton_max:
                 break
-            jac = self.jacobian(full, t_next, dt, ext_vals)
+            jac = self.jacobian(full, dt, ext_vals)
             try:
                 delta = solve_spd(jac, -r)
             except np.linalg.LinAlgError as exc:
@@ -266,32 +264,31 @@ class _Stepper:
                     f"Newton linear solve failed at t={t_next:.6g}: {exc}",
                     last_iterate=full, residuals=history) from exc
             if f_start is None:
-                f_start = self.objective(full, b_prev, t_next, dt, ext_vals)
+                f_start = self.objective(full, b_prev, dt, ext_vals)
             # local phase: the full step stands on its own whenever it
             # shrinks the residual; the objective is flat to rounding near
             # the minimizer and cannot arbitrate there
             trial = self.compose(v + delta, pinned_vals)
-            r_trial = self.residual(trial, b_prev, t_next, dt, ext_vals)
+            r_trial = self.residual(trial, b_prev, dt, ext_vals)
             if float(np.max(np.abs(r_trial))) <= 0.9 * r_norm:
                 v = v + delta
                 full = trial
                 r = r_trial
                 continue
-            f0 = f_start if iteration == 0 else self.objective(
-                full, b_prev, t_next, dt, ext_vals)
+            f0 = f_start if iteration == 0 else self.objective(full, b_prev, dt, ext_vals)
             slope = self.hn * float(np.sum(r * delta))
             alpha = 1.0
-            f_trial = self.objective(trial, b_prev, t_next, dt, ext_vals)
+            f_trial = self.objective(trial, b_prev, dt, ext_vals)
             nb = 0
             while f_trial > f0 + 1e-4 * alpha * slope and nb < cfg.max_backtracks:
                 alpha *= cfg.damping
                 nb += 1
                 trial = self.compose(v + alpha * delta, pinned_vals)
-                f_trial = self.objective(trial, b_prev, t_next, dt, ext_vals)
+                f_trial = self.objective(trial, b_prev, dt, ext_vals)
             backtracks += nb
             v = v + alpha * delta
             full = self.compose(v, pinned_vals)
-            r = r_trial if nb == 0 else self.residual(full, b_prev, t_next, dt, ext_vals)
+            r = r_trial if nb == 0 else self.residual(full, b_prev, dt, ext_vals)
         raise NewtonDivergenceError(
             f"Newton stalled at t={t_next:.6g} with residual {history[-1]:.3e}",
             last_iterate=full, residuals=history)
@@ -372,12 +369,7 @@ def normalize(problem: LatticeProblem, m: float, z0=None) -> LatticeProblem:
                                  "requires t0 = 0")
     base = problem.enthalpy
     scaled = RegularizedEnthalpy(base.eps / m, base.mollifier, base.latent_heat / m)
-    kern = problem.kernel
-    if kern.func is None:
-        new_func = None
-    else:
-        new_func = lambda x, y, t, _f=kern.func, _x0=x0: _f(x + _x0, y + _x0, t)
-    new_kernel = replace(kern, func=new_func, scale=kern.scale * m ** (problem.p - 2.0))
+    new_kernel = replace(problem.kernel, scale=problem.kernel.scale * m ** (problem.p - 2.0))
     g_old = problem.dirichlet
     new_dirichlet = lambda x, t, _g=g_old, _x0=x0, _m=m: np.asarray(_g(x + _x0, t), dtype=float) / _m
     return LatticeProblem(
@@ -508,8 +500,8 @@ def weak_residual(traj: Trajectory, test_fn: Callable) -> float:
         total -= float(np.sum(w * (phi_vals[m + 1] - phi_vals[m]))) * hn
         ext_vals = np.asarray(problem.dirichlet(ext_coords, times[m + 1]), dtype=float)
         phi_mid = 0.5 * (phi_vals[m] + phi_vals[m + 1])
-        total += dt * ws.test_pairing(traj.states[m + 1], times[m + 1], ext_vals,
-                                      problem.far_value, phi_mid)
+        total += dt * ws.test_pairing(traj.states[m + 1], ext_vals, problem.far_value,
+                                      phi_mid)
     return abs(total)
 
 
@@ -523,7 +515,7 @@ def energy_history(traj: Trajectory) -> np.ndarray:
     out = []
     for t, state in zip(traj.times, traj.states):
         ext_vals = np.asarray(problem.dirichlet(ext_coords, t), dtype=float)
-        out.append(ws.pair_energy(state, t, ext_vals, problem.far_value))
+        out.append(ws.pair_energy(state, ext_vals, problem.far_value))
     return np.asarray(out)
 
 
@@ -604,12 +596,12 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
     hn = grid.spacing ** n
     ball_idx = np.nonzero(in_ball)[0]
     phi_b = phi[ball_idx]
-    bc = coords[ball_idx]
-    pair_w = hn * pair_geometry(grid, problem.s, p, bc, bc)[1]
     out_box_idx = np.nonzero(~in_ball)[0]
-    w_out = pair_geometry(grid, problem.s, p, bc, coords[out_box_idx])[1]
+    # the geometry alone, cached per grid: the estimate carries no kernel scale
+    ws = OperatorWorkspace(grid, KernelSpec(), problem.s, p)
+    pair_w = hn * ws.w_box[np.ix_(ball_idx, ball_idx)]
+    w_out = ws.w_box[np.ix_(ball_idx, out_box_idx)]
     ext_coords = grid.exterior_coordinates()
-    _, w_ext, far_geom = pair_geometry(grid, problem.s, p, bc, ext_coords, exterior=True)
 
     def truncate(vals):
         if sign == "+":
@@ -622,6 +614,7 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
     grad_term = 0.0
     tail_term = 0.0
     grad_phi = np.where(in_ball, cutoff.gradient_magnitude(dist), 0.0)[ball_idx]
+    far_w = truncate(np.asarray([problem.far_value]))[0]
 
     prev_t = traj.times[t_sel[0]]
     for pos, idx in enumerate(t_sel):
@@ -647,10 +640,11 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
         support = phi_b > 0.0
         u_out = truncate(u[out_box_idx])
         g_ext = truncate(np.asarray(problem.dirichlet(ext_coords, t), dtype=float))
-        far_w = truncate(np.asarray([problem.far_value]))[0]
-        y_box = np.sum(w_out * (u_out ** (p - 1.0))[None, :], axis=1)
-        y_ext = np.sum(w_ext * (g_ext ** (p - 1.0))[None, :], axis=1)
-        y_sum = y_box + y_ext + far_w ** (p - 1.0) * far_geom
+        # exterior columns where the truncated datum equals the far value fold into w_fold
+        w_band, g_band, w_fold = ws.exterior(g_ext, far_w)
+        y_sum = (np.sum(w_out * (u_out ** (p - 1.0))[None, :], axis=1)
+                 + np.sum(w_band[ball_idx] * (g_band ** (p - 1.0))[None, :], axis=1)
+                 + w_fold[ball_idx] * far_w ** (p - 1.0))
         sup_y = float(np.max(y_sum[support], initial=0.0))
         tail_term += dt * sup_y * float(np.sum(w_ball * phi_b ** p)) * hn
 

@@ -1,5 +1,6 @@
 """Vanishing-regularization families, the two-field limit, convergence reports."""
 
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,7 @@ from nlstefan import (
     run_family,
     solve,
 )
+from nlstefan import lattice
 from nlstefan.presets import const1d, melt1d
 
 
@@ -43,6 +45,23 @@ def test_family_schedule_validation():
     intrinsic = SolverConfig(dt_policy="intrinsic", dt_factor=1.0)
     with pytest.raises(InvalidParamsError, match="fixed step"):
         run_family(pre.problem, (0.2, 0.1), intrinsic)
+
+
+def test_a_threaded_family_builds_each_lattice_cache_once():
+    # the members miss every per-grid cache together on a grid no other test
+    # uses; more threads than cores and a short switch interval widen the race
+    caches = (lattice._box_coordinates, lattice._exterior_coordinates,
+              lattice._box_displacement_weights, lattice._closure)
+    before = [cache.cache_info().misses for cache in caches]
+    pre = melt1d(n_nodes=251, horizon=0.005, eps=0.2, n_steps=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        fam = run_family(pre.problem, (0.4, 0.3, 0.2, 0.1), pre.solver, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(entry.ok for entry in fam.entries)
+    assert [cache.cache_info().misses - b for cache, b in zip(caches, before)] == [1, 1, 1, 1]
 
 
 def test_single_member_family_has_empty_distances():

@@ -1,6 +1,4 @@
-"""Lattice operator: collocation sums, kernel audit, tail quadrature, field IO."""
-
-from dataclasses import replace
+"""Lattice operator: collocation sums, tail quadrature, field IO."""
 
 import numpy as np
 import pytest
@@ -21,11 +19,11 @@ from nlstefan import (
     apply_operator,
     check_exponents,
     energy_history,
-    kernel_audit,
     load_preset,
     phi_p,
     solve,
     space_time_bump,
+    structural_audit,
     tail,
     weak_residual,
 )
@@ -123,7 +121,7 @@ def test_operator_on_constant_is_zero():
     ws = OperatorWorkspace(g, kern, 0.5, 3.0)
     v = np.full(g.n_nodes, 0.7)
     ext = np.full(g.exterior_coordinates().shape[0], 0.7)
-    out = ws.apply(v, 0.0, ext, 0.7)
+    out = ws.apply(v, ext, 0.7)
     assert np.all(out == 0.0)
 
 
@@ -139,7 +137,7 @@ def test_five_node_spike_oracle():
     g = Grid(spacing=1.0, shape=(5,), origin=(0.0,), r_infinity=100.0)
     v = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
     ws = OperatorWorkspace(g, KernelSpec(), 0.5, 3.0)
-    out = ws.apply(v, 0.0, None, None)
+    out = ws.apply(v, None, None)
     expected = np.array(
         [-(2.0 ** -2.5), -1.0, 2.0 * (1.0 + 2.0 ** -2.5), -1.0, -(2.0 ** -2.5)]
     )
@@ -153,7 +151,7 @@ def test_two_d_spike_oracle():
     v = np.zeros(9)
     v[4] = 1.0
     ws = OperatorWorkspace(g, KernelSpec(), 0.5, 3.0)
-    out = ws.apply(v, 0.0, None, None)
+    out = ws.apply(v, None, None)
     assert out[4] == pytest.approx(4.0 + 4.0 * 2.0 ** -1.75, rel=1e-13)
 
 
@@ -161,7 +159,7 @@ def test_odd_field_vanishes_at_the_center():
     g = line_grid(n=9, h=1.0, origin=-4.0)
     v = g.coordinates()[:, 0] ** 3
     ws = OperatorWorkspace(g, KernelSpec(), 0.5, 3.0)
-    out = ws.apply(v, 0.0, None, None)
+    out = ws.apply(v, None, None)
     assert out[4] == 0.0
 
 
@@ -173,8 +171,8 @@ def test_operator_is_odd(vals):
     g = line_grid(n=7)
     ws = OperatorWorkspace(g, KernelSpec(), 0.6, 3.5)
     v = np.asarray(vals)
-    plus = ws.apply(v, 0.0, None, None)
-    minus = ws.apply(-v, 0.0, None, None)
+    plus = ws.apply(v, None, None)
+    minus = ws.apply(-v, None, None)
     assert np.array_equal(minus, -plus)
 
 
@@ -197,11 +195,11 @@ def test_monotone_dependence_on_neighbours():
     rng = np.random.default_rng(3)
     v = rng.uniform(-1.0, 1.0, g.n_nodes)
     ws = OperatorWorkspace(g, KernelSpec(), 0.5, 3.0)
-    base = ws.apply(v, 0.0, None, None)
+    base = ws.apply(v, None, None)
     for j in (0, 3, 8):
         bumped = v.copy()
         bumped[j] += 0.5
-        out = ws.apply(bumped, 0.0, None, None)
+        out = ws.apply(bumped, None, None)
         assert out[4] < base[4] if j != 4 else True
         assert out[j] > base[j]
 
@@ -214,7 +212,7 @@ def test_far_field_closure_matches_radial_integral():
     a = 1.7
     v = np.full(g.n_nodes, a)
     ext = np.full(g.exterior_coordinates().shape[0], a)
-    out = ws.apply(v, 0.0, ext, 0.0)
+    out = ws.apply(v, ext, 0.0)
     expected = phi_p(a, 3.0) * 2.0 * 8.0 ** -1.5 / 1.5
     np.testing.assert_allclose(out, expected, rtol=1e-13)
 
@@ -226,7 +224,7 @@ def test_far_field_closure_at_sp_equal_to_dimension():
     a = 1.7
     v = np.full(g.n_nodes, a)
     ext = np.full(g.exterior_coordinates().shape[0], a)
-    out = ws.apply(v, 0.0, ext, 0.0)
+    out = ws.apply(v, ext, 0.0)
     np.testing.assert_allclose(out, phi_p(a, 3.0) * 2.0 / 8.0, rtol=1e-13)
 
 
@@ -238,14 +236,14 @@ def test_pair_energy_gradient_matches_operator():
     v = rng.uniform(-1.0, 1.0, g.n_nodes)
     ext = np.cos(g.exterior_coordinates()[:, 0])
     hn = g.spacing ** g.dimension
-    lv = ws.apply(v, 0.0, ext, 0.2)
+    lv = ws.apply(v, ext, 0.2)
     step = 1e-6
     for i in range(g.n_nodes):
         vp, vm = v.copy(), v.copy()
         vp[i] += step
         vm[i] -= step
-        ep = ws.pair_energy(vp, 0.0, ext, 0.2)
-        em = ws.pair_energy(vm, 0.0, ext, 0.2)
+        ep = ws.pair_energy(vp, ext, 0.2)
+        em = ws.pair_energy(vm, ext, 0.2)
         fd = (ep - em) / (2.0 * step)
         assert fd == pytest.approx(hn * lv[i], rel=1e-6, abs=1e-9)
 
@@ -259,15 +257,15 @@ def test_test_pairing_matches_gradient_inner_product():
     q = rng.uniform(-1.0, 1.0, g.n_nodes)
     ext = np.sin(g.exterior_coordinates()[:, 0])
     hn = g.spacing ** g.dimension
-    lv = ws.apply(v, 0.0, ext, -0.4)
-    form = ws.test_pairing(v, 0.0, ext, -0.4, q)
+    lv = ws.apply(v, ext, -0.4)
+    form = ws.test_pairing(v, ext, -0.4, q)
     assert form == pytest.approx(hn * float(np.dot(q, lv)), rel=1e-12)
 
 
 # ---------------------------------------------------------------- exterior fold
 
 
-def dense_exterior_reference(grid, kernel, s, p, v, q, t, ext, far):
+def dense_exterior_reference(grid, kernel, s, p, v, q, ext, far):
     """Operator, energy, pairing and Jacobian row sums with every exterior
     column summed explicitly, built from the weight formula alone."""
     n, sp, h = grid.dimension, s * p, grid.spacing
@@ -276,13 +274,13 @@ def dense_exterior_reference(grid, kernel, s, p, v, q, t, ext, far):
     def weights(a, b):
         d = np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2))
         w = np.where(d > 0.0, h ** n / np.where(d > 0.0, d, 1.0) ** (n + sp), 0.0)
-        return d, w * kernel.evaluate(a[:, None, :], b[None, :, :], t)
+        return d, kernel.scale * w
 
     _, w_box = weights(x, x)
     d_ext, w_ext = weights(x, y)
     w_ext[d_ext > grid.r_infinity] = 0.0
     sphere = 2.0 if n == 1 else 2.0 * np.pi
-    w_far = kernel.far_kernel * sphere * grid.r_infinity ** (-sp) / sp
+    w_far = kernel.scale * kernel.far_value * sphere * grid.r_infinity ** (-sp) / sp
     db, de, df = v[:, None] - v[None, :], v[:, None] - ext[None, :], v - far
     apply_ = (np.sum(w_box * phi_p(db, p), axis=1) + np.sum(w_ext * phi_p(de, p), axis=1)
               + w_far * phi_p(df, p))
@@ -312,9 +310,6 @@ GRIDS = {
 }
 KERNELS = {
     "constant": KernelSpec(lam=1.0, scale=1.3, far_value=0.9),
-    "time-dependent": KernelSpec(
-        lam=2.0, time_dependent=True,
-        func=lambda x, y, t: 1.0 + 0.3 * np.cos(x[..., 0] + y[..., 0] + 3.0 * t)),
 }
 
 
@@ -333,18 +328,18 @@ def test_exterior_fold_matches_the_dense_sum(dim, datum, kernel_name):
     ws = stepper.ws
     rng = np.random.default_rng([dim, len(datum)])
     band_sizes = set()
-    # two levels on one workspace: the band and the time-dependent weights change
+    # two levels on one workspace: the band changes
     for t in (0.0, 0.3):
         v = rng.uniform(-1.0, 1.0, grid.n_nodes)
         q = rng.uniform(-1.0, 1.0, grid.n_nodes)
         ext = g(grid.exterior_coordinates(), t)
         band_sizes.add(int(np.sum(ext != FAR)))
         apply_, energy, pairing, rows = dense_exterior_reference(
-            grid, kernel, s, p, v, q, t, ext, FAR)
-        np.testing.assert_allclose(ws.apply(v, t, ext, FAR), apply_, rtol=1e-13)
-        assert ws.pair_energy(v, t, ext, FAR) == pytest.approx(energy, rel=1e-13)
-        assert ws.test_pairing(v, t, ext, FAR, q) == pytest.approx(pairing, rel=1e-13)
-        diag = np.diag(stepper.jacobian(v, t, dt, ext))
+            grid, kernel, s, p, v, q, ext, FAR)
+        np.testing.assert_allclose(ws.apply(v, ext, FAR), apply_, rtol=1e-13)
+        assert ws.pair_energy(v, ext, FAR) == pytest.approx(energy, rel=1e-13)
+        assert ws.test_pairing(v, ext, FAR, q) == pytest.approx(pairing, rel=1e-13)
+        diag = np.diag(stepper.jacobian(v, dt, ext))
         np.testing.assert_allclose(
             diag, problem.enthalpy.b_prime(v[mask]) + dt * rows[mask], rtol=1e-13)
     n_ext = grid.exterior_coordinates().shape[0]
@@ -377,7 +372,7 @@ def test_workspace_holds_no_exterior_sized_array():
     ws = OperatorWorkspace(grid, KernelSpec(scale=1.3), 0.5, 3.0)
     shapes = [a.shape for a in reachable_arrays(ws)]
     # an empty band leaves nothing of exterior size behind either
-    ws.apply(np.zeros(grid.n_nodes), 0.0, np.full(n_ext, 0.4), 0.4)
+    ws.apply(np.zeros(grid.n_nodes), np.full(n_ext, 0.4), 0.4)
     shapes += [a.shape for a in reachable_arrays(ws)]
     assert shapes
     assert all(n_ext not in shape for shape in shapes), shapes
@@ -386,7 +381,7 @@ def test_workspace_holds_no_exterior_sized_array():
 @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
 def test_closure_from_row_blocks_matches_the_dense_row_sum(kernel_name):
     # N_ext = BLOCK_ENTRIES / 4 gives 4 rows per block: blocks of 4, 4 and 2 rows
-    kernel, s, p, t = KERNELS[kernel_name], 0.45, 3.2, 0.3
+    kernel, s, p = KERNELS[kernel_name], 0.45, 3.2
     h, n_box = 0.25, 10
     reach = lattice.BLOCK_ENTRIES // 8
     grid = line_grid(n=n_box, h=h, r_inf=reach * h)
@@ -394,10 +389,8 @@ def test_closure_from_row_blocks_matches_the_dense_row_sum(kernel_name):
     rows_per_block = lattice.BLOCK_ENTRIES // y.shape[0]
     assert 1 < rows_per_block < n_box and n_box % rows_per_block != 0
     _, geom, far = pair_geometry(grid, s, p, x, y, exterior=True)
-    expected = (np.sum(kernel.evaluate(x[:, None, :], y[None, :, :], t) * geom, axis=1)
-                + kernel.far_kernel * far)
-    ws = OperatorWorkspace(grid, kernel, s, p)
-    assert np.array_equal(ws.weights(t)[1], expected)
+    expected = np.sum(geom, axis=1) + kernel.far_value * far
+    assert np.array_equal(OperatorWorkspace(grid, kernel, s, p).closure, expected)
 
 
 def difference_tensor_geometry(grid, s, p, points, nodes, exterior):
@@ -437,39 +430,45 @@ def test_cached_lattice_arrays_are_read_only():
     grid = line_grid(n=7)
     ws = OperatorWorkspace(grid, KernelSpec(), 0.5, 3.0)
     cached = [grid.coordinates(), grid.exterior_coordinates(),
-              lattice._box_displacement_weights(grid, 0.5, 3.0), ws.weights(0.0)[1]]
+              lattice._box_displacement_weights(grid, 0.5, 3.0), ws.closure]
     for array in cached:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
 
 
 def test_scale_one_workspace_holds_the_cached_box_geometry():
+    # and so does every other scale, which multiplies the operator's sums
     grid = line_grid(n=7)
     geom = lattice._box_displacement_weights(grid, 0.5, 3.0)
-    assert np.shares_memory(OperatorWorkspace(grid, KernelSpec(), 0.5, 3.0).weights(0.0)[0], geom)
-    scaled = OperatorWorkspace(grid, KernelSpec(scale=2.0), 0.5, 3.0).weights(0.0)[0]
-    assert not np.shares_memory(scaled, geom)
-    assert np.array_equal(scaled, 2.0 * geom)
+    v = np.random.default_rng(2).uniform(-1.0, 1.0, grid.n_nodes)
+    ext = np.cos(grid.exterior_coordinates()[:, 0])
+    unit = OperatorWorkspace(grid, KernelSpec(), 0.5, 3.0)
+    for scale in (1.0, 2.0, 1.3):
+        assert OperatorWorkspace(grid, KernelSpec(scale=scale), 0.5, 3.0).w_box is geom
+    doubled = OperatorWorkspace(grid, KernelSpec(scale=2.0), 0.5, 3.0)
+    assert np.array_equal(doubled.apply(v, ext, 0.3), 2.0 * unit.apply(v, ext, 0.3))
 
 
 def closure_of(grid, kernel, s=0.5, p=3.0):
-    return OperatorWorkspace(grid, kernel, s, p).weights(0.0)[1]
+    return OperatorWorkspace(grid, kernel, s, p).closure
 
 
 def test_workspaces_on_one_grid_share_one_closure():
+    # the kernel scale is not part of the key: it multiplies the sums
     grid = line_grid(n=7, r_inf=20.0)
     first = closure_of(grid, KernelSpec(far_value=0.7))
-    misses = lattice._constant_kernel_closure.cache_info().misses
+    misses = lattice._closure.cache_info().misses
     assert closure_of(grid, KernelSpec(far_value=0.7)) is first
-    assert lattice._constant_kernel_closure.cache_info().misses == misses
+    assert closure_of(grid, KernelSpec(scale=1.5, far_value=0.7)) is first
+    assert lattice._closure.cache_info().misses == misses
 
 
-@pytest.mark.parametrize("change", ["scale", "far_value", "s", "p", "grid"])
+@pytest.mark.parametrize("change", ["far_value", "s", "p", "grid"])
 def test_a_changed_problem_gets_its_own_closure(change):
     grid, kernel, s, p = line_grid(n=7, r_inf=21.0), KernelSpec(), 0.5, 3.0
     base = closure_of(grid, kernel, s, p)
-    if change in ("scale", "far_value"):
-        kernel = KernelSpec(**{change: 1.5})
+    if change == "far_value":
+        kernel = KernelSpec(far_value=1.5)
     elif change == "s":
         s = 0.6
     elif change == "p":
@@ -481,25 +480,26 @@ def test_a_changed_problem_gets_its_own_closure(change):
     assert not np.array_equal(other, base)
 
 
-@pytest.mark.parametrize("time_dependent", [False, True])
-def test_a_kernel_func_bypasses_the_closure_cache(time_dependent):
-    kernel = replace(KERNELS["time-dependent"], time_dependent=time_dependent)
-    before = lattice._constant_kernel_closure.cache_info()
-    ws = OperatorWorkspace(line_grid(n=7), kernel, 0.5, 3.0)
-    ws.weights(0.0)
-    ws.weights(0.25)
-    assert lattice._constant_kernel_closure.cache_info() == before
-
-
 def test_audits_after_a_solve_build_no_closure():
     preset = load_preset("melt1d", n_nodes=37, n_steps=2, horizon=0.01)
     traj = solve(preset.problem, preset.solver)
-    before = lattice._constant_kernel_closure.cache_info()
+    before = lattice._closure.cache_info()
     energy_history(traj)
     weak_residual(traj, space_time_bump((0.0,), 0.5, (0.0, 0.01)))
-    after = lattice._constant_kernel_closure.cache_info()
+    after = lattice._closure.cache_info()
     assert after.misses == before.misses
     assert after.hits > before.hits
+
+
+def test_structural_audit_after_a_solve_builds_no_geometry():
+    # normalize(problem, 2) doubles the kernel scale, which shares the solve's geometry
+    preset = load_preset("melt1d", n_nodes=39, n_steps=2, horizon=0.01)
+    traj = solve(preset.problem, preset.solver)
+    caches = (lattice._box_displacement_weights, lattice._closure)
+    before = [cache.cache_info().misses for cache in caches]
+    checks = structural_audit(traj, preset.solver)
+    assert [cache.cache_info().misses for cache in caches] == before
+    assert checks["normalization"]["passed"]
 
 
 @settings(max_examples=25, deadline=None)
@@ -526,64 +526,27 @@ def test_fold_keeps_residual_the_gradient_of_the_objective(nx, ny, seed, s, p):
     full = rng.uniform(-1.0, 1.0, grid.n_nodes)
     hn = grid.spacing ** 2
     step = 1e-6
-    lv = stepper.ws.apply(full, 0.0, ext, far)
+    lv = stepper.ws.apply(full, ext, far)
     for i in range(grid.n_nodes):
         up, down = full.copy(), full.copy()
         up[i] += step
         down[i] -= step
-        fd = (stepper.ws.pair_energy(up, 0.0, ext, far)
-              - stepper.ws.pair_energy(down, 0.0, ext, far)) / (2.0 * step)
+        fd = (stepper.ws.pair_energy(up, ext, far)
+              - stepper.ws.pair_energy(down, ext, far)) / (2.0 * step)
         assert fd == pytest.approx(hn * lv[i], rel=1e-5, abs=1e-8)
     b_prev = problem.enthalpy.b(rng.uniform(-1.0, 1.0, int(mask.sum())))
-    jac = stepper.jacobian(full, 0.0, dt, ext)
+    jac = stepper.jacobian(full, dt, ext)
     fd_jac = np.empty_like(jac)
     for col, i in enumerate(np.nonzero(mask)[0]):
         up, down = full.copy(), full.copy()
         up[i] += step
         down[i] -= step
-        fd_jac[:, col] = (stepper.residual(up, b_prev, 0.0, dt, ext)
-                          - stepper.residual(down, b_prev, 0.0, dt, ext)) / (2.0 * step)
+        fd_jac[:, col] = (stepper.residual(up, b_prev, dt, ext)
+                          - stepper.residual(down, b_prev, dt, ext)) / (2.0 * step)
     np.testing.assert_allclose(fd_jac, jac, rtol=1e-5, atol=1e-7 * np.max(np.abs(jac)))
 
 
-# ---------------------------------------------------------------- kernel audit
-
-
-def test_kernel_audit_constant_kernel_passes():
-    g = line_grid()
-    rep = kernel_audit(KernelSpec(), g)
-    assert rep.passed
-    assert rep.symmetry_defect == 0.0
-    assert rep.lower_violation == 0.0
-    assert rep.upper_violation == 0.0
-
-
-def test_kernel_audit_symmetric_bounded_kernel_passes():
-    g = line_grid()
-    kern = KernelSpec(
-        lam=2.0,
-        func=lambda x, y, t: 1.0 + 0.5 * np.sin(x[..., 0] + y[..., 0]),
-    )
-    rep = kernel_audit(kern, g, t_samples=(0.0, 0.5))
-    assert rep.passed
-    assert rep.symmetry_defect == 0.0
-    assert rep.n_samples == 2048
-
-
-def test_kernel_audit_flags_asymmetry():
-    g = line_grid(n=5, h=0.25, origin=0.0, r_inf=10.0)
-    kern = KernelSpec(lam=2.0, func=lambda x, y, t: 1.0 + 0.25 * x[..., 0])
-    rep = kernel_audit(kern, g)
-    assert not rep.passed
-    assert rep.symmetry_defect > 0.0
-
-
-def test_kernel_audit_flags_ellipticity_breach():
-    g = line_grid()
-    kern = KernelSpec(lam=1.5, func=lambda x, y, t: np.full(x.shape[:-1], 3.0))
-    rep = kernel_audit(kern, g)
-    assert not rep.passed
-    assert rep.upper_violation > 0.0
+# ---------------------------------------------------------------- kernel spec
 
 
 def test_kernel_spec_validation():

@@ -31,7 +31,7 @@ from nlstefan import (
     space_time_bump,
     weak_residual,
 )
-from nlstefan.presets import const1d, melt1d
+from nlstefan.presets import const1d, load_preset, melt1d
 from nlstefan.solver import _intrinsic_dt, _Stepper
 
 
@@ -225,8 +225,8 @@ def test_objective_drop_is_start_minus_final_objective(eps, monkeypatch):
     pinned, ext = stepper.datum(dt)
     b_prev = prob.enthalpy.b(prob.initial[prob.unknown_mask])
     start = stepper.compose(prob.initial[prob.unknown_mask], pinned)
-    f_start = stepper.objective(start, b_prev, dt, dt, ext)
-    f_final = stepper.objective(final, b_prev, dt, dt, ext)
+    f_start = stepper.objective(start, b_prev, dt, ext)
+    f_final = stepper.objective(final, b_prev, dt, ext)
     assert diag.newton_iterations >= 1
     assert diag.objective_drop == f_start - f_final
     if eps == 0.2:
@@ -244,7 +244,7 @@ def test_implicit_step_small_dt_expansion():
     u0 = prob.initial
     ws = OperatorWorkspace(prob.grid, prob.kernel, prob.s, prob.p)
     ext = prob.dirichlet(prob.grid.exterior_coordinates(), 0.0)
-    lv = ws.apply(u0, 0.0, ext, prob.far_value)
+    lv = ws.apply(u0, ext, prob.far_value)
     m = prob.unknown_mask
     errs = {}
     for dt in (1e-5, 1e-6):
@@ -442,6 +442,55 @@ def test_caccioppoli_melt_ratio_is_finite(small_melt_traj):
     assert rep.passed is None
     capped = caccioppoli_audit(traj, -prob.eps, "-", cyl, c_audit=rep.ratio * 1.1)
     assert capped.passed is True
+
+
+def dense_tail_term(traj, level, sign, cyl):
+    """Tail term of the truncated energy estimate with every exterior
+    column summed explicitly, built from the weight formula alone."""
+    problem, grid = traj.problem, traj.problem.grid
+    p, n, h, sp = problem.p, grid.dimension, grid.spacing, problem.s * problem.p
+    x, y = grid.coordinates(), grid.exterior_coordinates()
+    dist = np.sqrt(np.sum((x - np.asarray(cyl.x0)[None, :]) ** 2, axis=1))
+    ball = dist <= cyl.rho * (1.0 + 1e-12)
+    phi = RadialCutoff(radius=0.8 * cyl.rho).values(dist[ball])
+
+    def weights(a, b):
+        d = np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2))
+        return np.where(d > 0.0, h ** n / np.where(d > 0.0, d, 1.0) ** (n + sp), 0.0), d
+
+    def trunc(v):
+        return np.clip(v - level if sign == "+" else level - v, 0.0, None)
+
+    w_out, _ = weights(x[ball], x[~ball])
+    w_ext, d_ext = weights(x[ball], y)
+    w_ext[d_ext > grid.r_infinity] = 0.0
+    w_far = 2.0 * grid.r_infinity ** (-sp) / sp
+    t_lo = cyl.t0 - cyl.theta * cyl.rho ** sp
+    chosen = [(t, u) for t, u in zip(traj.times, traj.states)
+              if t_lo - 1e-12 < t <= cyl.t0 + 1e-12]
+    total, band = 0.0, 0
+    for (t_prev, _), (t, u) in zip(chosen, chosen[1:]):
+        g = trunc(problem.dirichlet(y, t))
+        band += int(np.sum(g != trunc(problem.far_value)))
+        y_sum = (np.sum(w_out * trunc(u[~ball])[None, :] ** (p - 1.0), axis=1)
+                 + np.sum(w_ext * g[None, :] ** (p - 1.0), axis=1)
+                 + w_far * trunc(problem.far_value) ** (p - 1.0))
+        total += ((t - t_prev) * np.max(y_sum[phi > 0.0])
+                  * np.sum(trunc(u[ball]) * phi ** p) * h ** n)
+    return total, band
+
+
+@pytest.mark.parametrize("name", ["logbdy", "melt1d"])
+def test_caccioppoli_tail_matches_the_dense_exterior_sum(name):
+    # logbdy's datum differs from the far value near the box, melt1d's nowhere
+    pre = load_preset(name, n_nodes=65, n_steps=10)
+    traj = solve(pre.problem, pre.solver)
+    cyl = Cylinder(pre.anchor[0], pre.anchor[1], pre.rho0, intrinsic_theta(1.0, pre.problem.p))
+    rep = caccioppoli_audit(traj, pre.problem.eps, "+", cyl)
+    expected, band = dense_tail_term(traj, pre.problem.eps, "+", cyl)
+    assert (band > 0) == (name == "logbdy")
+    assert rep.tail_term > 0.0
+    assert rep.tail_term == pytest.approx(expected, rel=1e-12)
 
 
 def test_caccioppoli_empty_cylinder(small_melt_traj):
