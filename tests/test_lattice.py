@@ -463,9 +463,23 @@ def test_workspaces_on_one_grid_share_one_closure():
     assert lattice._closure.cache_info().misses == misses
 
 
-@pytest.mark.parametrize("change", ["far_value", "s", "p", "grid"])
+def applied_closure(grid, kernel, s=0.5, p=3.0):
+    # a constant field over a constant exterior datum: only the closure acts
+    ws = OperatorWorkspace(grid, kernel, s, p)
+    ext = np.zeros(grid.exterior_coordinates().shape[0])
+    return ws.apply(np.ones(grid.n_nodes), ext, 0.0) / phi_p(1.0, p)
+
+
+@pytest.mark.parametrize("change", ["scale", "far_value", "s", "p", "grid"])
 def test_a_changed_problem_gets_its_own_closure(change):
     grid, kernel, s, p = line_grid(n=7, r_inf=21.0), KernelSpec(), 0.5, 3.0
+    if change == "scale":
+        # the cached closure is shared; the scale multiplies the closure applied
+        base = applied_closure(grid, kernel, s, p)
+        other = applied_closure(grid, KernelSpec(scale=1.5), s, p)
+        assert not np.array_equal(other, base)
+        np.testing.assert_allclose(other, 1.5 * base, rtol=1e-15)
+        return
     base = closure_of(grid, kernel, s, p)
     if change == "far_value":
         kernel = KernelSpec(far_value=1.5)
