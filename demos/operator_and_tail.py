@@ -13,8 +13,7 @@ import os
 
 import numpy as np
 
-from nlstefan.lattice import (ExteriorRule, Field, Grid, KernelSpec,
-                              apply_operator, tail)
+from nlstefan.lattice import Grid, OperatorWorkspace, tail
 
 
 def main(argv=None) -> int:
@@ -26,18 +25,17 @@ def main(argv=None) -> int:
     s, p = 0.5, 3.0
     grid = Grid(spacing=0.25, shape=(33,), origin=(-4.0,), r_infinity=50.0)
     x = grid.coordinates()[:, 0]
+    x_ext = grid.exterior_coordinates()[:, 0]
+    ws = OperatorWorkspace(grid, s, p)
 
     spike = np.zeros(grid.n_nodes)
     spike[16] = 1.0
-    fld = Field(grid, spike, ExteriorRule(lambda xx, t: np.zeros(xx.shape[0]), 0.0))
-    lv = apply_operator(fld, 0.0, KernelSpec(lam=1.0), s, p)
+    lv = ws.apply(spike, np.zeros(x_ext.shape[0]), 0.0)
     print(f"spike response: center {lv[16]:+.6f}, neighbors {lv[15]:+.6f}, "
           f"decay at distance 4 {lv[0]:+.3e}")
 
     profile = lambda xi: xi * np.exp(-xi ** 2 / 8.0)
-    odd = Field(grid, profile(x),
-                ExteriorRule(lambda xx, t: profile(xx[:, 0]), 0.0))
-    lodd = apply_operator(odd, 0.0, KernelSpec(lam=1.0), s, p)
+    lodd = ws.apply(profile(x), profile(x_ext), 0.0)
     print(f"odd decaying field: value at the center node {lodd[16]:+.3e} "
           f"(symmetry kills it)")
     np.savetxt(os.path.join(args.out, "spike_response.csv"),
@@ -53,9 +51,8 @@ def main(argv=None) -> int:
         span = 3.0 * rho
         n_nodes = int(round(2.0 * span / h)) + 1
         g = Grid(spacing=h, shape=(n_nodes,), origin=(-span,), r_infinity=1000.0 * rho)
-        f = Field(g, np.ones(n_nodes),
-                  ExteriorRule(lambda xx, t: np.ones(xx.shape[0]), 1.0))
-        val = tail([(0.0, f)], (0.0,), rho, (0.0, 0.0), s, p)
+        sample = (0.0, np.ones(n_nodes), np.ones(g.exterior_coordinates().shape[0]), 1.0)
+        val = tail(g, [sample], (0.0,), rho, (0.0, 0.0), s, p)
         print(f"  h=rho/{div:<3} tail={val:.12f} rel err={abs(val - exact) / exact:.3e}")
     return 0
 

@@ -27,8 +27,7 @@ from .errors import (DegenerateCutoffError, EmptyCylinderError,
                      InvalidParamsError, NewtonDivergenceError, NlstefanError,
                      NonpositiveExcessError, SchemaViolationError,
                      UnresolvedBandError)
-from .lattice import (ExteriorRule, Field, Grid, KernelSpec, OperatorWorkspace,
-                      apply_operator, check_exponents, phi_p, tail)
+from .lattice import Grid, OperatorWorkspace, check_exponents, phi_p, tail
 from .presets import CATALOG, Preset, load_preset
 from .solver import (CaccioppoliReport, LatticeProblem, MaxPrincipleReport,
                      RadialCutoff, SolverConfig, StepDiagnostics, Trajectory,
@@ -41,17 +40,17 @@ __version__ = "0.1.0"
 __all__ = [
     "CATALOG", "CaccioppoliReport", "ConvergenceReport", "Cylinder",
     "DegenerateCutoffError", "EmptyCylinderError", "EmptyWindowError",
-    "ExteriorRule", "FamilyEntry", "FamilyResult", "Field",
+    "FamilyEntry", "FamilyResult",
     "GeometricDecayReport", "Grid", "InconsistentFamilyError",
     "InsufficientSamplesError", "InvalidExponentError", "InvalidParamsError",
-    "IterVerdict", "IterationParams", "KernelSpec",
+    "IterVerdict", "IterationParams",
     "LatticeProblem", "LevelTailRecord", "LimitPair", "MaxPrincipleReport",
     "MeasureDensityReport", "ModulusReport", "MollifierSpec",
     "NewtonDivergenceError", "NlstefanError", "NonpositiveExcessError",
     "OperatorWorkspace", "Preset", "RadialCutoff", "RegularizedEnthalpy",
     "RunConfig", "SchemaViolationError", "SequenceLevel", "SolverConfig",
     "StepDiagnostics", "Trajectory", "UnresolvedBandError",
-    "apply_operator", "beta_graph", "boundary_sequences", "caccioppoli_audit",
+    "beta_graph", "boundary_sequences", "caccioppoli_audit",
     "check_exponents", "convergence_report", "emit_run_config",
     "energy_history", "fit_log_modulus", "geometric_convergence",
     "implicit_step", "initial_sequences", "interior_sequences",

@@ -472,7 +472,8 @@ def oscillation_scale(traj, cyl: Cylinder) -> float:
     sp = problem.s * problem.p
     node_sel, time_sel = _cylinder_selection(traj, cyl)
     sup = max(float(np.max(np.abs(traj.states[i][node_sel]))) for i in time_sel)
-    tl = tail(traj.samples(), cyl.x0, cyl.rho, cyl.window(sp), problem.s, problem.p)
+    tl = tail(problem.grid, traj.samples(), cyl.x0, cyl.rho, cyl.window(sp),
+              problem.s, problem.p)
     return max(2.0 * sup + tl, 1.0)
 
 
@@ -498,6 +499,7 @@ def sequence_tail_report(traj, levels: Sequence[SequenceLevel], z0) -> List[Leve
     problem = traj.problem
     sp = problem.s * problem.p
     x0, t0 = _normalize_anchor(z0)
+    samples = traj.samples()
     out = []
     for lev in levels:
         cyl = Cylinder(x0, t0, lev.rho, lev.theta)
@@ -507,13 +509,19 @@ def sequence_tail_report(traj, levels: Sequence[SequenceLevel], z0) -> List[Leve
         mu_minus = mu_plus - lev.omega
         osc = float(np.max(block) - np.min(block))
         window = cyl.window(sp)
-        samples = traj.samples()
-        t_plus = tail([(t, f.map(lambda v: np.clip(v - mu_plus, 0.0, None)))
-                       for t, f in samples], x0, lev.rho, window, problem.s, problem.p)
-        t_minus = tail([(t, f.map(lambda v: np.clip(mu_minus - v, 0.0, None)))
-                        for t, f in samples], x0, lev.rho, window, problem.s, problem.p)
+        t_plus, t_minus = (
+            tail(problem.grid, _truncated(samples, cut), x0, lev.rho, window,
+                 problem.s, problem.p)
+            for cut in (lambda v: np.clip(v - mu_plus, 0.0, None),
+                        lambda v: np.clip(mu_minus - v, 0.0, None)))
         out.append(LevelTailRecord(index=lev.index, rho=lev.rho, omega=lev.omega,
                                    theta=lev.theta, osc=osc, tail_plus=t_plus,
                                    tail_minus=t_minus,
                                    ratio=max(t_plus, t_minus) / lev.omega))
     return out
+
+
+def _truncated(samples, cut: Callable):
+    """Tail samples with cut applied to the box, exterior and far values."""
+    return [(t, cut(values), cut(ext_values), float(cut(far_value)))
+            for t, values, ext_values, far_value in samples]

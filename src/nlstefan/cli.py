@@ -69,7 +69,7 @@ def cmd_tail(args) -> int:
     t_at = cfg.tail.center[-1] if cfg.tail.center else t0
     rho = cfg.tail.rho if cfg.tail.rho is not None else preset.rho0
     window = tuple(cfg.tail.window) if cfg.tail.window else (0.0, problem.horizon)
-    value = tail_fn(traj.samples(), center, rho, window, problem.s, problem.p)
+    value = tail_fn(problem.grid, traj.samples(), center, rho, window, problem.s, problem.p)
     payload = {"center": center + [t_at], "rho": rho, "window": list(window),
                "tail": value}
     fileio.write_json(os.path.join(out, "tail.json"), payload)

@@ -19,7 +19,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .errors import SchemaViolationError
-from .lattice import Grid, KernelSpec
+from .lattice import Grid
 from .presets import CATALOG, Preset, load_preset
 from .solver import LatticeProblem, SolverConfig
 
@@ -36,7 +36,6 @@ class BoxSpec:
 class InlineProblem:
     s: float
     p: float
-    lam: float
     eps: float
     horizon: float
     box: BoxSpec
@@ -173,7 +172,7 @@ _SECTIONS = {
 
 
 def _parse_inline_problem(v: _Validator, raw: dict) -> Optional[InlineProblem]:
-    allowed = {"s", "p", "lam", "eps", "horizon", "box", "unknown", "datum", "initial"}
+    allowed = {"s", "p", "eps", "horizon", "box", "unknown", "datum", "initial"}
     v.check_keys("problem", raw, allowed)
     missing = [k for k in ("s", "p", "eps", "horizon", "box", "unknown", "datum")
                if k not in raw]
@@ -187,7 +186,6 @@ def _parse_inline_problem(v: _Validator, raw: dict) -> Optional[InlineProblem]:
         v.fail("problem.s", "s must lie in (0, 1)")
     if p is not None and not p > 2.0:
         v.fail("problem.p", "p must exceed 2")
-    lam = v.number("problem.lam", raw.get("lam", 1.0))
     eps = v.number("problem.eps", raw["eps"], positive=True)
     horizon = v.number("problem.horizon", raw["horizon"], positive=True)
 
@@ -249,7 +247,7 @@ def _parse_inline_problem(v: _Validator, raw: dict) -> Optional[InlineProblem]:
 
     if v.violations:
         return None
-    return InlineProblem(s=s, p=p, lam=lam, eps=eps, horizon=horizon, box=box,
+    return InlineProblem(s=s, p=p, eps=eps, horizon=horizon, box=box,
                          unknown_lo=unknown_lo, unknown_hi=unknown_hi,
                          datum_value=datum_value, initial_kind=initial_kind,
                          initial_value=initial_value, initial_inside=initial_inside,
@@ -315,7 +313,7 @@ def emit_run_config(cfg: RunConfig) -> str:
     else:
         ip = cfg.problem
         prob = {
-            "s": ip.s, "p": ip.p, "lam": ip.lam, "eps": ip.eps,
+            "s": ip.s, "p": ip.p, "eps": ip.eps,
             "horizon": ip.horizon,
             "box": {"lo": ip.box.lo, "hi": ip.box.hi, "nodes": ip.box.nodes,
                     "r_infinity": ip.box.r_infinity},
@@ -376,7 +374,7 @@ def _inline_preset(inline: InlineProblem) -> Preset:
     core = np.where(r < inline.initial_radius, inline.initial_inside, inline.initial_value)
     initial = np.where(mask, core, value)
     problem = LatticeProblem(
-        s=inline.s, p=inline.p, kernel=KernelSpec(lam=inline.lam), grid=grid,
+        s=inline.s, p=inline.p, grid=grid,
         unknown_mask=mask, dirichlet=g, far_value=value, initial=initial,
         horizon=inline.horizon, eps=inline.eps)
     return Preset(name="inline", problem=problem,

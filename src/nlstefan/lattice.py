@@ -4,21 +4,21 @@ The operator acting on a lattice field v is the collocation sum
 
     (L v)_i = k sum_{j != i} phi_p(v_i - v_j) h^n / |x_i - x_j|^{n+sp}
 
-with phi_p(tau) = |tau|^{p-2} tau and the constant kernel value k.
-Skipping the diagonal cell is the discrete principal-value rule.  Nodes
-beyond the stored box are virtual: their values come from the field's
-exterior rule out to the truncation radius R_inf, and beyond R_inf the
-medium is closed with the constant far value, whose contribution is the
-exact radial integral phi_p(v_i - far) w_far, w_far = k_far sigma_n
+with phi_p(tau) = |tau|^{p-2} tau and the constant kernel value k, the
+problem's kernel scale.  Skipping the diagonal cell is the discrete
+principal-value rule.  Nodes beyond the stored box are virtual: they take
+the exterior datum out to the truncation radius R_inf, and beyond R_inf
+the medium is closed with the constant far value, whose contribution is
+the exact radial integral phi_p(v_i - far) w_far, w_far = sigma_n
 R_inf^{-sp} / (sp).  Exterior columns whose datum equals the far value
 fold into it: phi_p(v_i - far) carries S_i - sum_{j in band} g_ij + w_far,
 S_i = sum_j g_ij over the geometry weights g_ij, and only the band of
 columns where the datum differs is summed.  No box x exterior matrix is
 kept: S_i is summed from row blocks once per grid, and the band's weights
 are built from the band's own nodes.  The box weights and the closure
-depend on the grid, s, p and the far value only, so they are cached and
-shared by every workspace on the grid, and the kernel scale multiplies
-the sums.  Cached arrays are read-only and built once, under one lock.
+depend on the grid, s and p only, so they are cached and shared by every
+workspace on the grid, and the kernel scale multiplies the sums.  Cached
+arrays are read-only and built once, under one lock.
 
 Tail quantities follow the same explicit-plus-analytic split, with a
 cell-fraction correction where lattice cells straddle the inner ball, so
@@ -31,7 +31,7 @@ import math
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache, wraps
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -164,68 +164,6 @@ def _exterior_coordinates(grid: Grid) -> np.ndarray:
     return _read_only(coords[~in_box])
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Constant comparison-class kernel: k(x, y) = scale on every lattice
-    pair and scale * far_value in the analytic closure beyond r_infinity.
-
-    lam is the ellipticity constant of the class, 1/lam <= k/scale <= lam;
-    rescaled problems carry scale != 1.  The geometry weights are shared
-    by every scale, which multiplies the operator's sums.
-    """
-
-    lam: float = 1.0
-    scale: float = 1.0
-    far_value: float = 1.0
-
-    def __post_init__(self):
-        if self.lam < 1.0:
-            raise InvalidParamsError("ellipticity constant must be >= 1")
-        if not self.scale > 0.0:
-            raise InvalidParamsError("kernel scale must be positive")
-
-
-@dataclass(frozen=True)
-class ExteriorRule:
-    """Values taken by a field beyond the box: a datum on the virtual
-    lattice out to r_infinity and one constant past it."""
-
-    func: Callable
-    far_value: float
-
-    def evaluate(self, coords: np.ndarray, t: float) -> np.ndarray:
-        vals = np.asarray(self.func(coords, t), dtype=float)
-        if vals.shape != coords.shape[:1]:
-            vals = np.broadcast_to(vals, coords.shape[:1]).astype(float)
-        return vals
-
-
-@dataclass
-class Field:
-    """Lattice field: stored box values plus the exterior prescription."""
-
-    grid: Grid
-    values: np.ndarray
-    exterior: Optional[ExteriorRule] = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_nodes,):
-            raise InvalidParamsError("field values must match the grid size")
-
-    def map(self, fn: Callable) -> "Field":
-        """Apply a pointwise transform to interior, exterior and far values."""
-        ext = self.exterior
-        if ext is not None:
-            wrapped = ExteriorRule(
-                func=lambda x, t, _f=ext.func, _fn=fn: _fn(np.asarray(_f(x, t), dtype=float)),
-                far_value=float(fn(np.asarray(ext.far_value, dtype=float))),
-            )
-        else:
-            wrapped = None
-        return Field(self.grid, fn(self.values), wrapped)
-
-
 def pair_geometry(grid: Grid, s: float, p: float, points: np.ndarray,
                   nodes: np.ndarray, exterior: bool = False):
     """Distances and collocation weights from points to lattice nodes.
@@ -268,21 +206,21 @@ def _exterior_geometry(grid: Grid, s: float, p: float, columns, rows=slice(None)
 
 
 @_lattice_cache
-def _closure(grid: Grid, s: float, p: float, far_value: float) -> np.ndarray:
-    """closure_i = S_i + far_value w_far, S_i summed from row blocks of the
-    exterior weights, each dropped after its sum."""
+def _closure(grid: Grid, s: float, p: float) -> np.ndarray:
+    """closure_i = S_i + w_far, S_i summed from row blocks of the exterior
+    weights, each dropped after its sum."""
     rows = max(1, BLOCK_ENTRIES // grid.exterior_coordinates().shape[0])
     closure = np.empty(grid.n_nodes)
     for i in range(0, grid.n_nodes, rows):
         geom, far = _exterior_geometry(grid, s, p, slice(None), slice(i, i + rows))
         closure[i:i + rows] = np.sum(geom, axis=1)
-    closure += far_value * far
+    closure += far
     return _read_only(closure)
 
 
 class OperatorWorkspace:
-    """Geometry weights for one (grid, s, p) and kernel, reused by the
-    stepper across Newton iterations and time steps.
+    """Geometry weights for one (grid, s, p) and kernel scale, reused by
+    the stepper across Newton iterations and time steps.
 
     w_box is the cached box geometry and closure the cached closure
     weight of each node, closure_i = S_i + w_far, both shared by every
@@ -293,14 +231,14 @@ class OperatorWorkspace:
     scale multiplies every sum.
     """
 
-    def __init__(self, grid: Grid, kernel: KernelSpec, s: float, p: float):
+    def __init__(self, grid: Grid, s: float, p: float, scale: float = 1.0):
         check_exponents(s, p)
         self.grid = grid
-        self.kernel = kernel
         self.s = s
         self.p = p
+        self.scale = scale
         self.w_box = _box_displacement_weights(grid, s, p)
-        self.closure = _closure(grid, s, p, kernel.far_value)
+        self.closure = _closure(grid, s, p)
         self._band = None
 
     def exterior(self, ext_values: np.ndarray, far_value: float):
@@ -323,7 +261,7 @@ class OperatorWorkspace:
             w_band, g_band, w_fold = self.exterior(ext_values, far_value)
             out += np.sum(w_band * phi_p(v[:, None] - g_band[None, :], self.p), axis=1)
             out += w_fold * phi_p(v - far_value, self.p)
-        out *= self.kernel.scale
+        out *= self.scale
         return out
 
     def pair_energy(self, values: np.ndarray, ext_values: Optional[np.ndarray],
@@ -337,7 +275,7 @@ class OperatorWorkspace:
             w_band, g_band, w_fold = self.exterior(ext_values, far_value)
             e += np.sum(w_band * np.abs(v[:, None] - g_band[None, :]) ** p) / p
             e += np.sum(w_fold * np.abs(v - far_value) ** p) / p
-        return self.kernel.scale * hn * float(e)
+        return self.scale * hn * float(e)
 
     def test_pairing(self, values: np.ndarray, ext_values: Optional[np.ndarray],
                      far_value: Optional[float], test_values: np.ndarray) -> float:
@@ -353,19 +291,7 @@ class OperatorWorkspace:
             form += np.sum(w_band * phi_p(v[:, None] - g_band[None, :], self.p)
                            * q[:, None])
             form += np.sum(w_fold * phi_p(v - far_value, self.p) * q)
-        return self.kernel.scale * hn * float(form)
-
-
-def apply_operator(fld: Field, t: float, kernel: KernelSpec, s: float, p: float) -> np.ndarray:
-    """Evaluate the nonlocal operator of the field at every box node."""
-    ws = OperatorWorkspace(fld.grid, kernel, s, p)
-    if fld.exterior is not None:
-        ext_values = fld.exterior.evaluate(fld.grid.exterior_coordinates(), t)
-        far = fld.exterior.far_value
-    else:
-        ext_values = None
-        far = None
-    return ws.apply(fld.values, ext_values, far)
+        return self.scale * hn * float(form)
 
 
 def _ball_weights(grid: Grid, s: float, p: float, x0: np.ndarray, rho: float,
@@ -378,13 +304,18 @@ def _ball_weights(grid: Grid, s: float, p: float, x0: np.ndarray, rho: float,
     return frac * weights[0], far
 
 
-def tail(samples: Sequence, x0, rho: float, window, s: float, p: float) -> float:
+def tail(grid: Grid, samples: Sequence, x0, rho: float, window, s: float,
+         p: float) -> float:
     """Supremum-in-time nonlocal tail of a space-time field.
 
     Parameters
     ----------
-    samples : sequence of (t, Field)
-        Stored time slices; only those inside the window are used.
+    grid : Grid
+        Lattice the samples live on.
+    samples : sequence of (t, values, ext_values, far_value)
+        Stored time slices: the box values, the values on
+        grid.exterior_coordinates() and the constant past r_infinity.
+        Only the slices inside the window are used.
     x0 : point
         Spatial center.
     rho : float
@@ -400,28 +331,26 @@ def tail(samples: Sequence, x0, rho: float, window, s: float, p: float) -> float
     check_exponents(s, p)
     if not rho > 0.0:
         raise InvalidParamsError("tail radius must be positive")
+    ext_coords = grid.exterior_coordinates()
+    shapes = ((grid.n_nodes,), ext_coords.shape[:1])
+    if any((np.shape(values), np.shape(ext_values)) != shapes
+           for _, values, ext_values, _ in samples):
+        raise InvalidParamsError("sample values must match the grid and its exterior")
     t_lo, t_hi = window
-    chosen = [(t, f) for t, f in samples if t_lo <= t <= t_hi]
+    chosen = [sample for sample in samples if t_lo <= sample[0] <= t_hi]
     if not chosen:
         raise EmptyWindowError(f"no stored samples in window [{t_lo}, {t_hi}]")
-    grid = chosen[0][1].grid
+    if rho >= grid.r_infinity:
+        raise InvalidParamsError("tail radius must stay below r_infinity")
     sp = s * p
     x0 = np.asarray(x0, dtype=float)
     w_box, _ = _ball_weights(grid, s, p, x0, rho, grid.coordinates())
-
-    has_ext = chosen[0][1].exterior is not None
-    if has_ext:
-        if rho >= grid.r_infinity:
-            raise InvalidParamsError("tail radius must stay below r_infinity")
-        ext_coords = grid.exterior_coordinates()
-        w_ext, far_geom = _ball_weights(grid, s, p, x0, rho, ext_coords, exterior=True)
+    w_ext, far_geom = _ball_weights(grid, s, p, x0, rho, ext_coords, exterior=True)
 
     worst = 0.0
-    for t, fld in chosen:
-        total = float(np.sum(w_box * np.abs(fld.values) ** (p - 1.0)))
-        if has_ext:
-            ext_vals = fld.exterior.evaluate(ext_coords, t)
-            total += float(np.sum(w_ext * np.abs(ext_vals) ** (p - 1.0)))
-            total += abs(fld.exterior.far_value) ** (p - 1.0) * far_geom
+    for _, values, ext_values, far_value in chosen:
+        total = float(np.sum(w_box * np.abs(values) ** (p - 1.0)))
+        total += float(np.sum(w_ext * np.abs(ext_values) ** (p - 1.0)))
+        total += abs(far_value) ** (p - 1.0) * far_geom
         worst = max(worst, total)
     return (rho ** sp * worst) ** (1.0 / (p - 1.0))

@@ -9,7 +9,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .errors import InvalidParamsError
-from .lattice import Grid, KernelSpec
+from .lattice import Grid
 from .solver import LatticeProblem, SolverConfig
 
 
@@ -67,7 +67,7 @@ def melt1d(n_nodes: int = 257, horizon: float = 0.5, eps: float = 0.05,
     g = lambda x, t: np.ones(np.atleast_2d(x).shape[0])
     initial = np.where(mask, -1.0, 1.0)
     problem = LatticeProblem(
-        s=0.5, p=3.0, kernel=KernelSpec(lam=1.0), grid=grid, unknown_mask=mask,
+        s=0.5, p=3.0, grid=grid, unknown_mask=mask,
         dirichlet=g, far_value=1.0, initial=initial, horizon=horizon, eps=eps)
     solver = SolverConfig(dt=horizon / n_steps, dt_policy="fixed")
     return Preset(name="melt1d", problem=problem, solver=solver,
@@ -84,7 +84,7 @@ def twophase1d(n_nodes: int = 257, horizon: float = 0.5, eps: float = 0.05,
     g = lambda xx, t: -np.ones(np.atleast_2d(xx).shape[0])
     initial = np.where(mask, np.where(np.abs(x) < 0.5, 1.0, -1.0), -1.0)
     problem = LatticeProblem(
-        s=0.5, p=3.0, kernel=KernelSpec(lam=1.0), grid=grid, unknown_mask=mask,
+        s=0.5, p=3.0, grid=grid, unknown_mask=mask,
         dirichlet=g, far_value=-1.0, initial=initial, horizon=horizon, eps=eps)
     solver = SolverConfig(dt=horizon / n_steps, dt_policy="fixed")
     return Preset(name="twophase1d", problem=problem, solver=solver,
@@ -116,7 +116,7 @@ def logbdy(n_nodes: int = 257, horizon: float = 0.5, eps: float = 0.01,
 
     initial = g(grid.coordinates(), 0.0)
     problem = LatticeProblem(
-        s=0.5, p=3.0, kernel=KernelSpec(lam=1.0), grid=grid, unknown_mask=mask,
+        s=0.5, p=3.0, grid=grid, unknown_mask=mask,
         dirichlet=g, far_value=c_g, initial=initial, horizon=horizon, eps=eps)
     solver = SolverConfig(dt=horizon / n_steps, dt_policy="fixed")
     return Preset(name="logbdy", problem=problem, solver=solver,
@@ -133,7 +133,7 @@ def const1d(n_nodes: int = 65, horizon: float = 0.1, eps: float = 0.05,
     g = lambda x, t, v=value: np.full(np.atleast_2d(x).shape[0], v)
     initial = np.full(grid.n_nodes, value)
     problem = LatticeProblem(
-        s=0.5, p=3.0, kernel=KernelSpec(lam=1.0), grid=grid, unknown_mask=mask,
+        s=0.5, p=3.0, grid=grid, unknown_mask=mask,
         dirichlet=g, far_value=value, initial=initial, horizon=horizon, eps=eps)
     solver = SolverConfig(dt=horizon / n_steps, dt_policy="fixed")
     return Preset(name="const1d", problem=problem, solver=solver,

@@ -31,8 +31,7 @@ from ._linalg import solve_spd
 from .enthalpy import RegularizedEnthalpy
 from .errors import (DegenerateCutoffError, EmptyCylinderError,
                      InvalidParamsError, NewtonDivergenceError)
-from .lattice import (ExteriorRule, Field, Grid, KernelSpec, OperatorWorkspace,
-                      check_exponents)
+from .lattice import Grid, OperatorWorkspace, check_exponents
 
 
 @dataclass
@@ -43,15 +42,14 @@ class LatticeProblem:
     ----------
     s, p : float
         Differentiability and growth exponents, 0 < s < 1 < 2 < p.
-    kernel : KernelSpec
-        Symmetric comparison-class kernel.
     grid : Grid
         Box lattice; its r_infinity truncates the explicit exterior.
     unknown_mask : ndarray of bool
         True at nodes evolved by the scheme; the complement is pinned to
         the datum.  Both parts must be nonempty.
     dirichlet : callable (coords, t) -> values
-        Exterior and initial-boundary datum g.
+        Exterior and initial-boundary datum g, one value per coordinate
+        row; read through datum and exterior_values.
     far_value : float
         Constant representing g beyond r_infinity.
     initial : ndarray
@@ -61,11 +59,12 @@ class LatticeProblem:
         Final time T.
     eps : float
         Regularization width of the enthalpy.
+    kernel_scale : float
+        Value of the constant kernel; it multiplies the operator.
     """
 
     s: float
     p: float
-    kernel: KernelSpec
     grid: Grid
     unknown_mask: np.ndarray
     dirichlet: Callable
@@ -73,6 +72,7 @@ class LatticeProblem:
     initial: np.ndarray
     horizon: float
     eps: float
+    kernel_scale: float = 1.0
     enthalpy: object = None
 
     def __post_init__(self):
@@ -94,22 +94,34 @@ class LatticeProblem:
             raise InvalidParamsError("horizon must be positive")
         if not self.eps > 0.0:
             raise InvalidParamsError("eps must be positive")
+        if not self.kernel_scale > 0.0:
+            raise InvalidParamsError("kernel scale must be positive")
         if self.enthalpy is None:
             self.enthalpy = RegularizedEnthalpy(self.eps)
-        pinned = ~self.unknown_mask
-        datum0 = np.asarray(self.dirichlet(self.grid.coordinates()[pinned], 0.0), dtype=float)
-        ext0 = np.asarray(self.dirichlet(self.grid.exterior_coordinates(), 0.0), dtype=float)
+        datum0, ext0 = self.datum(0.0)
         if not all(np.all(np.isfinite(a)) for a in (datum0, ext0, self.far_value)):
             raise InvalidParamsError("far_value and the datum on pinned and exterior "
                                      "nodes at t = 0 must be finite")
-        if np.max(np.abs(self.initial[pinned] - datum0)) > 1e-9:
+        if np.max(np.abs(self.initial[~self.unknown_mask] - datum0)) > 1e-9:
             raise InvalidParamsError("initial field disagrees with the datum on pinned nodes")
 
-    def exterior_rule(self) -> ExteriorRule:
-        return ExteriorRule(func=self.dirichlet, far_value=self.far_value)
+    def _datum_at(self, coords: np.ndarray, t: float) -> np.ndarray:
+        values = np.asarray(self.dirichlet(coords, t), dtype=float)
+        if values.shape != coords.shape[:1]:
+            raise InvalidParamsError(
+                f"the datum must give one value per node: shape {values.shape} "
+                f"for {coords.shape[0]} nodes")
+        return values
 
-    def field(self, values: np.ndarray) -> Field:
-        return Field(self.grid, values, self.exterior_rule())
+    def datum(self, t: float):
+        """Datum values at time t on the pinned box nodes and on the
+        exterior nodes."""
+        pinned = self.grid.coordinates()[~self.unknown_mask]
+        return self._datum_at(pinned, t), self.exterior_values(t)
+
+    def exterior_values(self, t: float) -> np.ndarray:
+        """Datum values at time t on grid.exterior_coordinates()."""
+        return self._datum_at(self.grid.exterior_coordinates(), t)
 
 
 @dataclass(frozen=True)
@@ -162,12 +174,12 @@ class Trajectory:
     states: List[np.ndarray]
     diagnostics: List[StepDiagnostics]
 
-    def field(self, index: int) -> Field:
-        return self.problem.field(self.states[index])
-
     def samples(self):
-        """(t, Field) pairs, the form the tail and audit routines accept."""
-        return [(t, self.problem.field(v)) for t, v in zip(self.times, self.states)]
+        """(t, values, ext_values, far_value) at every stored level, the
+        form tail accepts."""
+        problem = self.problem
+        return [(t, v, problem.exterior_values(t), problem.far_value)
+                for t, v in zip(self.times, self.states)]
 
     @property
     def final(self) -> np.ndarray:
@@ -180,18 +192,12 @@ class _Stepper:
     def __init__(self, problem: LatticeProblem, config: SolverConfig):
         self.problem = problem
         self.config = config
-        self.ws = OperatorWorkspace(problem.grid, problem.kernel, problem.s, problem.p)
+        self.ws = OperatorWorkspace(problem.grid, problem.s, problem.p, problem.kernel_scale)
         self.mask = problem.unknown_mask
         self.hn = problem.grid.spacing ** problem.grid.dimension
-        self.coords = problem.grid.coordinates()
-        self.ext_coords = problem.grid.exterior_coordinates()
 
     def datum(self, t: float):
-        pinned_vals = np.asarray(
-            self.problem.dirichlet(self.coords[~self.mask], t), dtype=float)
-        ext_vals = np.asarray(
-            self.problem.dirichlet(self.ext_coords, t), dtype=float)
-        return pinned_vals, ext_vals
+        return self.problem.datum(t)
 
     def compose(self, v_unknown: np.ndarray, pinned_vals: np.ndarray) -> np.ndarray:
         full = np.empty(self.problem.grid.n_nodes)
@@ -214,7 +220,7 @@ class _Stepper:
                       * w_band, axis=1)
         row += (p - 1.0) * np.abs(full - self.problem.far_value) ** (p - 2.0) * w_fold
         m = self.mask
-        dt_k = dt * self.problem.kernel.scale
+        dt_k = dt * self.ws.scale
         # dphi_box has a zero diagonal, so this leaves the diagonal empty
         jac = -dt_k * dphi_box[np.ix_(m, m)]
         jac[np.diag_indices_from(jac)] = (
@@ -369,11 +375,10 @@ def normalize(problem: LatticeProblem, m: float, z0=None) -> LatticeProblem:
                                  "requires t0 = 0")
     base = problem.enthalpy
     scaled = RegularizedEnthalpy(base.eps / m, base.mollifier, base.latent_heat / m)
-    new_kernel = replace(problem.kernel, scale=problem.kernel.scale * m ** (problem.p - 2.0))
     g_old = problem.dirichlet
     new_dirichlet = lambda x, t, _g=g_old, _x0=x0, _m=m: np.asarray(_g(x + _x0, t), dtype=float) / _m
     return LatticeProblem(
-        s=problem.s, p=problem.p, kernel=new_kernel,
+        s=problem.s, p=problem.p,
         grid=problem.grid.translate(x0),
         unknown_mask=problem.unknown_mask.copy(),
         dirichlet=new_dirichlet,
@@ -381,6 +386,7 @@ def normalize(problem: LatticeProblem, m: float, z0=None) -> LatticeProblem:
         initial=problem.initial / m,
         horizon=problem.horizon,
         eps=scaled.eps,
+        kernel_scale=problem.kernel_scale * m ** (problem.p - 2.0),
         enthalpy=scaled)
 
 
@@ -396,17 +402,11 @@ def max_principle_check(traj: Trajectory, tol: float = 1e-9) -> MaxPrincipleRepo
     """Compare sup |u| against the sup of |datum| over exterior and
     initial values; reports the positive part of the excess."""
     problem = traj.problem
-    coords = problem.grid.coordinates()
-    ext_coords = problem.grid.exterior_coordinates()
-    pinned = ~problem.unknown_mask
     bound = float(np.max(np.abs(problem.initial)))
     bound = max(bound, abs(problem.far_value))
     for t in traj.times:
-        if pinned.any():
-            bound = max(bound, float(np.max(np.abs(
-                np.asarray(problem.dirichlet(coords[pinned], t), dtype=float)))))
-        bound = max(bound, float(np.max(np.abs(
-            np.asarray(problem.dirichlet(ext_coords, t), dtype=float)))))
+        for values in problem.datum(t):
+            bound = max(bound, float(np.max(np.abs(values))))
     defect = 0.0
     worst_time = traj.times[0]
     for t, state in zip(traj.times, traj.states):
@@ -485,9 +485,8 @@ def weak_residual(traj: Trajectory, test_fn: Callable) -> float:
     constant ones and exactly zero for a vanishing test function.
     """
     problem = traj.problem
-    ws = OperatorWorkspace(problem.grid, problem.kernel, problem.s, problem.p)
+    ws = OperatorWorkspace(problem.grid, problem.s, problem.p, problem.kernel_scale)
     coords = problem.grid.coordinates()
-    ext_coords = problem.grid.exterior_coordinates()
     hn = problem.grid.spacing ** problem.grid.dimension
     enth = problem.enthalpy
     times = traj.times
@@ -498,7 +497,7 @@ def weak_residual(traj: Trajectory, test_fn: Callable) -> float:
         u = traj.states[m]
         w = u + enth.beta_eps(u)
         total -= float(np.sum(w * (phi_vals[m + 1] - phi_vals[m]))) * hn
-        ext_vals = np.asarray(problem.dirichlet(ext_coords, times[m + 1]), dtype=float)
+        ext_vals = problem.exterior_values(times[m + 1])
         phi_mid = 0.5 * (phi_vals[m] + phi_vals[m + 1])
         total += dt * ws.test_pairing(traj.states[m + 1], ext_vals, problem.far_value,
                                       phi_mid)
@@ -510,12 +509,10 @@ def energy_history(traj: Trajectory) -> np.ndarray:
     a time-constant datum (the scheme is the implicit step of a monotone
     flow)."""
     problem = traj.problem
-    ws = OperatorWorkspace(problem.grid, problem.kernel, problem.s, problem.p)
-    ext_coords = problem.grid.exterior_coordinates()
+    ws = OperatorWorkspace(problem.grid, problem.s, problem.p, problem.kernel_scale)
     out = []
     for t, state in zip(traj.times, traj.states):
-        ext_vals = np.asarray(problem.dirichlet(ext_coords, t), dtype=float)
-        out.append(ws.pair_energy(state, ext_vals, problem.far_value))
+        out.append(ws.pair_energy(state, problem.exterior_values(t), problem.far_value))
     return np.asarray(out)
 
 
@@ -598,10 +595,9 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
     phi_b = phi[ball_idx]
     out_box_idx = np.nonzero(~in_ball)[0]
     # the geometry alone, cached per grid: the estimate carries no kernel scale
-    ws = OperatorWorkspace(grid, KernelSpec(), problem.s, p)
+    ws = OperatorWorkspace(grid, problem.s, p)
     pair_w = hn * ws.w_box[np.ix_(ball_idx, ball_idx)]
     w_out = ws.w_box[np.ix_(ball_idx, out_box_idx)]
-    ext_coords = grid.exterior_coordinates()
 
     def truncate(vals):
         if sign == "+":
@@ -639,7 +635,7 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
         # exterior supremum over the cutoff support of the truncated tail
         support = phi_b > 0.0
         u_out = truncate(u[out_box_idx])
-        g_ext = truncate(np.asarray(problem.dirichlet(ext_coords, t), dtype=float))
+        g_ext = truncate(problem.exterior_values(t))
         # exterior columns where the truncated datum equals the far value fold into w_fold
         w_band, g_band, w_fold = ws.exterior(g_ext, far_w)
         y_sum = (np.sum(w_out * (u_out ** (p - 1.0))[None, :], axis=1)

@@ -20,7 +20,7 @@ from nlstefan import analysis, cli
 from nlstefan.config import ContinuationSection
 from nlstefan.continuation import limit_pair, run_family
 from nlstefan.enthalpy import RegularizedEnthalpy
-from nlstefan.lattice import ExteriorRule, Field, Grid, tail
+from nlstefan.lattice import Grid, tail
 from nlstefan.presets import load_preset
 from nlstefan.solver import _Stepper, structural_audit
 
@@ -99,9 +99,8 @@ def test_03_tail_closed_form(report):
     span = 3.0 * rho
     n_nodes = int(round(2.0 * span / h)) + 1
     grid = Grid(spacing=h, shape=(n_nodes,), origin=(-span,), r_infinity=1000.0 * rho)
-    fld = Field(grid, np.ones(n_nodes),
-                ExteriorRule(lambda x, t: np.ones(x.shape[0]), 1.0))
-    value = tail([(0.0, fld)], (0.0,), rho, (0.0, 0.0), 0.5, 3.0)
+    sample = (0.0, np.ones(n_nodes), np.ones(grid.exterior_coordinates().shape[0]), 1.0)
+    value = tail(grid, [sample], (0.0,), rho, (0.0, 0.0), 0.5, 3.0)
     exact = math.sqrt(4.0 / 3.0)
     rel = abs(value - exact) / exact
     elapsed = time.perf_counter() - t0

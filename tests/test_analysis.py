@@ -13,7 +13,6 @@ from nlstefan import (
     InsufficientSamplesError,
     InvalidParamsError,
     IterationParams,
-    KernelSpec,
     LatticeProblem,
     NonpositiveExcessError,
     Trajectory,
@@ -45,7 +44,7 @@ def static_traj(values, dirichlet, lo=-1.0, hi=1.0, far=0.0):
     x = grid.coordinates()[:, 0]
     mask = (x > lo + 1e-12) & (x < hi - 1e-12)
     problem = LatticeProblem(
-        s=0.5, p=3.0, kernel=KernelSpec(), grid=grid, unknown_mask=mask,
+        s=0.5, p=3.0, grid=grid, unknown_mask=mask,
         dirichlet=dirichlet, far_value=far, initial=np.asarray(values, dtype=float),
         horizon=1.0, eps=0.05)
     return Trajectory(problem=problem, times=[0.0],

@@ -18,7 +18,7 @@ from nlstefan.fileio import load_trajectory_states, read_field_csv, read_json
 
 INLINE = {
     "problem": {
-        "s": 0.5, "p": 3.0, "lam": 1.0, "eps": 0.05, "horizon": 0.1,
+        "s": 0.5, "p": 3.0, "eps": 0.05, "horizon": 0.1,
         "box": {"lo": [-1.0], "hi": [1.0], "nodes": [33], "r_infinity": 4.0},
         "unknown": {"lo": [-1.0], "hi": [1.0]},
         "datum": {"type": "constant", "value": 1.0},
@@ -170,7 +170,8 @@ def tree_bytes(root):
     for base, _, files in os.walk(root):
         for fn in files:
             full = os.path.join(base, fn)
-            out[os.path.relpath(full, root)] = open(full, "rb").read()
+            with open(full, "rb") as fh:
+                out[os.path.relpath(full, root)] = fh.read()
     return out
 
 
@@ -381,7 +382,9 @@ MALFORMED = {
     "tail-center-wrong-length": (
         ["tail"], {"problem": "const1d", "tail": {"center": [0.1]}}, "tail.center"),
     # json.dumps writes NaN and -Infinity, which json.loads reads back
-    "nan-number": (["solve"], inline_with(lam=float("nan")), "problem.lam"),
+    "nan-number": (["solve"], inline_with(s=float("nan")), "problem.s"),
+    # the kernel is one scale, and the schema has no key for it
+    "removed-lam-key": (["solve"], inline_with(lam=1.0), "problem.lam"),
     "infinite-list-entry": (
         ["tail"], {"problem": "const1d", "tail": {"window": [float("-inf"), 0.1]}},
         "tail.window"),

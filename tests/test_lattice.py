@@ -7,16 +7,12 @@ from hypothesis import strategies as st
 
 from nlstefan import (
     EmptyWindowError,
-    ExteriorRule,
-    Field,
     Grid,
     InvalidExponentError,
     InvalidParamsError,
-    KernelSpec,
     LatticeProblem,
     OperatorWorkspace,
     SolverConfig,
-    apply_operator,
     check_exponents,
     energy_history,
     load_preset,
@@ -117,8 +113,7 @@ def test_grid_geometry():
 
 def test_operator_on_constant_is_zero():
     g = line_grid()
-    kern = KernelSpec()
-    ws = OperatorWorkspace(g, kern, 0.5, 3.0)
+    ws = OperatorWorkspace(g, 0.5, 3.0)
     v = np.full(g.n_nodes, 0.7)
     ext = np.full(g.exterior_coordinates().shape[0], 0.7)
     out = ws.apply(v, ext, 0.7)
@@ -127,8 +122,8 @@ def test_operator_on_constant_is_zero():
 
 def test_operator_on_constant_is_zero_2d():
     g = Grid(spacing=0.5, shape=(4, 4), origin=(0.0, 0.0), r_infinity=50.0)
-    fld = Field(g, np.full(16, -1.2), ExteriorRule(lambda x, t: np.full(x.shape[0], -1.2), -1.2))
-    out = apply_operator(fld, 0.0, KernelSpec(), 0.4, 2.5)
+    ext = np.full(g.exterior_coordinates().shape[0], -1.2)
+    out = OperatorWorkspace(g, 0.4, 2.5).apply(np.full(16, -1.2), ext, -1.2)
     assert np.all(out == 0.0)
 
 
@@ -136,7 +131,7 @@ def test_five_node_spike_oracle():
     # hand sum: center sees 2 * (phi(1)/1^{2.5} + phi(1)/2^{2.5}) with h = 1
     g = Grid(spacing=1.0, shape=(5,), origin=(0.0,), r_infinity=100.0)
     v = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-    ws = OperatorWorkspace(g, KernelSpec(), 0.5, 3.0)
+    ws = OperatorWorkspace(g, 0.5, 3.0)
     out = ws.apply(v, None, None)
     expected = np.array(
         [-(2.0 ** -2.5), -1.0, 2.0 * (1.0 + 2.0 ** -2.5), -1.0, -(2.0 ** -2.5)]
@@ -150,7 +145,7 @@ def test_two_d_spike_oracle():
     g = Grid(spacing=1.0, shape=(3, 3), origin=(0.0, 0.0), r_infinity=100.0)
     v = np.zeros(9)
     v[4] = 1.0
-    ws = OperatorWorkspace(g, KernelSpec(), 0.5, 3.0)
+    ws = OperatorWorkspace(g, 0.5, 3.0)
     out = ws.apply(v, None, None)
     assert out[4] == pytest.approx(4.0 + 4.0 * 2.0 ** -1.75, rel=1e-13)
 
@@ -158,7 +153,7 @@ def test_two_d_spike_oracle():
 def test_odd_field_vanishes_at_the_center():
     g = line_grid(n=9, h=1.0, origin=-4.0)
     v = g.coordinates()[:, 0] ** 3
-    ws = OperatorWorkspace(g, KernelSpec(), 0.5, 3.0)
+    ws = OperatorWorkspace(g, 0.5, 3.0)
     out = ws.apply(v, None, None)
     assert out[4] == 0.0
 
@@ -169,7 +164,7 @@ def test_odd_field_vanishes_at_the_center():
 )
 def test_operator_is_odd(vals):
     g = line_grid(n=7)
-    ws = OperatorWorkspace(g, KernelSpec(), 0.6, 3.5)
+    ws = OperatorWorkspace(g, 0.6, 3.5)
     v = np.asarray(vals)
     plus = ws.apply(v, None, None)
     minus = ws.apply(-v, None, None)
@@ -182,10 +177,10 @@ def test_translation_equivariance():
     g2 = g.translate(shift)
     rng = np.random.default_rng(7)
     v = rng.uniform(-1.0, 1.0, g.n_nodes)
-    f1 = Field(g, v, ExteriorRule(lambda x, t: np.cos(x[:, 0]), 0.3))
-    f2 = Field(g2, v, ExteriorRule(lambda x, t: np.cos(x[:, 0] + 0.5), 0.3))
-    out1 = apply_operator(f1, 0.0, KernelSpec(), 0.5, 3.0)
-    out2 = apply_operator(f2, 0.0, KernelSpec(), 0.5, 3.0)
+    out1 = OperatorWorkspace(g, 0.5, 3.0).apply(
+        v, np.cos(g.exterior_coordinates()[:, 0]), 0.3)
+    out2 = OperatorWorkspace(g2, 0.5, 3.0).apply(
+        v, np.cos(g2.exterior_coordinates()[:, 0] + 0.5), 0.3)
     assert np.array_equal(out1, out2)
 
 
@@ -194,7 +189,7 @@ def test_monotone_dependence_on_neighbours():
     g = line_grid(n=9)
     rng = np.random.default_rng(3)
     v = rng.uniform(-1.0, 1.0, g.n_nodes)
-    ws = OperatorWorkspace(g, KernelSpec(), 0.5, 3.0)
+    ws = OperatorWorkspace(g, 0.5, 3.0)
     base = ws.apply(v, None, None)
     for j in (0, 3, 8):
         bumped = v.copy()
@@ -208,7 +203,7 @@ def test_far_field_closure_matches_radial_integral():
     # constant field at value a against far datum 0: every pair term dies
     # and only the analytic closure phi_p(a) sigma_1 R^{-sp}/(sp) survives
     g = line_grid(n=5, h=0.5, r_inf=8.0)
-    ws = OperatorWorkspace(g, KernelSpec(), 0.5, 3.0)
+    ws = OperatorWorkspace(g, 0.5, 3.0)
     a = 1.7
     v = np.full(g.n_nodes, a)
     ext = np.full(g.exterior_coordinates().shape[0], a)
@@ -220,7 +215,7 @@ def test_far_field_closure_matches_radial_integral():
 def test_far_field_closure_at_sp_equal_to_dimension():
     # sp = n = 1: the closure phi_p(a) sigma_1 R^{-sp}/(sp) stays finite
     g = line_grid(n=5, h=0.5, r_inf=8.0)
-    ws = OperatorWorkspace(g, KernelSpec(), 1.0 / 3.0, 3.0)
+    ws = OperatorWorkspace(g, 1.0 / 3.0, 3.0)
     a = 1.7
     v = np.full(g.n_nodes, a)
     ext = np.full(g.exterior_coordinates().shape[0], a)
@@ -231,7 +226,7 @@ def test_far_field_closure_at_sp_equal_to_dimension():
 def test_pair_energy_gradient_matches_operator():
     # d/dv_i energy = h^n (L v)_i, checked by central differences
     g = line_grid(n=7, h=0.5, r_inf=20.0)
-    ws = OperatorWorkspace(g, KernelSpec(), 0.5, 3.0)
+    ws = OperatorWorkspace(g, 0.5, 3.0)
     rng = np.random.default_rng(11)
     v = rng.uniform(-1.0, 1.0, g.n_nodes)
     ext = np.cos(g.exterior_coordinates()[:, 0])
@@ -251,7 +246,7 @@ def test_pair_energy_gradient_matches_operator():
 def test_test_pairing_matches_gradient_inner_product():
     # pairing with q equals sum_i q_i h^n (L v)_i when q vanishes off the box
     g = line_grid(n=7, h=0.5, r_inf=20.0)
-    ws = OperatorWorkspace(g, KernelSpec(), 0.5, 3.0)
+    ws = OperatorWorkspace(g, 0.5, 3.0)
     rng = np.random.default_rng(13)
     v = rng.uniform(-1.0, 1.0, g.n_nodes)
     q = rng.uniform(-1.0, 1.0, g.n_nodes)
@@ -265,7 +260,7 @@ def test_test_pairing_matches_gradient_inner_product():
 # ---------------------------------------------------------------- exterior fold
 
 
-def dense_exterior_reference(grid, kernel, s, p, v, q, ext, far):
+def dense_exterior_reference(grid, scale, s, p, v, q, ext, far):
     """Operator, energy, pairing and Jacobian row sums with every exterior
     column summed explicitly, built from the weight formula alone."""
     n, sp, h = grid.dimension, s * p, grid.spacing
@@ -274,13 +269,13 @@ def dense_exterior_reference(grid, kernel, s, p, v, q, ext, far):
     def weights(a, b):
         d = np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2))
         w = np.where(d > 0.0, h ** n / np.where(d > 0.0, d, 1.0) ** (n + sp), 0.0)
-        return d, kernel.scale * w
+        return d, scale * w
 
     _, w_box = weights(x, x)
     d_ext, w_ext = weights(x, y)
     w_ext[d_ext > grid.r_infinity] = 0.0
     sphere = 2.0 if n == 1 else 2.0 * np.pi
-    w_far = kernel.scale * kernel.far_value * sphere * grid.r_infinity ** (-sp) / sp
+    w_far = scale * sphere * grid.r_infinity ** (-sp) / sp
     db, de, df = v[:, None] - v[None, :], v[:, None] - ext[None, :], v - far
     apply_ = (np.sum(w_box * phi_p(db, p), axis=1) + np.sum(w_ext * phi_p(de, p), axis=1)
               + w_far * phi_p(df, p))
@@ -308,22 +303,22 @@ GRIDS = {
     1: Grid(spacing=0.25, shape=(9,), origin=(-1.0,), r_infinity=3.0),
     2: Grid(spacing=0.5, shape=(5, 5), origin=(-1.0, -1.0), r_infinity=3.0),
 }
-KERNELS = {
-    "constant": KernelSpec(lam=1.0, scale=1.3, far_value=0.9),
+KERNEL_SCALES = {
+    "constant": 1.3,
 }
 
 
-@pytest.mark.parametrize("kernel_name", sorted(KERNELS))
+@pytest.mark.parametrize("kernel_name", sorted(KERNEL_SCALES))
 @pytest.mark.parametrize("datum", sorted(DATA))
 @pytest.mark.parametrize("dim", sorted(GRIDS))
 def test_exterior_fold_matches_the_dense_sum(dim, datum, kernel_name):
-    grid, kernel, g = GRIDS[dim], KERNELS[kernel_name], DATA[datum]
+    grid, g, scale = GRIDS[dim], DATA[datum], KERNEL_SCALES[kernel_name]
     s, p, dt = 0.45, 3.2, 0.01
     x = grid.coordinates()
     mask = np.all(np.abs(x) < 1.0 - 1e-9, axis=1)
-    problem = LatticeProblem(s=s, p=p, kernel=kernel, grid=grid, unknown_mask=mask,
-                             dirichlet=g, far_value=FAR, initial=g(x, 0.0), horizon=1.0,
-                             eps=0.1)
+    problem = LatticeProblem(s=s, p=p, grid=grid, unknown_mask=mask, dirichlet=g,
+                             far_value=FAR, initial=g(x, 0.0), horizon=1.0, eps=0.1,
+                             kernel_scale=scale)
     stepper = _Stepper(problem, SolverConfig(dt=dt))
     ws = stepper.ws
     rng = np.random.default_rng([dim, len(datum)])
@@ -335,7 +330,7 @@ def test_exterior_fold_matches_the_dense_sum(dim, datum, kernel_name):
         ext = g(grid.exterior_coordinates(), t)
         band_sizes.add(int(np.sum(ext != FAR)))
         apply_, energy, pairing, rows = dense_exterior_reference(
-            grid, kernel, s, p, v, q, ext, FAR)
+            grid, scale, s, p, v, q, ext, FAR)
         np.testing.assert_allclose(ws.apply(v, ext, FAR), apply_, rtol=1e-13)
         assert ws.pair_energy(v, ext, FAR) == pytest.approx(energy, rel=1e-13)
         assert ws.test_pairing(v, ext, FAR, q) == pytest.approx(pairing, rel=1e-13)
@@ -369,7 +364,7 @@ def test_workspace_holds_no_exterior_sized_array():
     grid = line_grid(n=9, h=0.25, r_inf=100.0)
     n_ext = grid.exterior_coordinates().shape[0]
     assert n_ext > 50 * grid.n_nodes
-    ws = OperatorWorkspace(grid, KernelSpec(scale=1.3), 0.5, 3.0)
+    ws = OperatorWorkspace(grid, 0.5, 3.0, 1.3)
     shapes = [a.shape for a in reachable_arrays(ws)]
     # an empty band leaves nothing of exterior size behind either
     ws.apply(np.zeros(grid.n_nodes), np.full(n_ext, 0.4), 0.4)
@@ -378,10 +373,10 @@ def test_workspace_holds_no_exterior_sized_array():
     assert all(n_ext not in shape for shape in shapes), shapes
 
 
-@pytest.mark.parametrize("kernel_name", sorted(KERNELS))
+@pytest.mark.parametrize("kernel_name", sorted(KERNEL_SCALES))
 def test_closure_from_row_blocks_matches_the_dense_row_sum(kernel_name):
     # N_ext = BLOCK_ENTRIES / 4 gives 4 rows per block: blocks of 4, 4 and 2 rows
-    kernel, s, p = KERNELS[kernel_name], 0.45, 3.2
+    scale, s, p = KERNEL_SCALES[kernel_name], 0.45, 3.2
     h, n_box = 0.25, 10
     reach = lattice.BLOCK_ENTRIES // 8
     grid = line_grid(n=n_box, h=h, r_inf=reach * h)
@@ -389,8 +384,8 @@ def test_closure_from_row_blocks_matches_the_dense_row_sum(kernel_name):
     rows_per_block = lattice.BLOCK_ENTRIES // y.shape[0]
     assert 1 < rows_per_block < n_box and n_box % rows_per_block != 0
     _, geom, far = pair_geometry(grid, s, p, x, y, exterior=True)
-    expected = np.sum(geom, axis=1) + kernel.far_value * far
-    assert np.array_equal(OperatorWorkspace(grid, kernel, s, p).closure, expected)
+    expected = np.sum(geom, axis=1) + far
+    assert np.array_equal(OperatorWorkspace(grid, s, p, scale).closure, expected)
 
 
 def difference_tensor_geometry(grid, s, p, points, nodes, exterior):
@@ -428,7 +423,7 @@ def test_pair_geometry_matches_the_difference_tensor_bit_for_bit(dim, exterior):
 
 def test_cached_lattice_arrays_are_read_only():
     grid = line_grid(n=7)
-    ws = OperatorWorkspace(grid, KernelSpec(), 0.5, 3.0)
+    ws = OperatorWorkspace(grid, 0.5, 3.0)
     cached = [grid.coordinates(), grid.exterior_coordinates(),
               lattice._box_displacement_weights(grid, 0.5, 3.0), ws.closure]
     for array in cached:
@@ -442,54 +437,52 @@ def test_scale_one_workspace_holds_the_cached_box_geometry():
     geom = lattice._box_displacement_weights(grid, 0.5, 3.0)
     v = np.random.default_rng(2).uniform(-1.0, 1.0, grid.n_nodes)
     ext = np.cos(grid.exterior_coordinates()[:, 0])
-    unit = OperatorWorkspace(grid, KernelSpec(), 0.5, 3.0)
+    unit = OperatorWorkspace(grid, 0.5, 3.0)
     for scale in (1.0, 2.0, 1.3):
-        assert OperatorWorkspace(grid, KernelSpec(scale=scale), 0.5, 3.0).w_box is geom
-    doubled = OperatorWorkspace(grid, KernelSpec(scale=2.0), 0.5, 3.0)
+        assert OperatorWorkspace(grid, 0.5, 3.0, scale).w_box is geom
+    doubled = OperatorWorkspace(grid, 0.5, 3.0, 2.0)
     assert np.array_equal(doubled.apply(v, ext, 0.3), 2.0 * unit.apply(v, ext, 0.3))
 
 
-def closure_of(grid, kernel, s=0.5, p=3.0):
-    return OperatorWorkspace(grid, kernel, s, p).closure
+def closure_of(grid, s=0.5, p=3.0, scale=1.0):
+    return OperatorWorkspace(grid, s, p, scale).closure
 
 
 def test_workspaces_on_one_grid_share_one_closure():
     # the kernel scale is not part of the key: it multiplies the sums
     grid = line_grid(n=7, r_inf=20.0)
-    first = closure_of(grid, KernelSpec(far_value=0.7))
+    first = closure_of(grid)
     misses = lattice._closure.cache_info().misses
-    assert closure_of(grid, KernelSpec(far_value=0.7)) is first
-    assert closure_of(grid, KernelSpec(scale=1.5, far_value=0.7)) is first
+    assert closure_of(grid) is first
+    assert closure_of(grid, scale=1.5) is first
     assert lattice._closure.cache_info().misses == misses
 
 
-def applied_closure(grid, kernel, s=0.5, p=3.0):
+def applied_closure(grid, s=0.5, p=3.0, scale=1.0):
     # a constant field over a constant exterior datum: only the closure acts
-    ws = OperatorWorkspace(grid, kernel, s, p)
+    ws = OperatorWorkspace(grid, s, p, scale)
     ext = np.zeros(grid.exterior_coordinates().shape[0])
     return ws.apply(np.ones(grid.n_nodes), ext, 0.0) / phi_p(1.0, p)
 
 
-@pytest.mark.parametrize("change", ["scale", "far_value", "s", "p", "grid"])
+@pytest.mark.parametrize("change", ["scale", "s", "p", "grid"])
 def test_a_changed_problem_gets_its_own_closure(change):
-    grid, kernel, s, p = line_grid(n=7, r_inf=21.0), KernelSpec(), 0.5, 3.0
+    grid, s, p = line_grid(n=7, r_inf=21.0), 0.5, 3.0
     if change == "scale":
         # the cached closure is shared; the scale multiplies the closure applied
-        base = applied_closure(grid, kernel, s, p)
-        other = applied_closure(grid, KernelSpec(scale=1.5), s, p)
+        base = applied_closure(grid, s, p)
+        other = applied_closure(grid, s, p, scale=1.5)
         assert not np.array_equal(other, base)
         np.testing.assert_allclose(other, 1.5 * base, rtol=1e-15)
         return
-    base = closure_of(grid, kernel, s, p)
-    if change == "far_value":
-        kernel = KernelSpec(far_value=1.5)
-    elif change == "s":
+    base = closure_of(grid, s, p)
+    if change == "s":
         s = 0.6
     elif change == "p":
         p = 3.5
     else:
         grid = line_grid(n=7, r_inf=22.0)
-    other = closure_of(grid, kernel, s, p)
+    other = closure_of(grid, s, p)
     assert other is not base
     assert not np.array_equal(other, base)
 
@@ -528,7 +521,7 @@ def test_fold_keeps_residual_the_gradient_of_the_objective(nx, ny, seed, s, p):
     mask = np.zeros(grid.n_nodes, dtype=bool)
     mask[rng.permutation(grid.n_nodes)[:max(1, grid.n_nodes // 2)]] = True
     far = float(rng.uniform(-1.0, 1.0))
-    problem = LatticeProblem(s=s, p=p, kernel=KernelSpec(), grid=grid, unknown_mask=mask,
+    problem = LatticeProblem(s=s, p=p, grid=grid, unknown_mask=mask,
                              dirichlet=lambda y, t: np.full(y.shape[0], far), far_value=far,
                              initial=np.full(grid.n_nodes, far), horizon=1.0, eps=0.2)
     dt = 0.05
@@ -560,17 +553,51 @@ def test_fold_keeps_residual_the_gradient_of_the_objective(nx, ny, seed, s, p):
     np.testing.assert_allclose(fd_jac, jac, rtol=1e-5, atol=1e-7 * np.max(np.abs(jac)))
 
 
-# ---------------------------------------------------------------- kernel spec
+# ---------------------------------------------------------------- properties
 
 
-def test_kernel_spec_validation():
-    with pytest.raises(InvalidParamsError, match="ellipticity"):
-        KernelSpec(lam=0.5)
-    with pytest.raises(InvalidParamsError, match="scale"):
-        KernelSpec(scale=0.0)
+def random_band_case(dim, n, seed):
+    """A small grid, a random field and test function, and an exterior
+    datum that leaves the far value on a random band of nodes."""
+    rng = np.random.default_rng(seed)
+    grid = Grid(spacing=0.5, shape=(n,) * dim, origin=(0.0,) * dim, r_infinity=4.0)
+    far = float(rng.uniform(-1.0, 1.0))
+    n_ext = grid.exterior_coordinates().shape[0]
+    ext = np.full(n_ext, far)
+    band = rng.random(n_ext) < 0.3
+    ext[band] += rng.uniform(-1.0, 1.0, int(band.sum()))
+    v, q = rng.uniform(-1.0, 1.0, (2, grid.n_nodes))
+    return grid, v, q, ext, far
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=st.sampled_from([1, 2]), n=st.integers(3, 6), seed=st.integers(0, 2 ** 32 - 1),
+       s=st.floats(0.2, 0.8), p=st.floats(2.5, 4.0))
+def test_box_pairs_cancel_in_the_operator_sum(dim, n, seed, s, p):
+    # antisymmetry: with no exterior, sum_i (L v)_i = 0
+    grid, v, _, _, _ = random_band_case(dim, n, seed)
+    lv = OperatorWorkspace(grid, s, p).apply(v, None, None)
+    assert abs(np.sum(lv)) <= 1e-12 * np.sum(np.abs(lv))
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=st.sampled_from([1, 2]), n=st.integers(3, 6), seed=st.integers(0, 2 ** 32 - 1),
+       s=st.floats(0.2, 0.8), p=st.floats(2.5, 4.0), scale=st.floats(0.5, 2.0))
+def test_pairing_is_the_operator_tested_against_q(dim, n, seed, s, p, scale):
+    grid, v, q, ext, far = random_band_case(dim, n, seed)
+    ws = OperatorWorkspace(grid, s, p, scale)
+    hn = grid.spacing ** dim
+    lv_q = ws.apply(v, ext, far) * q
+    form = ws.test_pairing(v, ext, far, q)
+    assert abs(form - hn * np.sum(lv_q)) <= 1e-12 * hn * np.sum(np.abs(lv_q))
 
 
 # ---------------------------------------------------------------- tail
+
+
+def constant_sample(g, c, t=0.0):
+    """A tail sample of the constant field c, inside the box and out."""
+    return (t, np.full(g.n_nodes, c), np.full(g.exterior_coordinates().shape[0], c), c)
 
 
 def tail_setup(div, c, rho=0.25, s=0.5, p=3.0):
@@ -578,33 +605,28 @@ def tail_setup(div, c, rho=0.25, s=0.5, p=3.0):
     span = 3 * rho
     n_nodes = int(round(2 * span / h)) + 1
     g = Grid(spacing=h, shape=(n_nodes,), origin=(-span,), r_infinity=1000 * rho)
-    f = Field(g, np.full(n_nodes, c), ExteriorRule(lambda x, t: np.full(x.shape[0], c), c))
-    return g, f
+    return g, constant_sample(g, c)
 
 
 def test_tail_of_zero_field_is_zero():
-    g, _ = tail_setup(16, 0.0)
-    f = Field(g, np.zeros(g.n_nodes), ExteriorRule(lambda x, t: np.zeros(x.shape[0]), 0.0))
-    assert tail([(0.0, f)], (0.0,), 0.25, (0.0, 0.0), 0.5, 3.0) == 0.0
+    g, f = tail_setup(16, 0.0)
+    assert tail(g, [f], (0.0,), 0.25, (0.0, 0.0), 0.5, 3.0) == 0.0
 
 
 def test_tail_is_positively_homogeneous():
     rng = np.random.default_rng(5)
     g = line_grid(n=17, h=0.125, origin=-1.0, r_inf=50.0)
-    f = Field(g, rng.uniform(-1.0, 1.0, g.n_nodes),
-              ExteriorRule(lambda x, t: np.cos(x[:, 0]), 0.7))
-    t1 = tail([(0.0, f)], (0.0,), 0.3, (0.0, 0.0), 0.5, 3.0)
-    t2 = tail([(0.0, f.map(lambda u: 2.0 * u))], (0.0,), 0.3, (0.0, 0.0), 0.5, 3.0)
+    v, ext = rng.uniform(-1.0, 1.0, g.n_nodes), np.cos(g.exterior_coordinates()[:, 0])
+    t1 = tail(g, [(0.0, v, ext, 0.7)], (0.0,), 0.3, (0.0, 0.0), 0.5, 3.0)
+    t2 = tail(g, [(0.0, 2.0 * v, 2.0 * ext, 1.4)], (0.0,), 0.3, (0.0, 0.0), 0.5, 3.0)
     assert t2 == pytest.approx(2.0 * t1, rel=1e-12)
 
 
 def test_tail_takes_the_supremum_over_the_window():
     g = line_grid(n=9, h=0.25, origin=-1.0, r_inf=50.0)
-    small = Field(g, np.full(9, 0.5), ExteriorRule(lambda x, t: np.full(x.shape[0], 0.5), 0.5))
-    big = Field(g, np.full(9, 2.0), ExteriorRule(lambda x, t: np.full(x.shape[0], 2.0), 2.0))
-    samples = [(0.0, small), (1.0, big)]
-    t_small = tail(samples, (0.0,), 0.3, (0.0, 0.0), 0.5, 3.0)
-    t_both = tail(samples, (0.0,), 0.3, (0.0, 1.0), 0.5, 3.0)
+    samples = [constant_sample(g, 0.5, t=0.0), constant_sample(g, 2.0, t=1.0)]
+    t_small = tail(g, samples, (0.0,), 0.3, (0.0, 0.0), 0.5, 3.0)
+    t_both = tail(g, samples, (0.0,), 0.3, (0.0, 1.0), 0.5, 3.0)
     assert t_both > t_small
     assert t_both == pytest.approx(4.0 * t_small, rel=1e-12)
 
@@ -612,22 +634,30 @@ def test_tail_takes_the_supremum_over_the_window():
 def test_tail_empty_window():
     g, f = tail_setup(16, 1.0)
     with pytest.raises(EmptyWindowError):
-        tail([(0.0, f)], (0.0,), 0.25, (2.0, 3.0), 0.5, 3.0)
+        tail(g, [f], (0.0,), 0.25, (2.0, 3.0), 0.5, 3.0)
 
 
 def test_tail_rejects_bad_radius():
     g, f = tail_setup(16, 1.0)
     with pytest.raises(InvalidParamsError, match="positive"):
-        tail([(0.0, f)], (0.0,), 0.0, (0.0, 0.0), 0.5, 3.0)
+        tail(g, [f], (0.0,), 0.0, (0.0, 0.0), 0.5, 3.0)
     with pytest.raises(InvalidParamsError, match="r_infinity"):
-        tail([(0.0, f)], (0.0,), 2000.0 * 0.25, (0.0, 0.0), 0.5, 3.0)
+        tail(g, [f], (0.0,), 2000.0 * 0.25, (0.0, 0.0), 0.5, 3.0)
+
+
+def test_tail_rejects_samples_that_do_not_match_the_grid():
+    g, (t, values, ext_values, far) = tail_setup(16, 1.0)
+    for bad in ((t, values[:-1], ext_values, far), (t, values, ext_values[:-1], far),
+                (t, values, None, far)):
+        with pytest.raises(InvalidParamsError, match="match the grid"):
+            tail(g, [bad], (0.0,), 0.25, (0.0, 0.0), 0.5, 3.0)
 
 
 def test_tail_closed_form_at_sp_equal_to_dimension():
     # constant field, sp = n = 1: exact value (2/(sp))^{1/(p-1)} |c| = sqrt(2) |c|
     s, p, rho, c = 1.0 / 3.0, 3.0, 0.25, 1.3
-    _, f = tail_setup(64, c, rho=rho, s=s, p=p)
-    val = tail([(0.0, f)], (0.0,), rho, (0.0, 0.0), s, p)
+    g, f = tail_setup(64, c, rho=rho, s=s, p=p)
+    val = tail(g, [f], (0.0,), rho, (0.0, 0.0), s, p)
     assert val == pytest.approx(np.sqrt(2.0) * c, rel=5e-5)
 
 
@@ -637,8 +667,8 @@ def test_tail_quadrature_first_order_or_better():
     exact = (2.0 / (s * p)) ** (1.0 / (p - 1.0)) * abs(c)
     errs = []
     for div in (16, 32, 64):
-        _, f = tail_setup(div, c, rho=rho, s=s, p=p)
-        val = tail([(0.0, f)], (0.0,), rho, (0.0, 0.0), s, p)
+        g, f = tail_setup(div, c, rho=rho, s=s, p=p)
+        val = tail(g, [f], (0.0,), rho, (0.0, 0.0), s, p)
         errs.append(abs(val - exact) / exact)
     assert errs[1] < 0.55 * errs[0]
     assert errs[2] < 0.55 * errs[1]
@@ -646,22 +676,6 @@ def test_tail_quadrature_first_order_or_better():
 
 
 # ---------------------------------------------------------------- field IO
-
-
-def test_field_validation():
-    g = line_grid(n=5)
-    with pytest.raises(InvalidParamsError, match="match the grid"):
-        Field(g, np.zeros(4))
-
-
-def test_field_map_wraps_exterior():
-    g = line_grid(n=5)
-    f = Field(g, np.arange(5.0), ExteriorRule(lambda x, t: x[:, 0], 2.0))
-    doubled = f.map(lambda u: 2.0 * u)
-    assert np.array_equal(doubled.values, 2.0 * np.arange(5.0))
-    ext = g.exterior_coordinates()
-    assert np.array_equal(doubled.exterior.evaluate(ext, 0.0), 2.0 * ext[:, 0])
-    assert doubled.exterior.far_value == 4.0
 
 
 def test_field_csv_round_trip(tmp_path):

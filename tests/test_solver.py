@@ -13,7 +13,6 @@ from nlstefan import (
     DegenerateCutoffError,
     EmptyCylinderError,
     InvalidParamsError,
-    KernelSpec,
     LatticeProblem,
     NewtonDivergenceError,
     OperatorWorkspace,
@@ -70,6 +69,8 @@ def test_problem_validation():
         replace(prob, horizon=0.0)
     with pytest.raises(InvalidParamsError, match="eps"):
         replace(prob, eps=-0.1)
+    with pytest.raises(InvalidParamsError, match="kernel scale must be positive"):
+        replace(prob, kernel_scale=0.0)
     with pytest.raises(InvalidParamsError, match="disagrees with the datum"):
         replace(prob, initial=prob.initial + 1.0)
     bad = prob.initial.copy()
@@ -102,6 +103,25 @@ def test_non_finite_datum_at_the_start_is_rejected(where):
         replace(prob, dirichlet=bad)
 
 
+@pytest.mark.parametrize("shape", ["scalar", "wrong-length"])
+def test_datum_needs_one_value_per_node(shape):
+    prob = tiny_melt().problem
+    if shape == "scalar":
+        bad = lambda x, t: 1.0
+    else:
+        bad = lambda x, t: np.ones(np.atleast_2d(x).shape[0] + 1)
+    with pytest.raises(InvalidParamsError, match="one value per node"):
+        replace(prob, dirichlet=bad)
+
+
+def test_datum_that_turns_scalar_stops_the_solve():
+    pre = tiny_melt()
+    g = pre.problem.dirichlet
+    turns_scalar = lambda x, t: g(x, t) if t == 0.0 else 1.0
+    with pytest.raises(InvalidParamsError, match="one value per node"):
+        solve(replace(pre.problem, dirichlet=turns_scalar), pre.solver)
+
+
 # ---------------------------------------------------------------- exact cases
 
 
@@ -123,10 +143,11 @@ def test_trajectory_layout():
     assert traj.times[-1] == pre.problem.horizon
     assert np.array_equal(traj.final, traj.states[-1])
     assert len(traj.diagnostics) == 5
-    fld = traj.field(0)
-    assert fld.exterior is not None
     samples = traj.samples()
-    assert samples[0][0] == 0.0
+    t, values, ext_values, far_value = samples[0]
+    assert t == 0.0 and values is traj.states[0]
+    assert np.array_equal(ext_values, np.ones(pre.problem.grid.exterior_coordinates().shape[0]))
+    assert far_value == pre.problem.far_value
 
 
 def test_store_every_keeps_final_level():
@@ -160,6 +181,20 @@ def test_newton_meets_tolerance_every_step():
         assert d.newton_iterations <= cfg.newton_max
         # damped descent on a convex objective never increases it
         assert d.objective_drop >= -1e-12
+
+
+@settings(max_examples=12, deadline=None)
+@given(eps=st.sampled_from([0.2, 0.05, 0.02]), amp=st.floats(0.0, 0.1),
+       center=st.floats(-0.5, 0.5), radius=st.floats(0.2, 0.45))
+def test_no_step_raises_the_objective(eps, amp, center, radius):
+    # a smooth bump inside the unknown set on top of the melt's initial value
+    pre = melt1d(n_nodes=33, horizon=0.02, eps=eps, n_steps=4)
+    r2 = ((pre.problem.grid.coordinates()[:, 0] - center) / radius) ** 2
+    bump = np.zeros_like(r2)
+    inside = r2 < 1.0
+    bump[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
+    traj = solve(replace(pre.problem, initial=pre.problem.initial + bump), pre.solver)
+    assert all(d.objective_drop >= 0.0 for d in traj.diagnostics)
 
 
 def test_newton_divergence_carries_its_history():
@@ -242,8 +277,8 @@ def test_implicit_step_small_dt_expansion():
     pre = tiny_melt(n_nodes=33, eps=0.2)
     prob = pre.problem
     u0 = prob.initial
-    ws = OperatorWorkspace(prob.grid, prob.kernel, prob.s, prob.p)
-    ext = prob.dirichlet(prob.grid.exterior_coordinates(), 0.0)
+    ws = OperatorWorkspace(prob.grid, prob.s, prob.p, prob.kernel_scale)
+    ext = prob.exterior_values(0.0)
     lv = ws.apply(u0, ext, prob.far_value)
     m = prob.unknown_mask
     errs = {}
