@@ -1,42 +1,59 @@
-"""Thread-invariant dense SPD solve on LAPACK's packed Cholesky.
+"""Thread-invariant dense SPD solve: LAPACK Cholesky on one OpenBLAS thread.
 
-Trajectory files must be bit-identical whatever the BLAS thread count.
-Dense ``dpotrf`` (``scipy.linalg.cho_factor``) is blocked: its panel
-updates go through threaded level-3 BLAS, whose reduction order follows
-the thread count, so factor bits (and the fields of a long melt1d solve)
-differ between ``OPENBLAS_NUM_THREADS=1`` and ``=2``.  The packed lower
-factorization ``dpptrf`` works column by column with ``dscal`` and the
-rank-1 update ``dspr``, both elementwise with no reductions, and
-``dpptrs`` solves with the triangular ``dtpsv``; neither depends on the
-thread count.  This module hides the packed storage from the solver.
+Trajectories must be bit-identical whatever the BLAS thread count, but the
+blocked ``dpotrf`` reduces in an order that follows that count.  So each
+solve sets the OpenBLAS of ``scipy.linalg.lapack`` (numpy may load another
+copy) to one thread and restores the count it found.  This guarantees
+bit-identity across thread counts for OpenBLAS builds of scipy, which the
+scipy wheels are; another BLAS gets no pin.  The count is process-wide, so
+the pinned section holds a lock, at no cost: f2py's LAPACK wrappers hold
+the GIL, and two threads each running ten ``dpotrf`` calls at n = 800 took
+0.098 s, one thread running all twenty 0.096 s.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpptrf, dpptrs
+from scipy.linalg import _flapack
+from scipy.linalg.lapack import dpotrf, dpotrs
+
+_PIN_LOCK = threading.Lock()
 
 
-@lru_cache(maxsize=8)
-def _upper_triangle(n: int):
-    """Row-major upper triangle indices of an n x n matrix (read-only)."""
-    rows, cols = np.triu_indices(n)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
+@lru_cache(maxsize=None)
+def _blas_threads():
+    """(get, set) of the thread count of scipy's OpenBLAS; no-ops without it."""
+    lib = ctypes.CDLL(_flapack.__file__)
+    for name in ("scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads", "openblas_{}_num_threads64_"):
+        get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return (lambda: 1), (lambda count: None)
 
 
 def solve_spd(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a x = rhs for symmetric positive definite a.
+    """Solve a x = rhs for symmetric positive definite a, given by its upper
+    triangle; writes into neither argument.
 
     Raises np.linalg.LinAlgError when the factorization breaks down.
     """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    # row-major upper triangle == column-major packed lower triangle
-    low, info = dpptrf(n, a[_upper_triangle(n)], lower=1, overwrite_ap=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"matrix is not positive definite (dpptrf info {info})")
-    # dpptrs reports only illegal arguments, which cannot occur here
-    return dpptrs(n, low, np.asarray(rhs, dtype=float), lower=1)[0]
+    get, put = _blas_threads()
+    with _PIN_LOCK:
+        saved = get()
+        put(1)
+        try:
+            # dpotrf copies a.T, Fortran-ordered for C-ordered a, as it stands
+            low, info = dpotrf(np.asarray(a, dtype=float).T, lower=1, clean=0)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"matrix is not positive definite (dpotrf info {info})")
+            # dpotrs reports only illegal arguments, which cannot occur here
+            return dpotrs(low, rhs, lower=1)[0]
+        finally:
+            put(saved)

@@ -14,9 +14,8 @@ functional
 
 with B the enthalpy potential and E the pairwise p-energy, so a damped
 Newton iteration with an SPD Jacobian and an Armijo line search is
-globally convergent.  The Newton systems go through the packed Cholesky
-of _linalg, whose result does not depend on the BLAS thread count, so
-trajectories are bit-identical across thread counts.
+globally convergent.  _linalg solves the Newton systems by a Cholesky
+pinned to one BLAS thread, so trajectories do not depend on the count.
 """
 
 from __future__ import annotations

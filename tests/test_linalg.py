@@ -1,13 +1,15 @@
-"""Packed Cholesky solve: accuracy, breakdown, thread-count invariance."""
+"""Pinned dense Cholesky solve: accuracy, breakdown, untouched inputs,
+the OpenBLAS thread pin, and thread-count invariance."""
 
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from nlstefan._linalg import solve_spd
+from nlstefan._linalg import _blas_threads, solve_spd
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -46,6 +48,71 @@ def test_solve_spd_rejects_an_indefinite_matrix():
     a[0, 1] = a[1, 0] = 0.3
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
         solve_spd(a, np.ones(4))
+
+
+@pytest.mark.parametrize("n, order", [(1, "C"), (65, "C"), (65, "F")])
+def test_solve_spd_leaves_its_inputs_unchanged(n, order):
+    a, rhs = random_spd(n, seed=n)
+    a = np.array(a, order=order)
+    a_before, rhs_before = a.copy(), rhs.copy()
+    solve_spd(a, rhs)
+    assert np.array_equal(a, a_before) and np.array_equal(rhs, rhs_before)
+
+
+@pytest.fixture
+def scipy_blas_threads():
+    get, put = _blas_threads()
+    saved = get()
+    yield get, put
+    put(saved)
+
+
+def test_thread_setter_resolves(scipy_blas_threads):
+    # the fallback pair ignores the setter, so a count that reads back
+    # shows that the pin reaches scipy's OpenBLAS
+    get, put = scipy_blas_threads
+    for count in (2, 1):
+        put(count)
+        assert get() == count
+
+
+def test_solve_spd_restores_the_thread_count(scipy_blas_threads):
+    get, put = scipy_blas_threads
+    put(2)
+    a, rhs = random_spd(65, seed=3)
+    solve_spd(a, rhs)
+    assert get() == 2
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_spd(-a, rhs)
+    assert get() == 2
+
+
+def test_concurrent_solves_keep_the_thread_count_and_the_bits(scipy_blas_threads):
+    # more workers than cores and a short switch interval; without the
+    # lock one worker saves another's pinned count and restores 1
+    get, put = scipy_blas_threads
+    put(2)
+    a, rhs = random_spd(32, seed=5)
+    expected = solve_spd(a, rhs).tobytes()
+    mismatches = []
+
+    def work():
+        for _ in range(1000):
+            if solve_spd(a, rhs).tobytes() != expected:
+                mismatches.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(2 * os.cpu_count())]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert mismatches == [] and get() == 2
 
 
 def test_solve_spd_is_thread_count_invariant():
