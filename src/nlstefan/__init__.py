@@ -31,9 +31,9 @@ from .lattice import Grid, OperatorWorkspace, check_exponents, phi_p, tail
 from .presets import CATALOG, Preset, load_preset
 from .solver import (CaccioppoliReport, LatticeProblem, MaxPrincipleReport,
                      RadialCutoff, SolverConfig, StepDiagnostics, Trajectory,
-                     caccioppoli_audit, energy_history, implicit_step,
-                     max_principle_check, normalize, solve, space_time_bump,
-                     structural_audit, truncate_opposite, weak_residual)
+                     caccioppoli_audit, energy_history, max_principle_check,
+                     normalize, solve, space_time_bump, structural_audit,
+                     weak_residual)
 
 __version__ = "0.1.0"
 
@@ -53,12 +53,12 @@ __all__ = [
     "beta_graph", "boundary_sequences", "caccioppoli_audit",
     "check_exponents", "convergence_report", "emit_run_config",
     "energy_history", "fit_log_modulus", "geometric_convergence",
-    "implicit_step", "initial_sequences", "interior_sequences",
+    "initial_sequences", "interior_sequences",
     "intrinsic_theta", "lemma_iter_epsilon",
     "lemma_iter_verify", "level_set_fraction", "limit_pair", "load_preset",
     "max_principle_check", "measure_density", "modulus_ladder",
     "normalization_constant", "normalize", "oscillation", "oscillation_scale",
     "parse_run_config", "phi_p", "realize", "run_family",
     "sequence_tail_report", "solve", "space_time_bump", "structural_audit",
-    "tail", "truncate_opposite", "weak_residual",
+    "tail", "weak_residual",
 ]

@@ -11,10 +11,12 @@ just integrates the mollifier, so
     beta_eps(xi) = Phi(xi / eps),      Phi(eta) = int_{-1}^{eta} psi,
 
 and a single pair of antiderivative tables (Phi and its antiderivative
-Phi1) serves every eps > 0.  A layer of latent heat L is L * Phi(xi/eps).
-That covers rescaled solutions too: u/m sees beta_eps(m xi)/m, which is
-(1/m) * Phi(xi / (eps/m)), the layer of width eps/m and latent heat 1/m.
-The mollifier used throughout is the normalized bump
+Phi1) serves every eps > 0: numpy piecewise polynomials, the cubic Hermite
+interpolant of Phi and its quartic antiderivative.  A layer of latent heat
+L is L * Phi(xi/eps).  That covers rescaled solutions too: u/m sees
+beta_eps(m xi)/m, which is (1/m) * Phi(xi / (eps/m)), the layer of width
+eps/m and latent heat 1/m.  The mollifier used throughout is the
+normalized bump
 
     psi(t) = Z * exp(-1 / (1 - t^2)) on (-1, 1),   int psi = 1.
 
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
+
+from .errors import InvalidParamsError
 
 
 def _bump_raw(t: np.ndarray) -> np.ndarray:
@@ -38,6 +41,45 @@ def _bump_raw(t: np.ndarray) -> np.ndarray:
     ti = t[inside]
     out[inside] = np.exp(-1.0 / (1.0 - ti * ti))
     return out
+
+
+class _PiecewisePoly:
+    """Piecewise polynomial in scipy PPoly's layout: c[k, i] multiplies
+    (x - x_i)^(K-1-k) on [x_i, x_{i+1}), the end pieces extrapolate.  Values
+    sum up from the constant term, each power one more factor (not Horner),
+    as PPoly does, so the tables equal CubicHermiteSpline and its
+    antiderivative bit for bit."""
+
+    def __init__(self, c: np.ndarray, x: np.ndarray):
+        self.c, self.x = c, x
+
+    @classmethod
+    def hermite(cls, x, y, dydx) -> "_PiecewisePoly":
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        return cls(np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])), x)
+
+    def antiderivative(self) -> "_PiecewisePoly":
+        k, n = self.c.shape
+        c = np.zeros((k + 1, n))
+        c[:-1] = self.c / np.arange(k, 0, -1.0)[:, None]
+        # constant i is piece i-1 at its right knot, summed from its constant
+        # through its terms in order: one running sum over all the terms
+        terms = c[-2::-1] * np.cumprod(np.tile(np.diff(self.x), (k, 1)), axis=0)
+        c[-1] = np.cumsum(np.concatenate(([0.0], terms.T[:-1].ravel())))[::k]
+        return _PiecewisePoly(c, self.x)
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        # interior knots <= x count the piece, the end pieces extrapolate
+        i = np.searchsorted(self.x[1:-1], pts, side="right")
+        s = pts - self.x[i]
+        c = np.take(self.c, i, axis=1)
+        val, z = c[-1], s
+        for row in c[-2:0:-1]:
+            val = val + row * z
+            z = z * s
+        return val + c[0] * z
 
 
 @dataclass(frozen=True)
@@ -53,7 +95,12 @@ class MollifierSpec:
     n_panels: int = 4096
     gauss_order: int = 8
 
-    def build_tables(self):
+    def __post_init__(self):
+        if not (self.n_panels >= 1 and self.gauss_order >= 1):
+            raise InvalidParamsError("n_panels and gauss_order must be at least 1")
+
+    def knot_data(self):
+        """Knots, the values and slopes of Phi there, and Z."""
         knots = np.linspace(-1.0, 1.0, self.n_panels + 1)
         gl_x, gl_w = np.polynomial.legendre.leggauss(self.gauss_order)
         mid = 0.5 * (knots[:-1] + knots[1:])
@@ -62,16 +109,17 @@ class MollifierSpec:
         pts = mid[:, None] + half[:, None] * gl_x[None, :]
         panel_ints = half * np.sum(_bump_raw(pts) * gl_w[None, :], axis=1)
         cum = np.concatenate(([0.0], np.cumsum(panel_ints)))
-        total = cum[-1]
-        z = 1.0 / total
-        phi = CubicHermiteSpline(knots, z * cum, z * _bump_raw(knots))
-        phi1 = phi.antiderivative()
-        return z, phi, phi1
+        z = 1.0 / cum[-1]
+        return knots, z * cum, z * _bump_raw(knots), z
 
 
 @lru_cache(maxsize=None)
 def _tables(spec: MollifierSpec = MollifierSpec()):
-    return spec.build_tables()
+    knots, values, slopes, z = spec.knot_data()
+    phi = _PiecewisePoly.hermite(knots, values, slopes)
+    phi1 = phi.antiderivative()
+    # Phi1(0) offsets int_0^xi beta_eps, Phi1(1) starts the linear extension
+    return z, phi, phi1, phi1(np.array([0.0, 1.0]))
 
 
 def normalization_constant(spec: MollifierSpec = MollifierSpec()) -> float:
@@ -81,35 +129,33 @@ def normalization_constant(spec: MollifierSpec = MollifierSpec()) -> float:
 
 def _phi(eta, spec: MollifierSpec) -> np.ndarray:
     """Cumulative mollifier Phi extended by 0 and 1 outside [-1, 1]."""
-    _, phi, _ = _tables(spec)
+    phi = _tables(spec)[1]
     eta = np.asarray(eta, dtype=float)
     flat = np.atleast_1d(eta)
     out = np.where(flat >= 1.0, 1.0, 0.0)
-    neg = (flat > -1.0) & (flat < 0.0)
-    pos = (flat >= 0.0) & (flat < 1.0)
+    inside = np.abs(flat) < 1.0
     # exact range and monotonicity are part of the contract, but the
     # cubic wiggles below its own resolution near the flat ends, and no
     # direct evaluation stays ulp-monotone approaching 1.  So evaluate
-    # the rising tail only, reflect it for the other half (there the
-    # jitter is relative to the tiny tail and rounds flat in 1 - tail),
+    # the rising tail only, once at -|eta|, reflect it for eta >= 0 (there
+    # the jitter is relative to the tiny tail and rounds flat in 1 - tail),
     # clamp both halves at the 0.5 midpoint and snap sub-resolution
     # tail values onto the endpoints.
     tol = 2.0 ** -50
-    lo = np.minimum(np.clip(phi(flat[neg]), 0.0, 1.0), 0.5)
-    lo[lo < tol] = 0.0
-    hi = np.maximum(1.0 - np.clip(phi(-flat[pos]), 0.0, 1.0), 0.5)
-    hi[hi > 1.0 - tol] = 1.0
-    out[neg] = lo
-    out[pos] = hi
+    eta_in = flat[inside]
+    tail = np.clip(phi(-np.abs(eta_in)), 0.0, 0.5)
+    val = np.where(eta_in < 0.0, tail, 1.0 - tail)
+    val[val < tol] = 0.0
+    val[val > 1.0 - tol] = 1.0
+    out[inside] = val
     return out.reshape(eta.shape)
 
 
 def _phi1(eta, spec: MollifierSpec) -> np.ndarray:
     """Antiderivative of Phi from -1, extended linearly where Phi == 1."""
-    _, phi, phi1 = _tables(spec)
+    _, _, phi1, (_, top) = _tables(spec)
     eta = np.asarray(eta, dtype=float)
     flat = np.atleast_1d(eta)
-    top = float(phi1(1.0))
     out = np.where(flat >= 1.0, top + (flat - 1.0), 0.0)
     inside = (flat > -1.0) & (flat < 1.0)
     out[inside] = phi1(flat[inside])
@@ -144,9 +190,9 @@ class RegularizedEnthalpy:
     def __init__(self, eps: float, mollifier: MollifierSpec = MollifierSpec(),
                  latent_heat: float = 1.0):
         if not eps > 0.0:
-            raise ValueError("eps must be positive")
+            raise InvalidParamsError("eps must be positive")
         if not latent_heat > 0.0:
-            raise ValueError("latent_heat must be positive")
+            raise InvalidParamsError("latent_heat must be positive")
         self.eps = float(eps)
         self.mollifier = mollifier
         self.latent_heat = float(latent_heat)
@@ -167,7 +213,8 @@ class RegularizedEnthalpy:
         """int_0^xi beta_eps, evaluated in closed form from the tables."""
         xi = np.asarray(xi, dtype=float)
         spec = self.mollifier
-        return self.latent_heat * self.eps * (_phi1(xi / self.eps, spec) - _phi1(0.0, spec))
+        at_zero = _tables(spec)[3][0]
+        return self.latent_heat * self.eps * (_phi1(xi / self.eps, spec) - at_zero)
 
     # -- change of variable ----------------------------------------------
 
@@ -222,7 +269,7 @@ class RegularizedEnthalpy:
         """
         u = np.asarray(u, dtype=float)
         if sign not in ("+", "-"):
-            raise ValueError("sign must be '+' or '-'")
+            raise InvalidParamsError("sign must be '+' or '-'")
         # beta_eps' is supported in [-eps, eps]; past the layer edge the
         # integrand vanishes identically, branch exactly instead of rounding
         if sign == "+" and k >= self.eps:

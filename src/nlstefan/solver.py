@@ -299,15 +299,6 @@ class _Stepper:
             last_iterate=full, residuals=history)
 
 
-def implicit_step(problem: LatticeProblem, u_prev: np.ndarray, t_next: float,
-                  dt: float, config: SolverConfig = None):
-    """Advance one backward Euler step; returns (state, diagnostics)."""
-    if config is None:
-        config = SolverConfig(dt=dt)
-    stepper = _Stepper(problem, config)
-    return stepper.step(np.asarray(u_prev, dtype=float), t_next, dt)
-
-
 def _intrinsic_dt(problem: LatticeProblem, state: np.ndarray, factor: float) -> float:
     osc = float(np.max(state[problem.unknown_mask]) - np.min(state[problem.unknown_mask]))
     osc = max(osc, 4.0 * problem.eps)
@@ -616,7 +607,7 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
         t = traj.times[idx]
         u = traj.states[idx]
         w_ball = truncate(u[ball_idx])
-        w_opp = truncate_opposite(u[ball_idx], level, sign)
+        w_opp = _truncate_opposite(u[ball_idx], level, sign)
         latent = enth.truncation_energy(u[ball_idx], level, sign)
         slice_energy = float(np.sum((w_ball ** 2 + latent) * phi_b ** p)) * hn
         sup_term = max(sup_term, slice_energy)
@@ -654,7 +645,7 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
         passed=None if c_audit is None else ratio <= c_audit)
 
 
-def truncate_opposite(vals, level, sign):
+def _truncate_opposite(vals, level, sign):
     """Truncation of the opposite sign, used by the mixed term."""
     if sign == "+":
         return np.clip(level - vals, 0.0, None)

@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from nlstefan import InvalidParamsError
 from nlstefan.enthalpy import (MollifierSpec, RegularizedEnthalpy, beta_graph,
                                normalization_constant)
+from nlstefan.enthalpy import _tables
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 # reciprocal of the high-resolution quadrature of exp(-1/(1-t^2)) on (-1,1)
 Z_REFERENCE = 2.2522836210435810
@@ -163,3 +171,51 @@ def test_mollifier_table_resolution_is_converged():
     fine = RegularizedEnthalpy(1.0, mollifier=MollifierSpec(n_panels=4096))
     xs = np.linspace(-1.0, 1.0, 257)
     assert np.max(np.abs(coarse.beta_eps(xs) - fine.beta_eps(xs))) < 1e-12
+
+
+@pytest.mark.parametrize("n_panels", [1, 2, 512, 4096])
+def test_tables_match_scipy_hermite_spline_bit_for_bit(n_panels):
+    # the only import of scipy.interpolate: the numpy tables must equal
+    # CubicHermiteSpline and its antiderivative, coefficients and values
+    from scipy.interpolate import CubicHermiteSpline
+
+    spec = MollifierSpec(n_panels=n_panels)
+    knots, values, slopes, _ = spec.knot_data()
+    spline = CubicHermiteSpline(knots, values, slopes)
+    _, phi, phi1, _ = _tables(spec)
+    rng = np.random.default_rng(0)
+    pts = np.concatenate((rng.uniform(-1.0, 1.0, 200_000), knots,
+                          np.nextafter(knots, -2.0), np.nextafter(knots, 2.0),
+                          [-1.0, 1.0, -0.0, 0.0]))
+    for table, ref in ((phi, spline), (phi1, spline.antiderivative())):
+        assert np.array_equal(table.c, ref.c)
+        got, want = table(pts), ref(pts)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_package_import_leaves_scipy_interpolate_out():
+    probe = ("import sys, nlstefan, nlstefan.cli; "
+             "print('scipy.interpolate' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("field", ["n_panels", "gauss_order"])
+def test_mollifier_spec_rejects_empty_quadrature(field):
+    with pytest.raises(InvalidParamsError, match=field):
+        MollifierSpec(**{field: 0})
+
+
+@pytest.mark.parametrize("kwargs", [{"eps": 0.0}, {"eps": float("nan")},
+                                    {"eps": 0.1, "latent_heat": -1.0}])
+def test_enthalpy_rejects_nonpositive_parameters(kwargs):
+    with pytest.raises(InvalidParamsError, match="must be positive"):
+        RegularizedEnthalpy(**kwargs)
+
+
+def test_truncation_energy_rejects_unknown_sign():
+    with pytest.raises(InvalidParamsError, match="sign"):
+        RegularizedEnthalpy(0.1).truncation_energy(np.zeros(3), 0.0, "*")

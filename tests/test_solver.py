@@ -21,7 +21,6 @@ from nlstefan import (
     caccioppoli_audit,
     cli,
     energy_history,
-    implicit_step,
     intrinsic_theta,
     max_principle_check,
     normalize,
@@ -229,7 +228,7 @@ def test_linear_solve_failure_is_a_newton_divergence(monkeypatch, tmp_path, caps
     monkeypatch.setattr("nlstefan.solver.solve_spd", broken)
     pre = tiny_melt(n_steps=4, horizon=0.1)
     with pytest.raises(NewtonDivergenceError, match="linear solve failed") as exc:
-        implicit_step(pre.problem, pre.problem.initial, 0.025, 0.025)
+        solve(replace(pre.problem, horizon=0.025), SolverConfig(dt=0.025))
     assert exc.value.residuals and exc.value.residuals[0] > 0.0
     assert exc.value.last_iterate.shape == (pre.problem.grid.n_nodes,)
     fam = run_family(pre.problem, (0.4, 0.2), pre.solver)
@@ -283,7 +282,7 @@ def test_implicit_step_small_dt_expansion():
     m = prob.unknown_mask
     errs = {}
     for dt in (1e-5, 1e-6):
-        v, _ = implicit_step(prob, u0, dt, dt)
+        v = solve(replace(prob, horizon=dt, initial=u0), SolverConfig(dt=dt)).states[-1]
         pred = u0.copy()
         pred[m] = u0[m] - dt * lv[m] / prob.enthalpy.b_prime(u0[m])
         errs[dt] = float(np.max(np.abs(v - pred)))
