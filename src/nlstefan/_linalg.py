@@ -1,41 +1,92 @@
 """Thread-invariant dense SPD solve: LAPACK Cholesky on one OpenBLAS thread.
 
+The LAPACK is the one bundled with scipy.  Its ``linalg/_flapack``
+extension is located with ``importlib`` and opened with ``ctypes`` when
+this module is imported, without importing any scipy module
+(``scipy.linalg`` would cost each process about 0.3 s and 25 MB), so a
+missing library fails the import, not a solve.  ``dpotrf``/``dpotrs`` are
+called on the same data as scipy's own wrappers call them, so the bits are
+scipy's.
+
 Trajectories must be bit-identical whatever the BLAS thread count, but the
 blocked ``dpotrf`` reduces in an order that follows that count.  So each
-solve sets the OpenBLAS of ``scipy.linalg.lapack`` (numpy may load another
-copy) to one thread and restores the count it found.  This guarantees
-bit-identity across thread counts for OpenBLAS builds of scipy, which the
-scipy wheels are; another BLAS gets no pin.  The count is process-wide, so
-the pinned section holds a lock, at no cost: f2py's LAPACK wrappers hold
-the GIL, and two threads each running ten ``dpotrf`` calls at n = 800 took
-0.098 s, one thread running all twenty 0.096 s.
+solve sets that OpenBLAS (numpy may load another copy) to one thread and
+restores the count it found.  This guarantees bit-identity across thread
+counts for OpenBLAS builds of scipy, which the scipy wheels are; another
+BLAS gets no pin.  The count is process-wide, so the pinned section holds
+a lock.  The library is opened with ``ctypes.CDLL``, so the GIL is
+released during each call (scipy's f2py wrappers held it): other threads,
+such as family members, run Python while one factorizes.  On the
+two-thread eps family benchmark this took the median operation from
+0.164 s (``ctypes.PyDLL``, which holds the GIL) to 0.146 s.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
+import os
 import threading
-from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import _flapack
-from scipy.linalg.lapack import dpotrf, dpotrs
 
-_PIN_LOCK = threading.Lock()
+_INT = ctypes.c_int32  # scipy's _flapack is LP64
+_INTP, _DATA = ctypes.POINTER(_INT), ctypes.c_void_p
+# the trailing size_t is the hidden length of the Fortran character argument
+_POTRF_ARGS = [ctypes.c_char_p, _INTP, _DATA, _INTP, _INTP, ctypes.c_size_t]
+_POTRS_ARGS = [ctypes.c_char_p, _INTP, _INTP, _DATA, _INTP, _DATA, _INTP, _INTP, ctypes.c_size_t]
 
 
-@lru_cache(maxsize=None)
-def _blas_threads():
-    """(get, set) of the thread count of scipy's OpenBLAS; no-ops without it."""
-    lib = ctypes.CDLL(_flapack.__file__)
+class _Lapack(NamedTuple):
+    path: str
+    potrf: Callable
+    potrs: Callable
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+
+
+def _flapack_path() -> str:
+    """scipy's linalg/_flapack extension, located without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("nlstefan needs scipy's LAPACK, but scipy is not installed")
+    stem = os.path.join(spec.submodule_search_locations[0], "linalg", "_flapack")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            return stem + suffix
+    raise ImportError(f"scipy's LAPACK extension {stem}* not found")
+
+
+def _symbol(lib, names, argtypes, restype):
+    """The first of names that lib exports, typed; None if it has none."""
+    for name in names:
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = argtypes, restype
+            return fn
+    return None
+
+
+def _load() -> _Lapack:
+    path = _flapack_path()
+    lib = ctypes.CDLL(path)
+    potrf = _symbol(lib, ("scipy_dpotrf_", "dpotrf_"), _POTRF_ARGS, None)
+    potrs = _symbol(lib, ("scipy_dpotrs_", "dpotrs_"), _POTRS_ARGS, None)
+    if potrf is None or potrs is None:
+        raise ImportError(f"{path} exports no dpotrf/dpotrs")
     for name in ("scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_",
                  "openblas_{}_num_threads", "openblas_{}_num_threads64_"):
-        get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+        get = _symbol(lib, (name.format("get"),), [], ctypes.c_int)
+        put = _symbol(lib, (name.format("set"),), [ctypes.c_int], None)
         if get is not None and put is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return (lambda: 1), (lambda count: None)
+            return _Lapack(path, potrf, potrs, get, put)
+    return _Lapack(path, potrf, potrs, lambda: 1, lambda count: None)
+
+
+_LAPACK = _load()
+_PIN_LOCK = threading.Lock()
 
 
 def solve_spd(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -44,16 +95,25 @@ def solve_spd(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     Raises np.linalg.LinAlgError when the factorization breaks down.
     """
-    get, put = _blas_threads()
+    # a C-ordered copy of a is a.T to Fortran, so the lower factor reads
+    # a's upper triangle
+    factor = np.array(a, dtype=float, order="C")
+    x = np.array(rhs, dtype=float)
+    n = x.shape[0] if x.ndim == 1 else -1
+    if factor.shape != (n, n):
+        raise ValueError(f"solve_spd: shapes {factor.shape} and {x.shape} do not match")
+    dim, lead, one, info = _INT(n), _INT(max(n, 1)), _INT(1), _INT(0)
+    data = factor.ctypes.data
     with _PIN_LOCK:
-        saved = get()
-        put(1)
+        saved = _LAPACK.get_threads()
+        _LAPACK.set_threads(1)
         try:
-            # dpotrf copies a.T, Fortran-ordered for C-ordered a, as it stands
-            low, info = dpotrf(np.asarray(a, dtype=float).T, lower=1, clean=0)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"matrix is not positive definite (dpotrf info {info})")
+            _LAPACK.potrf(b"L", dim, data, lead, info, 1)
+            if info.value != 0:
+                raise np.linalg.LinAlgError(
+                    f"matrix is not positive definite (dpotrf info {info.value})")
             # dpotrs reports only illegal arguments, which cannot occur here
-            return dpotrs(low, rhs, lower=1)[0]
+            _LAPACK.potrs(b"L", dim, one, data, lead, x.ctypes.data, lead, info, 1)
         finally:
-            put(saved)
+            _LAPACK.set_threads(saved)
+    return x

@@ -32,8 +32,13 @@ def _echo(cfg: RunConfig) -> dict:
 
 def _load_config(args) -> RunConfig:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_run_config(fh.read())
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                source = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise SchemaViolationError([f"config: cannot read {args.config}: {reason}"]) from exc
+        cfg = parse_run_config(source)
     else:
         cfg = RunConfig()
     if args.preset:

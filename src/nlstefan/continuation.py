@@ -62,6 +62,8 @@ def run_family(problem: LatticeProblem, eps_values: Sequence[float],
     sample.  Solver failures are recorded per entry instead of aborting
     the family; distances involving a failed entry are NaN.
     """
+    if threads < 1:
+        raise InvalidParamsError(f"threads must be at least 1, got {threads}")
     eps_values = [float(e) for e in eps_values]
     if not eps_values:
         raise InvalidParamsError("the eps schedule is empty")

@@ -336,6 +336,31 @@ def test_cli_bad_config_exits_with_violations(tmp_path, capsys):
     assert any(v.startswith("solver.dt:") for v in err["error"]["violations"])
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}"])
+def test_cli_unreadable_config_exits_2_naming_the_path(tmp_path, capsys, content):
+    # a missing file, then one that is not UTF-8
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_bytes(content)
+    rc = cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "SchemaViolationError"
+    [violation] = err["error"]["violations"]
+    assert violation.startswith(f"config: cannot read {path}:")
+    assert not os.path.exists(tmp_path / "x")
+
+
+def test_cli_continuation_rejects_zero_threads(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"problem": "const1d"})
+    rc = cli.main(["continuation", "--config", cfg, "--out", str(tmp_path / "x"),
+                   "--threads", "0"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == {"type": "InvalidParamsError",
+                            "message": "threads must be at least 1, got 0"}
+
+
 def test_cli_unknown_preset(tmp_path, capsys):
     rc = cli.main(["solve", "--preset", "nonsense", "--out", str(tmp_path / "x")])
     assert rc == 2

@@ -47,6 +47,13 @@ def test_family_schedule_validation():
         run_family(pre.problem, (0.2, 0.1), intrinsic)
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_family_rejects_fewer_than_one_thread(threads):
+    pre = const1d()
+    with pytest.raises(InvalidParamsError, match="threads must be at least 1"):
+        run_family(pre.problem, (0.2, 0.1), pre.solver, threads=threads)
+
+
 def test_a_threaded_family_builds_each_lattice_cache_once():
     # the members miss every per-grid cache together on a grid no other test
     # uses; more threads than cores and a short switch interval widen the race

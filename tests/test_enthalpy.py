@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +8,6 @@ from nlstefan import InvalidParamsError
 from nlstefan.enthalpy import (MollifierSpec, RegularizedEnthalpy, beta_graph,
                                normalization_constant)
 from nlstefan.enthalpy import _tables
-
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 # reciprocal of the high-resolution quadrature of exp(-1/(1-t^2)) on (-1,1)
 Z_REFERENCE = 2.2522836210435810
@@ -192,15 +186,6 @@ def test_tables_match_scipy_hermite_spline_bit_for_bit(n_panels):
         got, want = table(pts), ref(pts)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-def test_package_import_leaves_scipy_interpolate_out():
-    probe = ("import sys, nlstefan, nlstefan.cli; "
-             "print('scipy.interpolate' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("field", ["n_panels", "gauss_order"])

@@ -1,5 +1,6 @@
-"""Pinned dense Cholesky solve: accuracy, breakdown, untouched inputs,
-the OpenBLAS thread pin, and thread-count invariance."""
+"""Pinned dense Cholesky solve: scipy's LAPACK without scipy's modules,
+accuracy, breakdown, untouched inputs, the OpenBLAS thread pin, and
+thread-count invariance."""
 
 import os
 import subprocess
@@ -9,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from nlstefan._linalg import _blas_threads, solve_spd
+from nlstefan._linalg import _LAPACK, _PIN_LOCK, solve_spd
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -43,6 +44,54 @@ def test_solve_spd_matches_dense_solve(n):
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_the_loaded_library_is_scipys_lapack_extension():
+    from scipy.linalg import _flapack
+
+    assert os.path.samefile(_LAPACK.path, _flapack.__file__)
+
+
+@pytest.mark.parametrize("n", [1, 2, 65, 257, 441])
+def test_solve_spd_matches_scipys_lapack_bit_for_bit(n):
+    # scipy's own wrappers are the oracle, run on the one thread solve_spd
+    # pins; solve_spd reads only the upper triangle, so NaN below it is inert
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    a, rhs = random_spd(n, seed=n)
+    with _PIN_LOCK:
+        saved = _LAPACK.get_threads()
+        _LAPACK.set_threads(1)
+        try:
+            low, info = dpotrf(a.T, lower=1, clean=0)
+            want = dpotrs(low, rhs, lower=1)[0]
+        finally:
+            _LAPACK.set_threads(saved)
+    assert info == 0
+    assert solve_spd(a, rhs).tobytes() == want.tobytes()
+    upper = np.triu(a) + np.tril(np.full_like(a, np.nan), -1)
+    assert solve_spd(upper, rhs).tobytes() == want.tobytes()
+
+
+def test_package_import_and_a_solve_leave_scipy_out():
+    probe = ("import sys, nlstefan, nlstefan.cli\n"
+             "from nlstefan import SolverConfig, load_preset, solve\n"
+             "pre = load_preset('melt1d', n_nodes=33, horizon=0.01)\n"
+             "traj = solve(pre.problem, SolverConfig(dt=0.005))\n"
+             "print(sum(d.newton_iterations for d in traj.diagnostics))\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    iterations, modules = proc.stdout.split("\n")[:2]
+    assert int(iterations) > 0 and modules == "[]"
+
+
+def test_solve_spd_rejects_mismatched_shapes():
+    a, rhs = random_spd(4, seed=0)
+    for bad_a, bad_rhs in ((a[:3], rhs), (a, rhs[:3]), (a, np.ones((4, 1))), (a[0], rhs[0])):
+        with pytest.raises(ValueError, match="do not match"):
+            solve_spd(bad_a, bad_rhs)
+
+
 def test_solve_spd_rejects_an_indefinite_matrix():
     a = np.diag([2.0, 1.0, -0.5, 3.0])
     a[0, 1] = a[1, 0] = 0.3
@@ -61,7 +110,7 @@ def test_solve_spd_leaves_its_inputs_unchanged(n, order):
 
 @pytest.fixture
 def scipy_blas_threads():
-    get, put = _blas_threads()
+    get, put = _LAPACK.get_threads, _LAPACK.set_threads
     saved = get()
     yield get, put
     put(saved)
