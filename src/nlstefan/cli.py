@@ -123,6 +123,8 @@ def cmd_analyze_modulus(args) -> int:
 def cmd_continuation(args) -> int:
     cfg = _load_config(args)
     preset, problem, solver_cfg = realize(cfg)
+    # a family that run_family would refuse leaves no --out directory behind
+    continuation_mod.check_family(cfg.continuation.eps_values, solver_cfg, args.threads)
     out = _require_out(args)
     family = continuation_mod.run_family(problem, cfg.continuation.eps_values,
                                          solver_cfg, threads=args.threads)

@@ -20,6 +20,11 @@ depend on the grid, s and p only, so they are cached and shared by every
 workspace on the grid, and the kernel scale multiplies the sums.  Cached
 arrays are read-only and built once, under one lock.
 
+One evaluation forms each pair's conductance k = w |v_i - v_j|^{p-2} once;
+the operator sums k d, the energy k d^2 and the Jacobian (p - 1) k.  The
+workspace keeps the last one, keyed by a copy of the field and the band's
+datum, so the Jacobian and the objective at the residual's field reuse it.
+
 Tail quantities follow the same explicit-plus-analytic split, with a
 cell-fraction correction where lattice cells straddle the inner ball, so
 the quadrature converges at first order or better in h.
@@ -31,7 +36,7 @@ import math
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache, wraps
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -218,6 +223,17 @@ def _closure(grid: Grid, s: float, p: float) -> np.ndarray:
     return _read_only(closure)
 
 
+class PairSums(NamedTuple):
+    """flux_i = sum_j k_ij d_ij, rows_i = sum_j k_ij and energy = sum k d^2 / p
+    over the pairs at the field and datum in key, and the box pairs' k."""
+
+    key: list
+    conductance: Optional[np.ndarray]
+    flux: np.ndarray
+    rows: np.ndarray
+    energy: float
+
+
 class OperatorWorkspace:
     """Geometry weights for one (grid, s, p) and kernel scale, reused by
     the stepper across Newton iterations and time steps.
@@ -240,6 +256,8 @@ class OperatorWorkspace:
         self.w_box = _box_displacement_weights(grid, s, p)
         self.closure = _closure(grid, s, p)
         self._band = None
+        self._sums = None
+        self._conductance = None
 
     def exterior(self, ext_values: np.ndarray, far_value: float):
         """(w_band, g_band, w_fold): weights and datum of the band, where the
@@ -247,35 +265,71 @@ class OperatorWorkspace:
         band = np.flatnonzero(ext_values != far_value)
         key = band.tobytes()
         if self._band is None or self._band[0] != key:
-            self._band = None  # free the old band before building the new one
+            # free the old band before building the new one; the kept sums go
+            # with it, as their key holds the band's values but not its nodes
+            self._band = self._sums = None
             w_band = _exterior_geometry(self.grid, self.s, self.p, band)[0]
             self._band = (key, w_band, self.closure - np.sum(w_band, axis=1))
         return self._band[1], ext_values[band], self._band[2]
 
+    def _pairs(self, v: np.ndarray, ext, far_value, box_out=None):
+        """(k, d, share) of the box pairs, met from both ends, the band and
+        the fold: d = v_i - v_j and the conductance k = w |d|^{p-2}."""
+        sets = [(self.w_box, v, 0.5, box_out)]
+        if ext is not None:
+            w_band, g_band, w_fold = ext
+            sets += [(w_band, g_band, 1.0, None),
+                     (w_fold[:, None], np.array([far_value]), 1.0, None)]
+        for w, ends, share, out in sets:
+            d = np.subtract.outer(v, ends)
+            k = np.abs(d, out=out)
+            k **= self.p - 2.0
+            k *= w
+            yield k, d, share
+
+    def evaluate(self, values: np.ndarray, ext_values: Optional[np.ndarray],
+                 far_value: Optional[float], keep: bool = True) -> PairSums:
+        """Pair sums at values, kept and returned again while the field and
+        the datum hold the same values.  The kept conductance is read-only
+        and lives in one buffer per workspace, overwritten by the next kept
+        evaluation; keep=False leaves the kept sums and the buffer alone."""
+        v = np.array(values, dtype=float)  # a copy: the key of the kept sums
+        ext = None if ext_values is None else self.exterior(ext_values, far_value)
+        key = [v] if ext is None else [v, ext[1], np.array([far_value])]
+        last = self._sums
+        if last is not None and len(last.key) == len(key) and all(
+                map(np.array_equal, last.key, key)):
+            return last
+        if keep:
+            self._sums = None
+            if self._conductance is None:  # no box x box array per evaluation
+                self._conductance = np.empty_like(self.w_box)
+            self._conductance.flags.writeable = True
+        buffer = self._conductance if keep else None
+        flux = rows = energy = 0.0
+        for k, d, share in self._pairs(v, ext, far_value, buffer):
+            rows = rows + np.sum(k, axis=1)
+            kd = np.multiply(k, d, out=None if keep else k)  # the flux phi_p(d) w
+            flux = flux + np.sum(kd, axis=1)
+            kd *= d
+            energy += share * np.sum(kd)
+        sums = PairSums(key, buffer, flux, rows, float(energy) / self.p)
+        if keep:
+            for kept in (buffer, flux, rows):  # later hits hand out the same arrays
+                _read_only(kept)
+            self._sums = sums
+        return sums
+
     def apply(self, values: np.ndarray, ext_values: Optional[np.ndarray],
               far_value: Optional[float]) -> np.ndarray:
         """Operator values at every box node."""
-        v = np.asarray(values, dtype=float)
-        out = np.sum(self.w_box * phi_p(v[:, None] - v[None, :], self.p), axis=1)
-        if ext_values is not None:
-            w_band, g_band, w_fold = self.exterior(ext_values, far_value)
-            out += np.sum(w_band * phi_p(v[:, None] - g_band[None, :], self.p), axis=1)
-            out += w_fold * phi_p(v - far_value, self.p)
-        out *= self.scale
-        return out
+        return self.scale * self.evaluate(values, ext_values, far_value).flux
 
     def pair_energy(self, values: np.ndarray, ext_values: Optional[np.ndarray],
                     far_value: Optional[float]) -> float:
         """Convex energy whose node gradient is h^n times the operator."""
         hn = self.grid.spacing ** self.grid.dimension
-        p = self.p
-        v = np.asarray(values, dtype=float)
-        e = np.sum(self.w_box * np.abs(v[:, None] - v[None, :]) ** p) / (2.0 * p)
-        if ext_values is not None:
-            w_band, g_band, w_fold = self.exterior(ext_values, far_value)
-            e += np.sum(w_band * np.abs(v[:, None] - g_band[None, :]) ** p) / p
-            e += np.sum(w_fold * np.abs(v - far_value) ** p) / p
-        return self.scale * hn * float(e)
+        return self.scale * hn * self.evaluate(values, ext_values, far_value, keep=False).energy
 
     def test_pairing(self, values: np.ndarray, ext_values: Optional[np.ndarray],
                      far_value: Optional[float], test_values: np.ndarray) -> float:
@@ -284,13 +338,10 @@ class OperatorWorkspace:
         hn = self.grid.spacing ** self.grid.dimension
         v = np.asarray(values, dtype=float)
         q = np.asarray(test_values, dtype=float)
-        form = 0.5 * np.sum(self.w_box * phi_p(v[:, None] - v[None, :], self.p)
-                            * (q[:, None] - q[None, :]))
-        if ext_values is not None:
-            w_band, g_band, w_fold = self.exterior(ext_values, far_value)
-            form += np.sum(w_band * phi_p(v[:, None] - g_band[None, :], self.p)
-                           * q[:, None])
-            form += np.sum(w_fold * phi_p(v - far_value, self.p) * q)
+        ext = None if ext_values is None else self.exterior(ext_values, far_value)
+        form = 0.0
+        for (k, d, share), q_ends in zip(self._pairs(v, ext, far_value), (q, [0.0], [0.0])):
+            form += share * np.sum(k * d * np.subtract.outer(q, q_ends))
         return self.scale * hn * float(form)
 
 

@@ -193,6 +193,7 @@ class _Stepper:
         self.config = config
         self.ws = OperatorWorkspace(problem.grid, problem.s, problem.p, problem.kernel_scale)
         self.mask = problem.unknown_mask
+        self.unknown = np.flatnonzero(self.mask)
         self.hn = problem.grid.spacing ** problem.grid.dimension
 
     def datum(self, t: float):
@@ -211,19 +212,13 @@ class _Stepper:
         return (enth.b(full[self.mask]) - b_prev) + dt * lv[self.mask]
 
     def jacobian(self, full: np.ndarray, dt: float, ext_vals: np.ndarray) -> np.ndarray:
-        p = self.problem.p
-        w_band, g_band, w_fold = self.ws.exterior(ext_vals, self.problem.far_value)
-        dphi_box = (p - 1.0) * np.abs(full[:, None] - full[None, :]) ** (p - 2.0) * self.ws.w_box
-        row = np.sum(dphi_box, axis=1)
-        row += np.sum((p - 1.0) * np.abs(full[:, None] - g_band[None, :]) ** (p - 2.0)
-                      * w_band, axis=1)
-        row += (p - 1.0) * np.abs(full - self.problem.far_value) ** (p - 2.0) * w_fold
-        m = self.mask
-        dt_k = dt * self.ws.scale
-        # dphi_box has a zero diagonal, so this leaves the diagonal empty
-        jac = -dt_k * dphi_box[np.ix_(m, m)]
+        sums = self.ws.evaluate(full, ext_vals, self.problem.far_value)
+        dt_k = dt * self.ws.scale * (self.problem.p - 1.0)
+        # the conductance has a zero diagonal, so this leaves the diagonal empty
+        jac = sums.conductance.take(self.unknown, axis=0).take(self.unknown, axis=1)
+        jac *= -dt_k
         jac[np.diag_indices_from(jac)] = (
-            self.problem.enthalpy.b_prime(full[m]) + dt_k * row[m])
+            self.problem.enthalpy.b_prime(full[self.mask]) + dt_k * sums.rows[self.mask])
         return jac
 
     def objective(self, full: np.ndarray, b_prev: np.ndarray, dt: float,
@@ -261,9 +256,9 @@ class _Stepper:
                 return full, diag
             if iteration == cfg.newton_max:
                 break
-            jac = self.jacobian(full, dt, ext_vals)
             try:
-                delta = solve_spd(jac, -r)
+                # unnamed, so it is freed before the trial point is evaluated
+                delta = solve_spd(self.jacobian(full, dt, ext_vals), -r)
             except np.linalg.LinAlgError as exc:
                 raise NewtonDivergenceError(
                     f"Newton linear solve failed at t={t_next:.6g}: {exc}",
@@ -508,22 +503,16 @@ def energy_history(traj: Trajectory) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RadialCutoff:
-    """Radial profile for localization; the default is (1 - r^2)_+^2."""
+    """Radial cutoff (1 - (dist/radius)^2)_+^2 for localization."""
 
     radius: float
-    profile: Callable = None
-    gradient: Callable = None
 
     def values(self, dist: np.ndarray):
         r = dist / self.radius
-        if self.profile is not None:
-            return np.asarray(self.profile(r), dtype=float)
         return np.clip(1.0 - r * r, 0.0, None) ** 2
 
     def gradient_magnitude(self, dist: np.ndarray):
         r = dist / self.radius
-        if self.gradient is not None:
-            return np.abs(np.asarray(self.gradient(r), dtype=float)) / self.radius
         return 4.0 * r * np.clip(1.0 - r * r, 0.0, None) / self.radius
 
 

@@ -359,6 +359,19 @@ def test_cli_continuation_rejects_zero_threads(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == {"type": "InvalidParamsError",
                             "message": "threads must be at least 1, got 0"}
+    # refused before the output directory is made
+    assert not os.path.exists(tmp_path / "x")
+
+
+def test_cli_continuation_rejects_the_intrinsic_policy_before_making_out(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"problem": "const1d",
+                               "solver": {"dt_policy": "intrinsic", "dt_factor": 1.0}})
+    rc = cli.main(["continuation", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "InvalidParamsError"
+    assert "fixed step policy" in err["error"]["message"]
+    assert not os.path.exists(tmp_path / "x")
 
 
 def test_cli_unknown_preset(tmp_path, capsys):

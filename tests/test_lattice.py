@@ -261,8 +261,9 @@ def test_test_pairing_matches_gradient_inner_product():
 
 
 def dense_exterior_reference(grid, scale, s, p, v, q, ext, far):
-    """Operator, energy, pairing and Jacobian row sums with every exterior
-    column summed explicitly, built from the weight formula alone."""
+    """Operator, energy, pairing, Jacobian row sums and the box pairs'
+    derivative (p - 1) w_ij |v_i - v_j|^{p-2}, with every exterior column
+    summed explicitly, built from the weight formula alone."""
     n, sp, h = grid.dimension, s * p, grid.spacing
     x, y = grid.coordinates(), grid.exterior_coordinates()
 
@@ -287,7 +288,8 @@ def dense_exterior_reference(grid, scale, s, p, v, q, ext, far):
     rows = (p - 1.0) * (np.sum(w_box * np.abs(db) ** (p - 2.0), axis=1)
                         + np.sum(w_ext * np.abs(de) ** (p - 2.0), axis=1)
                         + w_far * np.abs(df) ** (p - 2.0))
-    return apply_, energy, pairing, rows
+    box_pairs = (p - 1.0) * w_box * np.abs(db) ** (p - 2.0)
+    return apply_, energy, pairing, rows, box_pairs
 
 
 FAR = 0.6
@@ -329,14 +331,15 @@ def test_exterior_fold_matches_the_dense_sum(dim, datum, kernel_name):
         q = rng.uniform(-1.0, 1.0, grid.n_nodes)
         ext = g(grid.exterior_coordinates(), t)
         band_sizes.add(int(np.sum(ext != FAR)))
-        apply_, energy, pairing, rows = dense_exterior_reference(
+        apply_, energy, pairing, rows, box_pairs = dense_exterior_reference(
             grid, scale, s, p, v, q, ext, FAR)
         np.testing.assert_allclose(ws.apply(v, ext, FAR), apply_, rtol=1e-13)
         assert ws.pair_energy(v, ext, FAR) == pytest.approx(energy, rel=1e-13)
         assert ws.test_pairing(v, ext, FAR, q) == pytest.approx(pairing, rel=1e-13)
-        diag = np.diag(stepper.jacobian(v, dt, ext))
-        np.testing.assert_allclose(
-            diag, problem.enthalpy.b_prime(v[mask]) + dt * rows[mask], rtol=1e-13)
+        expected = -dt * box_pairs[np.ix_(mask, mask)]
+        expected[np.diag_indices_from(expected)] = (
+            problem.enthalpy.b_prime(v[mask]) + dt * rows[mask])
+        np.testing.assert_allclose(stepper.jacobian(v, dt, ext), expected, rtol=1e-13)
     n_ext = grid.exterior_coordinates().shape[0]
     if datum == "empty-band":
         assert band_sizes == {0}
@@ -344,6 +347,37 @@ def test_exterior_fold_matches_the_dense_sum(dim, datum, kernel_name):
         assert 0 < min(band_sizes) < max(band_sizes) < n_ext
     else:
         assert band_sizes == {n_ext}
+
+
+@pytest.mark.parametrize("change", ["field", "datum"])
+@pytest.mark.parametrize("call", ["apply", "pair_energy", "jacobian"])
+def test_kept_sums_follow_values_changed_in_place(call, change):
+    # the workspace keeps the sums of the last field it evaluated; a field or
+    # a datum changed in place afterwards gets its new values' sums
+    grid, s, p, dt = GRIDS[1], 0.45, 3.2, 0.01
+    x, y = grid.coordinates(), grid.exterior_coordinates()
+    mask = np.all(np.abs(x) < 1.0 - 1e-9, axis=1)
+    problem = LatticeProblem(s=s, p=p, grid=grid, unknown_mask=mask, dirichlet=DATA["full-band"],
+                             far_value=FAR, initial=DATA["full-band"](x, 0.0), horizon=1.0,
+                             eps=0.1, kernel_scale=1.3)
+    rng = np.random.default_rng(3)
+    v, ext = rng.uniform(-1.0, 1.0, grid.n_nodes), DATA["full-band"](y, 0.0)
+
+    def evaluate(stepper):
+        return {"apply": lambda: stepper.ws.apply(v, ext, FAR),
+                "pair_energy": lambda: stepper.ws.pair_energy(v, ext, FAR),
+                "jacobian": lambda: stepper.jacobian(v, dt, ext)}[call]()
+
+    stepper = _Stepper(problem, SolverConfig(dt=dt))
+    stepper.ws.apply(v, ext, FAR)
+    before = evaluate(stepper)
+    if change == "field":
+        v[4] += 0.25
+    else:
+        ext[2] += 0.5  # the band keeps its nodes, only a value moves
+    after = evaluate(stepper)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, evaluate(_Stepper(problem, SolverConfig(dt=dt))))
 
 
 def reachable_arrays(value):

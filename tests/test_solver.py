@@ -24,6 +24,8 @@ from nlstefan import (
     intrinsic_theta,
     max_principle_check,
     normalize,
+    parse_run_config,
+    realize,
     run_family,
     solve,
     space_time_bump,
@@ -238,6 +240,31 @@ def test_linear_solve_failure_is_a_newton_divergence(monkeypatch, tmp_path, caps
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "NewtonDivergenceError"
+
+
+MELT2D_21 = {
+    "problem": {
+        "s": 0.5, "p": 3.0, "eps": 0.05, "horizon": 0.02,
+        "box": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "nodes": [21, 21], "r_infinity": 3.0},
+        "unknown": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+        "datum": {"type": "constant", "value": 1.0},
+        "initial": {"type": "constant", "value": -1.0},
+    },
+    "solver": {"dt": 0.01},
+}
+
+
+def test_benchmark_size_solves_keep_their_newton_work():
+    # Newton iterations and backtracks of the 257-node melt (16 steps of the
+    # canonical dt) and the 21 x 21 melt: a change that moves Newton's path
+    # moves these counts and has to say so
+    pre = melt1d(n_nodes=257, horizon=0.02, n_steps=16)
+    _, problem, config = realize(parse_run_config(MELT2D_21))
+    for (problem, config), expected in [((pre.problem, pre.solver), (92, 4)),
+                                        ((problem, config), (16, 4))]:
+        diags = solve(problem, config).diagnostics
+        work = (sum(d.newton_iterations for d in diags), sum(d.backtracks for d in diags))
+        assert work == expected
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.02])
@@ -538,9 +565,13 @@ def test_caccioppoli_empty_cylinder(small_melt_traj):
 
 def test_caccioppoli_degenerate_cutoff(small_melt_traj):
     pre, traj = small_melt_traj
-    cyl = Cylinder(x0=(0.0,), t0=pre.problem.horizon, rho=0.3,
+    grid = pre.problem.grid
+    # x0 midway between two nodes and a cutoff radius inside that gap: the
+    # ball holds nodes, but the cutoff vanishes at every one of them
+    x0 = grid.origin[0] + 32.5 * grid.spacing
+    cyl = Cylinder(x0=(x0,), t0=pre.problem.horizon, rho=0.3,
                    theta=intrinsic_theta(1.0, pre.problem.p))
-    dead = RadialCutoff(radius=0.24, profile=lambda r: np.zeros_like(r))
+    dead = RadialCutoff(radius=0.4 * grid.spacing)
     with pytest.raises(DegenerateCutoffError):
         caccioppoli_audit(traj, 0.1, "+", cyl, cutoff=dead)
 
