@@ -21,9 +21,9 @@ workspace on the grid, and the kernel scale multiplies the sums.  Cached
 arrays are read-only and built once, under one lock.
 
 One evaluation forms each pair's conductance k = w |v_i - v_j|^{p-2} once;
-the operator sums k d, the energy k d^2 and the Jacobian (p - 1) k.  The
-workspace keeps the last one, keyed by a copy of the field and the band's
-datum, so the Jacobian and the objective at the residual's field reuse it.
+the operator sums k d, the energy k d^2 and the Jacobian (p - 1) k.  It is
+a plain function of the field and the datum: the caller passes its result
+on to whatever else needs the same point.
 
 Tail quantities follow the same explicit-plus-analytic split, with a
 cell-fraction correction where lattice cells straddle the inner ball, so
@@ -87,6 +87,8 @@ class Grid:
             raise InvalidParamsError("only dimensions 1 and 2 are supported")
         if len(self.origin) != len(self.shape):
             raise InvalidParamsError("origin and shape dimensions disagree")
+        if not all(map(math.isfinite, (self.spacing, self.r_infinity, *self.origin))):
+            raise InvalidParamsError("spacing, origin and r_infinity must be finite")
         if not self.spacing > 0.0:
             raise InvalidParamsError("spacing must be positive")
         if any(n < 2 for n in self.shape):
@@ -225,10 +227,9 @@ def _closure(grid: Grid, s: float, p: float) -> np.ndarray:
 
 class PairSums(NamedTuple):
     """flux_i = sum_j k_ij d_ij, rows_i = sum_j k_ij and energy = sum k d^2 / p
-    over the pairs at the field and datum in key, and the box pairs' k."""
+    over the pairs at one field and datum, and the box pairs' k."""
 
-    key: list
-    conductance: Optional[np.ndarray]
+    conductance: np.ndarray
     flux: np.ndarray
     rows: np.ndarray
     energy: float
@@ -256,7 +257,6 @@ class OperatorWorkspace:
         self.w_box = _box_displacement_weights(grid, s, p)
         self.closure = _closure(grid, s, p)
         self._band = None
-        self._sums = None
         self._conductance = None
 
     def exterior(self, ext_values: np.ndarray, far_value: float):
@@ -265,60 +265,38 @@ class OperatorWorkspace:
         band = np.flatnonzero(ext_values != far_value)
         key = band.tobytes()
         if self._band is None or self._band[0] != key:
-            # free the old band before building the new one; the kept sums go
-            # with it, as their key holds the band's values but not its nodes
-            self._band = self._sums = None
+            self._band = None  # free the old band before building the new one
             w_band = _exterior_geometry(self.grid, self.s, self.p, band)[0]
             self._band = (key, w_band, self.closure - np.sum(w_band, axis=1))
         return self._band[1], ext_values[band], self._band[2]
 
-    def _pairs(self, v: np.ndarray, ext, far_value, box_out=None):
-        """(k, d, share) of the box pairs, met from both ends, the band and
-        the fold: d = v_i - v_j and the conductance k = w |d|^{p-2}."""
-        sets = [(self.w_box, v, 0.5, box_out)]
-        if ext is not None:
-            w_band, g_band, w_fold = ext
+    def evaluate(self, values: np.ndarray, ext_values: Optional[np.ndarray],
+                 far_value: Optional[float]) -> PairSums:
+        """Pair sums at values over the box pairs, met from both ends, the
+        band and the fold, with d = v_i - v_j and the conductance
+        k = w |d|^{p-2}.  The box pairs' k is written into the workspace's
+        one N_box x N_box buffer, so it stays valid until this workspace's
+        next evaluation."""
+        v = np.asarray(values, dtype=float)
+        if self._conductance is None:  # no box x box array per evaluation
+            self._conductance = np.empty_like(self.w_box)
+        sets = [(self.w_box, v, 0.5, self._conductance)]
+        if ext_values is not None:
+            w_band, g_band, w_fold = self.exterior(ext_values, far_value)
             sets += [(w_band, g_band, 1.0, None),
                      (w_fold[:, None], np.array([far_value]), 1.0, None)]
+        flux = rows = energy = 0.0
         for w, ends, share, out in sets:
             d = np.subtract.outer(v, ends)
             k = np.abs(d, out=out)
             k **= self.p - 2.0
             k *= w
-            yield k, d, share
-
-    def evaluate(self, values: np.ndarray, ext_values: Optional[np.ndarray],
-                 far_value: Optional[float], keep: bool = True) -> PairSums:
-        """Pair sums at values, kept and returned again while the field and
-        the datum hold the same values.  The kept conductance is read-only
-        and lives in one buffer per workspace, overwritten by the next kept
-        evaluation; keep=False leaves the kept sums and the buffer alone."""
-        v = np.array(values, dtype=float)  # a copy: the key of the kept sums
-        ext = None if ext_values is None else self.exterior(ext_values, far_value)
-        key = [v] if ext is None else [v, ext[1], np.array([far_value])]
-        last = self._sums
-        if last is not None and len(last.key) == len(key) and all(
-                map(np.array_equal, last.key, key)):
-            return last
-        if keep:
-            self._sums = None
-            if self._conductance is None:  # no box x box array per evaluation
-                self._conductance = np.empty_like(self.w_box)
-            self._conductance.flags.writeable = True
-        buffer = self._conductance if keep else None
-        flux = rows = energy = 0.0
-        for k, d, share in self._pairs(v, ext, far_value, buffer):
             rows = rows + np.sum(k, axis=1)
-            kd = np.multiply(k, d, out=None if keep else k)  # the flux phi_p(d) w
+            kd = k * d  # the flux phi_p(d) w
             flux = flux + np.sum(kd, axis=1)
             kd *= d
             energy += share * np.sum(kd)
-        sums = PairSums(key, buffer, flux, rows, float(energy) / self.p)
-        if keep:
-            for kept in (buffer, flux, rows):  # later hits hand out the same arrays
-                _read_only(kept)
-            self._sums = sums
-        return sums
+        return PairSums(self._conductance, flux, rows, float(energy) / self.p)
 
     def apply(self, values: np.ndarray, ext_values: Optional[np.ndarray],
               far_value: Optional[float]) -> np.ndarray:
@@ -329,20 +307,16 @@ class OperatorWorkspace:
                     far_value: Optional[float]) -> float:
         """Convex energy whose node gradient is h^n times the operator."""
         hn = self.grid.spacing ** self.grid.dimension
-        return self.scale * hn * self.evaluate(values, ext_values, far_value, keep=False).energy
+        return self.scale * hn * self.evaluate(values, ext_values, far_value).energy
 
     def test_pairing(self, values: np.ndarray, ext_values: Optional[np.ndarray],
                      far_value: Optional[float], test_values: np.ndarray) -> float:
         """Symmetric form  (1/2) sum w_ij phi_p(v_i - v_j)(q_i - q_j) h^n
-        plus exterior coupling, with the test function zero off the box."""
+        plus exterior coupling, with the test function zero off the box;
+        by antisymmetry it is h^n sum_i q_i (L v)_i, summed as such."""
         hn = self.grid.spacing ** self.grid.dimension
-        v = np.asarray(values, dtype=float)
         q = np.asarray(test_values, dtype=float)
-        ext = None if ext_values is None else self.exterior(ext_values, far_value)
-        form = 0.0
-        for (k, d, share), q_ends in zip(self._pairs(v, ext, far_value), (q, [0.0], [0.0])):
-            form += share * np.sum(k * d * np.subtract.outer(q, q_ends))
-        return self.scale * hn * float(form)
+        return hn * float(np.sum(q * self.apply(values, ext_values, far_value)))
 
 
 def _ball_weights(grid: Grid, s: float, p: float, x0: np.ndarray, rho: float,

@@ -30,7 +30,7 @@ from ._linalg import solve_spd
 from .enthalpy import RegularizedEnthalpy
 from .errors import (DegenerateCutoffError, EmptyCylinderError,
                      InvalidParamsError, NewtonDivergenceError)
-from .lattice import Grid, OperatorWorkspace, check_exponents
+from .lattice import Grid, OperatorWorkspace, PairSums, check_exponents
 
 
 @dataclass
@@ -89,8 +89,8 @@ class LatticeProblem:
             raise InvalidParamsError("unknown set is empty")
         if self.unknown_mask.all():
             raise InvalidParamsError("pinned complement inside the box is empty")
-        if not self.horizon > 0.0:
-            raise InvalidParamsError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise InvalidParamsError("horizon must be positive and finite")
         if not self.eps > 0.0:
             raise InvalidParamsError("eps must be positive")
         if not self.kernel_scale > 0.0:
@@ -150,8 +150,12 @@ class SolverConfig:
             raise InvalidParamsError("intrinsic policy needs a positive dt_factor")
         if not 0.0 < self.damping < 1.0:
             raise InvalidParamsError("damping must lie in (0, 1)")
+        if not 0.0 < self.newton_tol < math.inf:
+            raise InvalidParamsError("newton_tol must be positive and finite")
         if self.newton_max < 1 or self.store_every < 1:
             raise InvalidParamsError("newton_max and store_every must be >= 1")
+        if self.max_backtracks < 0:
+            raise InvalidParamsError("max_backtracks must be >= 0")
 
 
 @dataclass
@@ -206,13 +210,17 @@ class _Stepper:
         return full
 
     def residual(self, full: np.ndarray, b_prev: np.ndarray, dt: float,
-                 ext_vals: np.ndarray) -> np.ndarray:
+                 ext_vals: np.ndarray):
+        """(r, sums): the residual at full and the pair sums it comes from,
+        which jacobian and objective at full read."""
         enth = self.problem.enthalpy
-        lv = self.ws.apply(full, ext_vals, self.problem.far_value)
-        return (enth.b(full[self.mask]) - b_prev) + dt * lv[self.mask]
-
-    def jacobian(self, full: np.ndarray, dt: float, ext_vals: np.ndarray) -> np.ndarray:
         sums = self.ws.evaluate(full, ext_vals, self.problem.far_value)
+        lv = self.ws.scale * sums.flux
+        return (enth.b(full[self.mask]) - b_prev) + dt * lv[self.mask], sums
+
+    def jacobian(self, full: np.ndarray, dt: float, sums: PairSums) -> np.ndarray:
+        """Newton matrix at full; sums must be the workspace's latest
+        evaluation, as its conductance lives in the workspace's buffer."""
         dt_k = dt * self.ws.scale * (self.problem.p - 1.0)
         # the conductance has a zero diagonal, so this leaves the diagonal empty
         jac = sums.conductance.take(self.unknown, axis=0).take(self.unknown, axis=1)
@@ -222,11 +230,12 @@ class _Stepper:
         return jac
 
     def objective(self, full: np.ndarray, b_prev: np.ndarray, dt: float,
-                  ext_vals: np.ndarray) -> float:
+                  sums: PairSums) -> float:
+        """The step's functional F at full, its energy read from full's sums."""
         enth = self.problem.enthalpy
         vm = full[self.mask]
         bulk = np.sum(enth.potential(vm) - b_prev * vm) * self.hn
-        return float(bulk) + dt * self.ws.pair_energy(full, ext_vals, self.problem.far_value)
+        return float(bulk) + dt * (self.ws.scale * self.hn * sums.energy)
 
     def step(self, u_prev: np.ndarray, t_next: float, dt: float):
         cfg = self.config
@@ -238,7 +247,7 @@ class _Stepper:
         history = []
         f_start = None
         backtracks = 0
-        r = self.residual(full, b_prev, dt, ext_vals)
+        r, sums = self.residual(full, b_prev, dt, ext_vals)
         for iteration in range(cfg.newton_max + 1):
             r_norm = float(np.max(np.abs(r)))
             history.append(r_norm)
@@ -249,7 +258,7 @@ class _Stepper:
             if r_norm <= cfg.newton_tol:
                 drop = 0.0
                 if f_start is not None:
-                    drop = f_start - self.objective(full, b_prev, dt, ext_vals)
+                    drop = f_start - self.objective(full, b_prev, dt, sums)
                 diag = StepDiagnostics(
                     t=t_next, dt=dt, newton_iterations=iteration,
                     residual_norm=r_norm, objective_drop=drop, backtracks=backtracks)
@@ -258,37 +267,34 @@ class _Stepper:
                 break
             try:
                 # unnamed, so it is freed before the trial point is evaluated
-                delta = solve_spd(self.jacobian(full, dt, ext_vals), -r)
+                delta = solve_spd(self.jacobian(full, dt, sums), -r)
             except np.linalg.LinAlgError as exc:
                 raise NewtonDivergenceError(
                     f"Newton linear solve failed at t={t_next:.6g}: {exc}",
                     last_iterate=full, residuals=history) from exc
             if f_start is None:
-                f_start = self.objective(full, b_prev, dt, ext_vals)
+                f_start = self.objective(full, b_prev, dt, sums)
             # local phase: the full step stands on its own whenever it
             # shrinks the residual; the objective is flat to rounding near
             # the minimizer and cannot arbitrate there
             trial = self.compose(v + delta, pinned_vals)
-            r_trial = self.residual(trial, b_prev, dt, ext_vals)
-            if float(np.max(np.abs(r_trial))) <= 0.9 * r_norm:
-                v = v + delta
-                full = trial
-                r = r_trial
-                continue
-            f0 = f_start if iteration == 0 else self.objective(full, b_prev, dt, ext_vals)
-            slope = self.hn * float(np.sum(r * delta))
+            r_trial, sums_trial = self.residual(trial, b_prev, dt, ext_vals)
             alpha = 1.0
-            f_trial = self.objective(trial, b_prev, dt, ext_vals)
-            nb = 0
-            while f_trial > f0 + 1e-4 * alpha * slope and nb < cfg.max_backtracks:
-                alpha *= cfg.damping
-                nb += 1
-                trial = self.compose(v + alpha * delta, pinned_vals)
-                f_trial = self.objective(trial, b_prev, dt, ext_vals)
-            backtracks += nb
+            if float(np.max(np.abs(r_trial))) > 0.9 * r_norm:
+                f0 = f_start if iteration == 0 else self.objective(full, b_prev, dt, sums)
+                slope = self.hn * float(np.sum(r * delta))
+                f_trial = self.objective(trial, b_prev, dt, sums_trial)
+                nb = 0
+                while f_trial > f0 + 1e-4 * alpha * slope and nb < cfg.max_backtracks:
+                    alpha *= cfg.damping
+                    nb += 1
+                    trial = self.compose(v + alpha * delta, pinned_vals)
+                    r_trial, sums_trial = self.residual(trial, b_prev, dt, ext_vals)
+                    f_trial = self.objective(trial, b_prev, dt, sums_trial)
+                backtracks += nb
+            # the accepted point was evaluated last, so its sums are current
             v = v + alpha * delta
-            full = self.compose(v, pinned_vals)
-            r = r_trial if nb == 0 else self.residual(full, b_prev, dt, ext_vals)
+            full, r, sums = trial, r_trial, sums_trial
         raise NewtonDivergenceError(
             f"Newton stalled at t={t_next:.6g} with residual {history[-1]:.3e}",
             last_iterate=full, residuals=history)

@@ -85,6 +85,18 @@ def test_grid_validation():
         Grid(spacing=1.0, shape=(5,), origin=(0.0,), r_infinity=2.0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("spacing", np.inf), ("origin", (np.nan,)), ("origin", (-np.inf,)),
+    ("r_infinity", np.nan), ("r_infinity", np.inf)])
+def test_grid_rejects_non_finite_geometry(field, value):
+    # an infinite or NaN r_infinity used to pass and then fail in math.ceil
+    # when a problem was built; a NaN origin surfaced as a NaN Newton residual
+    params = dict(spacing=0.25, shape=(9,), origin=(0.0,), r_infinity=100.0)
+    params[field] = value
+    with pytest.raises(InvalidParamsError, match="must be finite"):
+        Grid(**params)
+
+
 def test_grid_geometry():
     g = Grid(spacing=0.5, shape=(3, 5), origin=(-1.0, 0.0), r_infinity=10.0)
     assert g.dimension == 2
@@ -339,7 +351,8 @@ def test_exterior_fold_matches_the_dense_sum(dim, datum, kernel_name):
         expected = -dt * box_pairs[np.ix_(mask, mask)]
         expected[np.diag_indices_from(expected)] = (
             problem.enthalpy.b_prime(v[mask]) + dt * rows[mask])
-        np.testing.assert_allclose(stepper.jacobian(v, dt, ext), expected, rtol=1e-13)
+        np.testing.assert_allclose(stepper.jacobian(v, dt, ws.evaluate(v, ext, FAR)), expected,
+                                   rtol=1e-13)
     n_ext = grid.exterior_coordinates().shape[0]
     if datum == "empty-band":
         assert band_sizes == {0}
@@ -352,8 +365,8 @@ def test_exterior_fold_matches_the_dense_sum(dim, datum, kernel_name):
 @pytest.mark.parametrize("change", ["field", "datum"])
 @pytest.mark.parametrize("call", ["apply", "pair_energy", "jacobian"])
 def test_kept_sums_follow_values_changed_in_place(call, change):
-    # the workspace keeps the sums of the last field it evaluated; a field or
-    # a datum changed in place afterwards gets its new values' sums
+    # a field or a datum changed in place after an evaluation gets its new
+    # values' sums
     grid, s, p, dt = GRIDS[1], 0.45, 3.2, 0.01
     x, y = grid.coordinates(), grid.exterior_coordinates()
     mask = np.all(np.abs(x) < 1.0 - 1e-9, axis=1)
@@ -366,7 +379,8 @@ def test_kept_sums_follow_values_changed_in_place(call, change):
     def evaluate(stepper):
         return {"apply": lambda: stepper.ws.apply(v, ext, FAR),
                 "pair_energy": lambda: stepper.ws.pair_energy(v, ext, FAR),
-                "jacobian": lambda: stepper.jacobian(v, dt, ext)}[call]()
+                "jacobian": lambda: stepper.jacobian(v, dt, stepper.ws.evaluate(v, ext, FAR)),
+                }[call]()
 
     stepper = _Stepper(problem, SolverConfig(dt=dt))
     stepper.ws.apply(v, ext, FAR)
@@ -576,14 +590,14 @@ def test_fold_keeps_residual_the_gradient_of_the_objective(nx, ny, seed, s, p):
               - stepper.ws.pair_energy(down, ext, far)) / (2.0 * step)
         assert fd == pytest.approx(hn * lv[i], rel=1e-5, abs=1e-8)
     b_prev = problem.enthalpy.b(rng.uniform(-1.0, 1.0, int(mask.sum())))
-    jac = stepper.jacobian(full, dt, ext)
+    jac = stepper.jacobian(full, dt, stepper.ws.evaluate(full, ext, far))
     fd_jac = np.empty_like(jac)
     for col, i in enumerate(np.nonzero(mask)[0]):
         up, down = full.copy(), full.copy()
         up[i] += step
         down[i] -= step
-        fd_jac[:, col] = (stepper.residual(up, b_prev, dt, ext)
-                          - stepper.residual(down, b_prev, dt, ext)) / (2.0 * step)
+        fd_jac[:, col] = (stepper.residual(up, b_prev, dt, ext)[0]
+                          - stepper.residual(down, b_prev, dt, ext)[0]) / (2.0 * step)
     np.testing.assert_allclose(fd_jac, jac, rtol=1e-5, atol=1e-7 * np.max(np.abs(jac)))
 
 

@@ -57,6 +57,25 @@ def test_solver_config_validation():
         SolverConfig(dt=0.1, newton_max=0)
 
 
+@pytest.mark.parametrize("controls", [
+    {"newton_tol": -1.0}, {"newton_tol": 0.0}, {"newton_tol": np.inf},
+    {"newton_tol": np.nan}, {"max_backtracks": -1}])
+def test_solver_config_rejects_unusable_newton_controls(controls):
+    # a negative newton_tol used to run newton_max iterations and then
+    # report a stall at a residual of 2e-16
+    with pytest.raises(InvalidParamsError, match=next(iter(controls))):
+        SolverConfig(dt=0.1, **controls)
+
+
+@pytest.mark.parametrize("policy", [{"dt": 0.01}, {"dt_policy": "intrinsic"}])
+def test_problem_rejects_an_infinite_horizon(policy):
+    # it used to raise OverflowError under the fixed policy and return only
+    # the t = 0 level under the intrinsic one
+    prob = tiny_melt().problem
+    with pytest.raises(InvalidParamsError, match="horizon"):
+        solve(replace(prob, horizon=np.inf), SolverConfig(**policy))
+
+
 def test_problem_validation():
     pre = tiny_melt()
     prob = pre.problem
@@ -254,17 +273,28 @@ MELT2D_21 = {
 }
 
 
-def test_benchmark_size_solves_keep_their_newton_work():
+def test_benchmark_size_solves_keep_their_newton_work(monkeypatch):
     # Newton iterations and backtracks of the 257-node melt (16 steps of the
     # canonical dt) and the 21 x 21 melt: a change that moves Newton's path
-    # moves these counts and has to say so
+    # moves these counts and has to say so.  Each Newton point is evaluated
+    # once: every step's start, every iteration's full step, every backtrack.
     pre = melt1d(n_nodes=257, horizon=0.02, n_steps=16)
     _, problem, config = realize(parse_run_config(MELT2D_21))
-    for (problem, config), expected in [((pre.problem, pre.solver), (92, 4)),
-                                        ((problem, config), (16, 4))]:
+    calls = []
+    evaluate = OperatorWorkspace.evaluate
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(OperatorWorkspace, "evaluate", counted)
+    for (problem, config), expected in [((pre.problem, pre.solver), (92, 4, 112)),
+                                        ((problem, config), (16, 4, 22))]:
+        calls.clear()
         diags = solve(problem, config).diagnostics
         work = (sum(d.newton_iterations for d in diags), sum(d.backtracks for d in diags))
-        assert work == expected
+        assert work + (len(calls),) == expected
+        assert len(calls) == len(diags) + sum(work)
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.02])
@@ -286,8 +316,8 @@ def test_objective_drop_is_start_minus_final_objective(eps, monkeypatch):
     pinned, ext = stepper.datum(dt)
     b_prev = prob.enthalpy.b(prob.initial[prob.unknown_mask])
     start = stepper.compose(prob.initial[prob.unknown_mask], pinned)
-    f_start = stepper.objective(start, b_prev, dt, ext)
-    f_final = stepper.objective(final, b_prev, dt, ext)
+    f_start = stepper.objective(start, b_prev, dt, stepper.residual(start, b_prev, dt, ext)[1])
+    f_final = stepper.objective(final, b_prev, dt, stepper.residual(final, b_prev, dt, ext)[1])
     assert diag.newton_iterations >= 1
     assert diag.objective_drop == f_start - f_final
     if eps == 0.2:
