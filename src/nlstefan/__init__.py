@@ -19,8 +19,7 @@ from .continuation import (ConvergenceReport, FamilyEntry, FamilyResult,
                            LimitPair, convergence_report, limit_pair,
                            run_family)
 from .config import (RunConfig, emit_run_config, parse_run_config, realize)
-from .enthalpy import (MollifierSpec, RegularizedEnthalpy, beta_graph,
-                       normalization_constant)
+from .enthalpy import RegularizedEnthalpy, beta_graph, normalization_constant
 from .errors import (DegenerateCutoffError, EmptyCylinderError,
                      EmptyWindowError, InconsistentFamilyError,
                      InsufficientSamplesError, InvalidExponentError,
@@ -45,7 +44,7 @@ __all__ = [
     "InsufficientSamplesError", "InvalidExponentError", "InvalidParamsError",
     "IterVerdict", "IterationParams",
     "LatticeProblem", "LevelTailRecord", "LimitPair", "MaxPrincipleReport",
-    "MeasureDensityReport", "ModulusReport", "MollifierSpec",
+    "MeasureDensityReport", "ModulusReport",
     "NewtonDivergenceError", "NlstefanError", "NonpositiveExcessError",
     "OperatorWorkspace", "Preset", "RadialCutoff", "RegularizedEnthalpy",
     "RunConfig", "SchemaViolationError", "SequenceLevel", "SolverConfig",

@@ -70,10 +70,9 @@ def cmd_tail(args) -> int:
     out = _require_out(args)
     traj = solve(problem, solver_cfg)
     x0, t0 = preset.anchor
-    center = list(cfg.tail.center[:-1]) if cfg.tail.center else list(x0)
-    t_at = cfg.tail.center[-1] if cfg.tail.center else t0
-    rho = cfg.tail.rho if cfg.tail.rho is not None else preset.rho0
-    window = tuple(cfg.tail.window) if cfg.tail.window else (0.0, problem.horizon)
+    *center, t_at = cfg.tail.get("center", [*x0, t0])
+    rho = cfg.tail.get("rho", preset.rho0)
+    window = tuple(cfg.tail.get("window", (0.0, problem.horizon)))
     value = tail_fn(problem.grid, traj.samples(), center, rho, window, problem.s, problem.p)
     payload = {"center": center + [t_at], "rho": rho, "window": list(window),
                "tail": value}
@@ -124,9 +123,9 @@ def cmd_continuation(args) -> int:
     cfg = _load_config(args)
     preset, problem, solver_cfg = realize(cfg)
     # a family that run_family would refuse leaves no --out directory behind
-    continuation_mod.check_family(cfg.continuation.eps_values, solver_cfg, args.threads)
+    continuation_mod.check_family(cfg.continuation["eps_values"], solver_cfg, args.threads)
     out = _require_out(args)
-    family = continuation_mod.run_family(problem, cfg.continuation.eps_values,
+    family = continuation_mod.run_family(problem, cfg.continuation["eps_values"],
                                          solver_cfg, threads=args.threads)
     for entry in family.entries:
         if entry.ok:

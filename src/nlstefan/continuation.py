@@ -49,9 +49,8 @@ class FamilyResult:
 
 def _family_member(problem: LatticeProblem, eps: float) -> LatticeProblem:
     """The problem with only the layer width of its enthalpy replaced."""
-    enth = problem.enthalpy
     return replace(problem, eps=eps,
-                   enthalpy=RegularizedEnthalpy(eps, enth.mollifier, enth.latent_heat))
+                   enthalpy=RegularizedEnthalpy(eps, problem.enthalpy.latent_heat))
 
 
 def check_family(eps_values: Sequence[float], config: SolverConfig,

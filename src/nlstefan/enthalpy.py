@@ -25,7 +25,6 @@ All evaluations are vectorized over numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -82,54 +81,49 @@ class _PiecewisePoly:
         return val + c[0] * z
 
 
-@dataclass(frozen=True)
-class MollifierSpec:
-    """Quadrature layout for the mollifier tables.
-
-    The bump is integrated panel by panel with Gauss-Legendre nodes; the
-    cumulative sums become Hermite-spline knot values for Phi.  Defaults
-    give knot errors near machine precision, far below every tolerance
-    used by the solvers.
-    """
-
-    n_panels: int = 4096
-    gauss_order: int = 8
-
-    def __post_init__(self):
-        if not (self.n_panels >= 1 and self.gauss_order >= 1):
-            raise InvalidParamsError("n_panels and gauss_order must be at least 1")
-
-    def knot_data(self):
-        """Knots, the values and slopes of Phi there, and Z."""
-        knots = np.linspace(-1.0, 1.0, self.n_panels + 1)
-        gl_x, gl_w = np.polynomial.legendre.leggauss(self.gauss_order)
-        mid = 0.5 * (knots[:-1] + knots[1:])
-        half = 0.5 * (knots[1:] - knots[:-1])
-        # (panel, node) evaluation points of the raw bump
-        pts = mid[:, None] + half[:, None] * gl_x[None, :]
-        panel_ints = half * np.sum(_bump_raw(pts) * gl_w[None, :], axis=1)
-        cum = np.concatenate(([0.0], np.cumsum(panel_ints)))
-        z = 1.0 / cum[-1]
-        return knots, z * cum, z * _bump_raw(knots), z
+# The bump is integrated panel by panel with Gauss-Legendre nodes and the
+# cumulative sums become the Hermite knot values of Phi.  This layout gives
+# knot errors near machine precision, far below every solver tolerance.
+_N_PANELS = 4096
+_GAUSS_ORDER = 8
 
 
-@lru_cache(maxsize=None)
-def _tables(spec: MollifierSpec = MollifierSpec()):
-    knots, values, slopes, z = spec.knot_data()
+def _knot_data(n_panels: int):
+    """Knots, the values and slopes of Phi there, and Z."""
+    knots = np.linspace(-1.0, 1.0, n_panels + 1)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    mid = 0.5 * (knots[:-1] + knots[1:])
+    half = 0.5 * (knots[1:] - knots[:-1])
+    # (panel, node) evaluation points of the raw bump
+    pts = mid[:, None] + half[:, None] * gl_x[None, :]
+    panel_ints = half * np.sum(_bump_raw(pts) * gl_w[None, :], axis=1)
+    cum = np.concatenate(([0.0], np.cumsum(panel_ints)))
+    z = 1.0 / cum[-1]
+    return knots, z * cum, z * _bump_raw(knots), z
+
+
+def _build_tables(n_panels: int):
+    """Z, the tables of Phi and Phi1, and Phi1 at 0 and 1."""
+    knots, values, slopes, z = _knot_data(n_panels)
     phi = _PiecewisePoly.hermite(knots, values, slopes)
     phi1 = phi.antiderivative()
     # Phi1(0) offsets int_0^xi beta_eps, Phi1(1) starts the linear extension
     return z, phi, phi1, phi1(np.array([0.0, 1.0]))
 
 
-def normalization_constant(spec: MollifierSpec = MollifierSpec()) -> float:
+@lru_cache(maxsize=None)
+def _tables():
+    return _build_tables(_N_PANELS)
+
+
+def normalization_constant() -> float:
     """Constant Z making int_{-1}^{1} Z*exp(-1/(1-t^2)) dt equal one."""
-    return _tables(spec)[0]
+    return _tables()[0]
 
 
-def _phi(eta, spec: MollifierSpec) -> np.ndarray:
+def _phi(eta) -> np.ndarray:
     """Cumulative mollifier Phi extended by 0 and 1 outside [-1, 1]."""
-    phi = _tables(spec)[1]
+    phi = _tables()[1]
     eta = np.asarray(eta, dtype=float)
     flat = np.atleast_1d(eta)
     out = np.where(flat >= 1.0, 1.0, 0.0)
@@ -151,9 +145,9 @@ def _phi(eta, spec: MollifierSpec) -> np.ndarray:
     return out.reshape(eta.shape)
 
 
-def _phi1(eta, spec: MollifierSpec) -> np.ndarray:
+def _phi1(eta) -> np.ndarray:
     """Antiderivative of Phi from -1, extended linearly where Phi == 1."""
-    _, _, phi1, (_, top) = _tables(spec)
+    _, _, phi1, (_, top) = _tables()
     eta = np.asarray(eta, dtype=float)
     flat = np.atleast_1d(eta)
     out = np.where(flat >= 1.0, top + (flat - 1.0), 0.0)
@@ -177,8 +171,6 @@ class RegularizedEnthalpy:
     ----------
     eps : float
         Regularization width; the transition layer is (-eps, eps).
-    mollifier : MollifierSpec, optional
-        Quadrature layout for the underlying tables.
     latent_heat : float, optional
         Jump L of the graph across the layer; beta_eps rises from 0 to L.
 
@@ -187,34 +179,31 @@ class RegularizedEnthalpy:
     convex potential B(xi) = xi^2/2 + int_0^xi beta_eps.
     """
 
-    def __init__(self, eps: float, mollifier: MollifierSpec = MollifierSpec(),
-                 latent_heat: float = 1.0):
+    def __init__(self, eps: float, latent_heat: float = 1.0):
         if not eps > 0.0:
             raise InvalidParamsError("eps must be positive")
         if not latent_heat > 0.0:
             raise InvalidParamsError("latent_heat must be positive")
         self.eps = float(eps)
-        self.mollifier = mollifier
         self.latent_heat = float(latent_heat)
 
     # -- mollified graph -------------------------------------------------
 
     def beta_eps(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
-        return self.latent_heat * _phi(xi / self.eps, self.mollifier)
+        return self.latent_heat * _phi(xi / self.eps)
 
     def beta_eps_prime(self, xi) -> np.ndarray:
         """Exact density L*psi(xi/eps)/eps; integrates to the latent heat."""
         xi = np.asarray(xi, dtype=float)
-        z = _tables(self.mollifier)[0]
+        z = _tables()[0]
         return self.latent_heat * z * _bump_raw(xi / self.eps) / self.eps
 
     def beta_antiderivative(self, xi) -> np.ndarray:
         """int_0^xi beta_eps, evaluated in closed form from the tables."""
         xi = np.asarray(xi, dtype=float)
-        spec = self.mollifier
-        at_zero = _tables(spec)[3][0]
-        return self.latent_heat * self.eps * (_phi1(xi / self.eps, spec) - at_zero)
+        at_zero = _tables()[3][0]
+        return self.latent_heat * self.eps * (_phi1(xi / self.eps) - at_zero)
 
     # -- change of variable ----------------------------------------------
 

@@ -20,16 +20,13 @@ FLOAT_FMT = "%.17g"
 
 
 def write_field_csv(path, grid: Grid, values: np.ndarray) -> None:
-    values = np.asarray(values, dtype=float)
-    coords = grid.coordinates()
+    table = np.column_stack((np.arange(grid.n_nodes), grid.coordinates(),
+                             np.asarray(values, dtype=float)))
     cols = ["index"] + [f"x{d}" for d in range(grid.dimension)] + ["value"]
+    row = "%d" + ("," + FLOAT_FMT) * (grid.dimension + 1) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
-        for i in range(grid.n_nodes):
-            parts = [str(i)]
-            parts += [FLOAT_FMT % c for c in coords[i]]
-            parts.append(FLOAT_FMT % values[i])
-            fh.write(",".join(parts) + "\n")
+        fh.write((row * grid.n_nodes) % tuple(table.ravel().tolist()))
 
 
 def read_field_csv(path):

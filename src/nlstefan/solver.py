@@ -365,7 +365,7 @@ def normalize(problem: LatticeProblem, m: float, z0=None) -> LatticeProblem:
         raise InvalidParamsError("time recentering of an initial value problem "
                                  "requires t0 = 0")
     base = problem.enthalpy
-    scaled = RegularizedEnthalpy(base.eps / m, base.mollifier, base.latent_heat / m)
+    scaled = RegularizedEnthalpy(base.eps / m, base.latent_heat / m)
     g_old = problem.dirichlet
     new_dirichlet = lambda x, t, _g=g_old, _x0=x0, _m=m: np.asarray(_g(x + _x0, t), dtype=float) / _m
     return LatticeProblem(

@@ -17,7 +17,7 @@ import pytest
 from scipy.integrate import quad
 
 from nlstefan import analysis, cli
-from nlstefan.config import ContinuationSection
+from nlstefan.config import parse_run_config
 from nlstefan.continuation import limit_pair, run_family
 from nlstefan.enthalpy import RegularizedEnthalpy
 from nlstefan.lattice import Grid, tail
@@ -222,8 +222,8 @@ def test_06_oscillation_decay(melt_run, report):
 def test_07_vanishing_regularization(report):
     t0 = time.perf_counter()
     preset = load_preset("melt1d")
-    family = run_family(preset.problem, ContinuationSection().eps_values, preset.solver,
-                        threads=2)
+    family = run_family(preset.problem, parse_run_config("{}").continuation["eps_values"],
+                        preset.solver, threads=2)
     succ = family.successive_distances()
     finite = all(np.isfinite(d) for d in succ)
     distances_ok = finite and all(b <= a + 1e-12 for a, b in zip(succ, succ[1:]))

@@ -2,13 +2,13 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from nlstefan import SchemaViolationError, cli
 from nlstefan.config import (
-    InlineProblem,
     RunConfig,
     emit_run_config,
     parse_run_config,
@@ -41,12 +41,12 @@ def test_parse_minimal_preset_config():
 def test_parse_empty_config_defaults_to_melt():
     cfg = parse_run_config("{}")
     assert cfg.problem == "melt1d"
-    assert cfg.continuation.eps_values == [0.2, 0.1, 0.05, 0.025]
+    assert cfg.continuation["eps_values"] == [0.2, 0.1, 0.05, 0.025]
 
 
 def test_parse_inline_problem():
     cfg = parse_run_config(json.dumps(INLINE))
-    assert isinstance(cfg.problem, InlineProblem)
+    assert isinstance(cfg.problem, dict)
     preset, problem, solver_cfg = realize(cfg)
     assert preset.problem is problem and preset.solver is solver_cfg
     assert preset.anchor == ((0.0,), 0.1)
@@ -102,6 +102,14 @@ def test_booleans_are_not_numbers():
     assert any("expected a number" in v for v in exc.value.violations)
 
 
+def test_missing_box_key_is_reported_missing():
+    box = dict(INLINE["problem"]["box"])
+    del box["r_infinity"]
+    with pytest.raises(SchemaViolationError) as exc:
+        parse_run_config(inline_with(box=box))
+    assert exc.value.violations == ["problem.box.r_infinity: missing required key"]
+
+
 def test_bad_json_reports_the_line():
     with pytest.raises(SchemaViolationError) as exc:
         parse_run_config('{\n  "problem": melt\n}')
@@ -125,6 +133,68 @@ def test_emit_parse_is_idempotent():
     with pytest.raises(SchemaViolationError) as exc:
         parse_run_config('{"seed": 7}')
     assert exc.value.violations == ["seed: unknown key"]
+
+
+FULL_PRESET = {
+    "tail": {"window": [0, 0.5], "rho": 0.2, "center": [0.5, 0.25]},
+    "continuation": {"delta_resolve": 0.01, "eps_values": [0.2, 0.1]},
+    "analysis": {"shrink": 0.8, "levels": 6, "rho0": 0.3, "anchor": [0.5, 0.1]},
+    "solver": {"store_every": 2, "damping": 0.5, "newton_max": 30, "newton_tol": 1e-11,
+               "dt_factor": 2, "dt": 0.01, "dt_policy": "fixed"},
+    "overrides": {"n_steps": 5, "n_nodes": 33},
+    "problem": "melt1d",
+}
+
+_DEFAULT_CONTINUATION = ('  "continuation": {\n    "eps_values": [\n      0.2,\n'
+                         '      0.1,\n      0.05,\n      0.025\n    ],\n'
+                         '    "delta_resolve": 0.05\n  }\n}\n')
+
+# every artifact directory echoes this text, so it is pinned byte for byte
+GOLDEN_EMISSION = {
+    "preset-name": (
+        {"problem": "const1d"},
+        '{\n  "problem": "const1d",\n' + _DEFAULT_CONTINUATION),
+    "inline-core": (
+        {"problem": dict(INLINE["problem"], initial={
+            "type": "core", "value": -1.0, "inside": 1.0, "radius": 0.5})},
+        '{\n  "problem": {\n    "s": 0.5,\n    "p": 3.0,\n    "eps": 0.05,\n'
+        '    "horizon": 0.1,\n    "box": {\n      "lo": [\n        -1.0\n      ],\n'
+        '      "hi": [\n        1.0\n      ],\n      "nodes": [\n        33\n      ],\n'
+        '      "r_infinity": 4.0\n    },\n    "unknown": {\n      "lo": [\n'
+        '        -1.0\n      ],\n      "hi": [\n        1.0\n      ]\n    },\n'
+        '    "datum": {\n      "type": "constant",\n      "value": 1.0\n    },\n'
+        '    "initial": {\n      "type": "core",\n      "value": -1.0,\n'
+        '      "inside": 1.0,\n      "radius": 0.5\n    }\n  },\n'
+        + _DEFAULT_CONTINUATION),
+    "preset-every-section": (
+        FULL_PRESET,
+        '{\n  "problem": "melt1d",\n  "overrides": {\n    "n_steps": 5,\n'
+        '    "n_nodes": 33\n  },\n  "solver": {\n    "dt_policy": "fixed",\n'
+        '    "dt": 0.01,\n    "dt_factor": 2.0,\n    "newton_tol": 1e-11,\n'
+        '    "newton_max": 30,\n    "damping": 0.5,\n    "store_every": 2\n  },\n'
+        '  "analysis": {\n    "anchor": [\n      0.5,\n      0.1\n    ],\n'
+        '    "rho0": 0.3,\n    "levels": 6,\n    "shrink": 0.8\n  },\n'
+        '  "continuation": {\n    "eps_values": [\n      0.2,\n      0.1\n    ],\n'
+        '    "delta_resolve": 0.01\n  },\n  "tail": {\n    "center": [\n      0.5,\n'
+        '      0.25\n    ],\n    "rho": 0.2,\n    "window": [\n      0.0,\n'
+        '      0.5\n    ]\n  }\n}\n'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_EMISSION))
+def test_canonical_emission_is_pinned(case):
+    source, golden = GOLDEN_EMISSION[case]
+    assert emit_run_config(parse_run_config(json.dumps(source))) == golden
+
+
+def test_readme_config_examples_are_canonicalizable():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```json\n(.*?)```", fh.read(), flags=re.S)
+    assert blocks
+    for block in blocks:
+        once = emit_run_config(parse_run_config(block))
+        assert emit_run_config(parse_run_config(once)) == once
 
 
 def test_realize_applies_overrides_and_solver_section():
@@ -207,6 +277,20 @@ def test_cli_tail(tmp_path, capsys):
     assert payload["rho"] == 0.3
     assert payload["tail"] > 0.0
     assert f"{payload['tail']:.17g}" in capsys.readouterr().out
+
+
+def test_cli_tail_rejects_a_reversed_window_before_solving(tmp_path, capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved a rejected config")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    cfg = write_cfg(tmp_path, {"problem": "const1d", "tail": {"window": [0.5, 0.0]}})
+    out = tmp_path / "tail"
+    assert cli.main(["tail", "--config", cfg, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "SchemaViolationError",
+        "violations": ["tail.window: start must not exceed end"]}
+    assert not out.exists()
 
 
 def test_cli_lemma_check(tmp_path, capsys):

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nlstefan import InvalidParamsError
-from nlstefan.enthalpy import (MollifierSpec, RegularizedEnthalpy, beta_graph,
+from nlstefan.enthalpy import (RegularizedEnthalpy, beta_graph,
                                normalization_constant)
-from nlstefan.enthalpy import _tables
+from nlstefan.enthalpy import _build_tables, _knot_data, _tables
 
 # reciprocal of the high-resolution quadrature of exp(-1/(1-t^2)) on (-1,1)
 Z_REFERENCE = 2.2522836210435810
@@ -161,10 +161,9 @@ def test_scaled_enthalpy_matches_graph_rescaling():
 
 
 def test_mollifier_table_resolution_is_converged():
-    coarse = RegularizedEnthalpy(1.0, mollifier=MollifierSpec(n_panels=512))
-    fine = RegularizedEnthalpy(1.0, mollifier=MollifierSpec(n_panels=4096))
+    coarse, fine = _build_tables(512)[1], _tables()[1]
     xs = np.linspace(-1.0, 1.0, 257)
-    assert np.max(np.abs(coarse.beta_eps(xs) - fine.beta_eps(xs))) < 1e-12
+    assert np.max(np.abs(coarse(xs) - fine(xs))) < 1e-12
 
 
 @pytest.mark.parametrize("n_panels", [1, 2, 512, 4096])
@@ -173,10 +172,9 @@ def test_tables_match_scipy_hermite_spline_bit_for_bit(n_panels):
     # CubicHermiteSpline and its antiderivative, coefficients and values
     from scipy.interpolate import CubicHermiteSpline
 
-    spec = MollifierSpec(n_panels=n_panels)
-    knots, values, slopes, _ = spec.knot_data()
+    knots, values, slopes, _ = _knot_data(n_panels)
     spline = CubicHermiteSpline(knots, values, slopes)
-    _, phi, phi1, _ = _tables(spec)
+    _, phi, phi1, _ = _build_tables(n_panels)
     rng = np.random.default_rng(0)
     pts = np.concatenate((rng.uniform(-1.0, 1.0, 200_000), knots,
                           np.nextafter(knots, -2.0), np.nextafter(knots, 2.0),
@@ -186,12 +184,6 @@ def test_tables_match_scipy_hermite_spline_bit_for_bit(n_panels):
         got, want = table(pts), ref(pts)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-@pytest.mark.parametrize("field", ["n_panels", "gauss_order"])
-def test_mollifier_spec_rejects_empty_quadrature(field):
-    with pytest.raises(InvalidParamsError, match=field):
-        MollifierSpec(**{field: 0})
 
 
 @pytest.mark.parametrize("kwargs", [{"eps": 0.0}, {"eps": float("nan")},
