@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from nlstefan import fileio
-from nlstefan.presets import load_preset
+from nlstefan import load_preset
 from nlstefan.solver import max_principle_check, solve
 
 

@@ -11,7 +11,7 @@ import argparse
 import os
 
 from nlstefan import analysis
-from nlstefan.presets import load_preset
+from nlstefan import load_preset
 from nlstefan.solver import solve
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from nlstefan import fileio
 from nlstefan.continuation import convergence_report, limit_pair, run_family
-from nlstefan.presets import load_preset
+from nlstefan import load_preset
 
 
 def main(argv=None) -> int:

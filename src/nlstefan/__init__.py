@@ -18,7 +18,8 @@ from .analysis import (Cylinder, GeometricDecayReport, IterationParams,
 from .continuation import (ConvergenceReport, FamilyEntry, FamilyResult,
                            LimitPair, convergence_report, limit_pair,
                            run_family)
-from .config import (RunConfig, emit_run_config, parse_run_config, realize)
+from .config import (CATALOG, Preset, RunConfig, emit_run_config, load_preset,
+                     parse_run_config, realize)
 from .enthalpy import RegularizedEnthalpy, beta_graph, normalization_constant
 from .errors import (DegenerateCutoffError, EmptyCylinderError,
                      EmptyWindowError, InconsistentFamilyError,
@@ -27,7 +28,6 @@ from .errors import (DegenerateCutoffError, EmptyCylinderError,
                      NonpositiveExcessError, SchemaViolationError,
                      UnresolvedBandError)
 from .lattice import Grid, OperatorWorkspace, check_exponents, phi_p, tail
-from .presets import CATALOG, Preset, load_preset
 from .solver import (CaccioppoliReport, LatticeProblem, MaxPrincipleReport,
                      RadialCutoff, SolverConfig, StepDiagnostics, Trajectory,
                      caccioppoli_audit, energy_history, max_principle_check,

@@ -20,8 +20,8 @@ from . import analysis, continuation as continuation_mod, fileio
 from .config import RunConfig, emit_run_config, parse_run_config, realize
 from .errors import (InsufficientSamplesError, NlstefanError, NonpositiveExcessError,
                      SchemaViolationError)
-from .lattice import tail as tail_fn
-from .solver import caccioppoli_audit, solve, structural_audit
+from .lattice import in_window, tail as tail_fn
+from .solver import caccioppoli_audit, solve, stored_times, structural_audit
 
 F = "%.17g"
 
@@ -46,10 +46,11 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _require_out(args) -> str:
+def _require_out(args, make=True) -> str:
     if not args.out:
         raise SchemaViolationError(["out: this subcommand needs --out DIR"])
-    os.makedirs(args.out, exist_ok=True)
+    if make:
+        os.makedirs(args.out, exist_ok=True)
     return args.out
 
 
@@ -67,13 +68,17 @@ def cmd_solve(args) -> int:
 def cmd_tail(args) -> int:
     cfg = _load_config(args)
     preset, problem, solver_cfg = realize(cfg)
-    out = _require_out(args)
-    traj = solve(problem, solver_cfg)
     x0, t0 = preset.anchor
     *center, t_at = cfg.tail.get("center", [*x0, t0])
     rho = cfg.tail.get("rho", preset.rho0)
     window = tuple(cfg.tail.get("window", (0.0, problem.horizon)))
+    times = stored_times(problem.horizon, solver_cfg)
+    if times is not None:
+        in_window([(t,) for t in times], window)    # an empty window fails before the solve
+    out = _require_out(args, make=False)
+    traj = solve(problem, solver_cfg)
     value = tail_fn(problem.grid, traj.samples(), center, rho, window, problem.s, problem.p)
+    os.makedirs(out, exist_ok=True)    # only once the tail is known
     payload = {"center": center + [t_at], "rho": rho, "window": list(window),
                "tail": value}
     fileio.write_json(os.path.join(out, "tail.json"), payload)

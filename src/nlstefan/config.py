@@ -1,29 +1,46 @@
-"""Run configuration: strict JSON schema, canonical emission.
+"""Run configuration: strict JSON schema, canonical emission, and the one
+builder that turns a problem into a `LatticeProblem`.
 
 Unknown keys are rejected everywhere and every violation is reported at
 once, each prefixed by its JSON path.  One table per JSON object lists its
 keys in emission order, each with a check and a default, so a parsed
 config keeps the nested input shape with its defaults filled in and
-emit(parse(x)) canonicalizes any accepted input.  Overrides depend on the
-preset, which the command line may replace after parsing, so `realize`
-checks them against the preset the run actually uses.
+emit(parse(x)) canonicalizes any accepted input.  A catalog preset is an
+inline problem plus its own analysis values; its overrides replace inline
+keys.  Overrides depend on the preset, which the command line may replace
+after parsing, so `realize` checks them against the preset the run
+actually uses.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import List, Optional, Union
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from .errors import SchemaViolationError
+from .errors import InvalidParamsError, SchemaViolationError
 from .lattice import Grid
-from .presets import CATALOG, Preset, load_preset
 from .solver import LatticeProblem, SolverConfig
+
+
+@dataclass
+class Preset:
+    """A ready-to-run problem plus the knobs analysis tools read."""
+
+    name: str
+    problem: LatticeProblem
+    solver: SolverConfig
+    anchor: tuple                      # (x0, t0) for oscillation ladders
+    boundary_point: tuple              # (x_b, 0) for boundary checks
+    rho0: float = 0.25                 # base ladder radius
+    ladder_levels: int = 8
+    ladder_shrink: float = 0.65
+    delta_resolve: float = 0.05
+    boundary_modulus: Optional[Callable] = None
 
 
 def _is_number(value) -> bool:
@@ -158,6 +175,12 @@ def _initial(v: _Validator, path: str, value):
                  allowed=_CORE_INITIAL)
 
 
+def _datum(v: _Validator, path: str, value):
+    # each type takes its own keys: value, or c_g and delta
+    log = isinstance(value, dict) and value.get("type") == "log_modulus"
+    return _walk(v, path, value, _LOG_DATUM if log else _CONSTANT_DATUM)
+
+
 def _check_inline(v: _Validator, prob: dict) -> None:
     """The checks of an inline problem that read more than one key, and the
     initial value's default."""
@@ -170,8 +193,8 @@ def _check_inline(v: _Validator, prob: dict) -> None:
             for key, values in prob.get("unknown", {}).items():
                 if len(values) != dim:
                     v.fail(f"problem.unknown.{key}", f"expected length {dim}")
-    if not v.violations and "value" not in prob["initial"]:
-        # the datum's value, second in emission order
+    if not v.violations and "value" not in prob["initial"] and "value" in prob["datum"]:
+        # a constant datum's value, second in emission order
         prob["initial"] = {"type": prob["initial"]["type"],
                            "value": prob["datum"]["value"], **prob["initial"]}
 
@@ -213,7 +236,18 @@ _BOX = {
 }
 _CONSTANT_INITIAL = {
     "type": (partial(_Validator.choice, options=("constant", "core")), "constant"),
-    "value": (_Validator.number, None),            # the datum's value if absent
+    "value": (_Validator.number, None),            # the datum at t = 0 if absent
+}
+_CONSTANT_DATUM = {
+    "type": (partial(_Validator.choice, options=("constant", "log_modulus")), _REQUIRED),
+    "value": (_Validator.number, _REQUIRED),
+}
+# c_g (1 + log(1/r))^(-delta) at r = |x - x_b| + t^(1/sp), x_b the unknown
+# set's lower corner
+_LOG_DATUM = {
+    "type": _CONSTANT_DATUM["type"],
+    "c_g": (_POSITIVE, _REQUIRED),
+    "delta": (_POSITIVE, _REQUIRED),
 }
 _CORE_INITIAL = {
     **_CONSTANT_INITIAL,
@@ -228,10 +262,7 @@ _INLINE = {
     "box": (_BOX, _REQUIRED),
     "unknown": ({"lo": (_Validator.number_list, _REQUIRED),
                  "hi": (_Validator.number_list, _REQUIRED)}, _REQUIRED),
-    "datum": ({"type": (partial(_Validator.choice, options=("constant",),
-                                message="only 'constant' is supported inline"),
-                        _REQUIRED),
-               "value": (_Validator.number, _REQUIRED)}, _REQUIRED),
+    "datum": (_datum, _REQUIRED),
     "initial": (_initial, {}),
 }
 _RUN = {
@@ -285,28 +316,96 @@ def emit_run_config(cfg: RunConfig) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _catalog_preset(name: str, overrides: dict) -> Preset:
-    """Load a catalog preset; each override must name a parameter of the
-    preset function and is typed from that parameter's default."""
-    if name not in CATALOG:
-        return load_preset(name)    # raises the unknown-preset error
-    params = inspect.signature(CATALOG[name]).parameters
-    v = _Validator()
-    kwargs = {}
-    for key, value in overrides.items():
-        path = f"overrides.{key}"
-        if key not in params:
-            v.fail(path, f"not a parameter of preset '{name}'")
-        elif isinstance(params[key].default, int):
-            kwargs[key] = v.integer(path, value, minimum=1)
-        else:
-            kwargs[key] = v.number(path, value)
-    if v.violations:
-        raise SchemaViolationError(v.violations)
-    return load_preset(name, **kwargs)
+_SEGMENT = {"s": 0.5, "p": 3.0, "eps": 0.05, "horizon": 0.5,
+            "box": {"lo": [-1.0], "hi": [1.0], "nodes": [257], "r_infinity": 4.0},
+            "unknown": {"lo": [-1.0], "hi": [1.0]}}
+
+# name -> an inline problem, its step count, the ladder anchor's x (t is the
+# horizon) and the analysis values that differ from the Preset defaults
+CATALOG = {
+    # melting of a uniformly undercooled segment: a front moves in from both
+    # ends, and the anchor sits in the warm region it leaves behind, where
+    # the solution varies smoothly at every ladder scale
+    "melt1d": {"problem": dict(_SEGMENT, datum={"type": "constant", "value": 1.0},
+                               initial={"value": -1.0}),
+               "n_steps": 400, "anchor": [0.5], "rho0": 0.3, "ladder_shrink": 0.85},
+    # a warm core inside a cold segment with a cold exterior: both phases
+    # are present from the start
+    "twophase1d": {"problem": dict(_SEGMENT, datum={"type": "constant", "value": -1.0},
+                                   initial={"type": "core", "value": -1.0,
+                                            "inside": 1.0, "radius": 0.5}),
+                   "n_steps": 400, "anchor": [0.0], "rho0": 0.4},
+    # an exterior datum with a logarithmic modulus at the boundary point
+    # x = 0 of the unknown interval (0, 1)
+    "logbdy": {"problem": dict(_SEGMENT, eps=0.01,
+                               box={"lo": [-0.5], "hi": [1.5], "nodes": [257],
+                                    "r_infinity": 4.0},
+                               unknown={"lo": [0.0], "hi": [1.0]},
+                               datum={"type": "log_modulus", "c_g": 0.5, "delta": 0.9}),
+               "n_steps": 400, "anchor": [0.5], "rho0": 0.3, "datum_overrides": ("c_g", "delta")},
+    # constant compatible data: the exact solution is the constant, which
+    # makes every defect identically zero
+    "const1d": {"problem": dict(_SEGMENT, horizon=0.1,
+                                box=dict(_SEGMENT["box"], nodes=[65]),
+                                datum={"type": "constant", "value": 0.3}),
+                "n_steps": 20, "anchor": [0.0], "rho0": 0.4, "datum_overrides": ("value",)},
+}
+
+# every preset takes these; n_nodes replaces box.nodes and the datum keys
+# its entry names replace those of problem.datum
+_OVERRIDES = {
+    "n_nodes": (partial(_Validator.integer, minimum=2), None),
+    "horizon": (_INLINE["horizon"][0], None),
+    "eps": (_INLINE["eps"][0], None),
+    "n_steps": (partial(_Validator.integer, minimum=1), None),
+}
+_DATUM_OVERRIDES = {"value": (_CONSTANT_DATUM["value"][0], None),
+                    "c_g": (_LOG_DATUM["c_g"][0], None),
+                    "delta": (_LOG_DATUM["delta"][0], None)}
 
 
-def _inline_preset(prob: dict) -> Preset:
+def _catalog_problem(v: _Validator, name: str, overrides: dict):
+    """The preset's inline problem with the overrides replacing its keys,
+    and its step count."""
+    entry = CATALOG[name]
+    table = {**_OVERRIDES, **{key: _DATUM_OVERRIDES[key]
+                              for key in entry.get("datum_overrides", ())}}
+    for key in overrides:
+        if key not in table:
+            v.fail(f"overrides.{key}", f"not a parameter of preset '{name}'")
+    values = _walk(v, "overrides", {k: x for k, x in overrides.items() if k in table}, table)
+    prob = entry["problem"]
+    prob = dict(prob, **{k: values[k] for k in ("horizon", "eps") if k in values},
+                box=dict(prob["box"], nodes=[values.get("n_nodes", prob["box"]["nodes"][0])]),
+                datum=dict(prob["datum"], **{k: values[k] for k in _DATUM_OVERRIDES
+                                             if k in values}))
+    return _problem(v, "problem", prob), values.get("n_steps", entry["n_steps"])
+
+
+def _dirichlet(prob: dict):
+    """The datum g(x, t), its far value, and its modulus at the unknown
+    set's lower corner (None for a constant)."""
+    datum = prob["datum"]
+    if datum["type"] == "constant":
+        value = datum["value"]
+        return lambda x, t: np.full(np.atleast_2d(x).shape[0], value), value, None
+    c_g, delta = datum["c_g"], datum["delta"]
+    x_b = np.asarray(prob["unknown"]["lo"])
+    power = 1.0 / (prob["s"] * prob["p"])
+
+    def g(x, t):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        r = np.sqrt(np.sum((x - x_b) ** 2, axis=1)) + max(float(t), 0.0) ** power
+        return c_g * (1.0 + np.log(1.0 / np.clip(r, 1e-300, 1.0))) ** (-delta)
+
+    def modulus(r: float) -> float:
+        r = min(max(float(r), 1e-300), 1.0)
+        return c_g * (1.0 + math.log(1.0 / r)) ** (-delta)
+
+    return g, c_g, modulus
+
+
+def _build(name: str, prob: dict, n_steps: int, entry: dict) -> Preset:
     box, initial = prob["box"], prob["initial"]
     spacings = [(h - l) / (n - 1) for l, h, n in zip(box["lo"], box["hi"], box["nodes"])]
     spacing = spacings[0]
@@ -317,42 +416,53 @@ def _inline_preset(prob: dict) -> Preset:
     coords = grid.coordinates()
     mask = np.all((coords > np.asarray(prob["unknown"]["lo"]) + 1e-12)
                   & (coords < np.asarray(prob["unknown"]["hi"]) - 1e-12), axis=1)
-    value = prob["datum"]["value"]
-    g = lambda x, t, _v=value: np.full(np.atleast_2d(x).shape[0], _v)
-    start = initial["value"]
+    g, far_value, modulus = _dirichlet(prob)
+    outside = g(coords, 0.0)
+    start = initial.get("value", outside)
     if initial["type"] == "core":
         r = np.sqrt(np.sum(coords ** 2, axis=1))
         start = np.where(r < initial["radius"], initial["inside"], start)
+    horizon = prob["horizon"]
     problem = LatticeProblem(
-        s=prob["s"], p=prob["p"], grid=grid,
-        unknown_mask=mask, dirichlet=g, far_value=value,
-        initial=np.where(mask, start, value), horizon=prob["horizon"], eps=prob["eps"])
-    return Preset(name="inline", problem=problem,
-                  solver=SolverConfig(dt=prob["horizon"] / 100.0))
+        s=prob["s"], p=prob["p"], grid=grid, unknown_mask=mask, dirichlet=g,
+        far_value=far_value, initial=np.where(mask, start, outside),
+        horizon=horizon, eps=prob["eps"])
+    center = [o + 0.5 * (n - 1) * spacing for o, n in zip(box["lo"], box["nodes"])]
+    return Preset(name=name, problem=problem,
+                  solver=SolverConfig(dt=horizon / n_steps, dt_policy="fixed"),
+                  anchor=(tuple(entry.get("anchor", center)), horizon),
+                  boundary_point=(tuple(prob["unknown"]["lo"]), 0.0),
+                  boundary_modulus=modulus,
+                  **{k: entry[k] for k in ("rho0", "ladder_shrink") if k in entry})
 
 
 def realize(cfg: RunConfig):
     """Turn a parsed config into (preset, problem, solver_config).
 
-    A preset name goes through the catalog with the overrides applied; an
-    inline problem becomes a preset with the `Preset` defaults.  The
-    solver section replaces the solver fields it names, and the analysis
-    section and continuation.delta_resolve are written onto the preset.
+    A preset name is its catalog entry's inline problem with the overrides
+    applied; an inline problem runs 100 steps with the `Preset` defaults.
+    Both go through one builder.  The solver section replaces the solver
+    fields it names, and the analysis section and
+    continuation.delta_resolve are written onto the preset.
     """
-    if isinstance(cfg.problem, str):
-        preset = _catalog_preset(cfg.problem, cfg.overrides)
-    elif cfg.overrides:
-        raise SchemaViolationError(["overrides: an inline problem takes no overrides"])
-    else:
-        preset = _inline_preset(cfg.problem)
     v = _Validator()
-    dim = preset.problem.grid.dimension
+    name, entry, prob, n_steps = "inline", {}, cfg.problem, 100
+    if isinstance(prob, str):
+        if prob not in CATALOG:
+            raise InvalidParamsError(
+                f"unknown preset '{prob}'; available: {', '.join(sorted(CATALOG))}")
+        name, entry = prob, CATALOG[prob]
+        prob, n_steps = _catalog_problem(v, name, cfg.overrides)
+    elif cfg.overrides:
+        v.fail("overrides", "an inline problem takes no overrides")
+    dim = len(prob["box"]["lo"])
     for path, point in (("analysis.anchor", cfg.analysis.get("anchor")),
                         ("tail.center", cfg.tail.get("center"))):
         if point is not None:
             v.number_list(path, point, length=dim + 1)
     if v.violations:
         raise SchemaViolationError(v.violations)
+    preset = _build(name, prob, n_steps, entry)
     a = cfg.analysis
     ladder = {"anchor": (tuple(a["anchor"][:-1]), a["anchor"][-1]) if "anchor" in a else None,
               "rho0": a.get("rho0"), "ladder_levels": a.get("levels"),
@@ -361,3 +471,8 @@ def realize(cfg: RunConfig):
                      delta_resolve=cfg.continuation["delta_resolve"],
                      **{k: value for k, value in ladder.items() if value is not None})
     return preset, preset.problem, preset.solver
+
+
+def load_preset(name: str, **overrides) -> Preset:
+    """A catalog preset with its overrides, built as a run config builds it."""
+    return realize(RunConfig(problem=name, overrides=overrides))[0]

@@ -329,6 +329,16 @@ def _ball_weights(grid: Grid, s: float, p: float, x0: np.ndarray, rho: float,
     return frac * weights[0], far
 
 
+def in_window(samples: Sequence, window) -> list:
+    """The samples (t, ...) whose time lies in the closed window; an
+    EmptyWindowError if none does."""
+    t_lo, t_hi = window
+    chosen = [sample for sample in samples if t_lo <= sample[0] <= t_hi]
+    if not chosen:
+        raise EmptyWindowError(f"no stored samples in window [{t_lo}, {t_hi}]")
+    return chosen
+
+
 def tail(grid: Grid, samples: Sequence, x0, rho: float, window, s: float,
          p: float) -> float:
     """Supremum-in-time nonlocal tail of a space-time field.
@@ -361,10 +371,7 @@ def tail(grid: Grid, samples: Sequence, x0, rho: float, window, s: float,
     if any((np.shape(values), np.shape(ext_values)) != shapes
            for _, values, ext_values, _ in samples):
         raise InvalidParamsError("sample values must match the grid and its exterior")
-    t_lo, t_hi = window
-    chosen = [sample for sample in samples if t_lo <= sample[0] <= t_hi]
-    if not chosen:
-        raise EmptyWindowError(f"no stored samples in window [{t_lo}, {t_hi}]")
+    chosen = in_window(samples, window)
     if rho >= grid.r_infinity:
         raise InvalidParamsError("tail radius must stay below r_infinity")
     sp = s * p

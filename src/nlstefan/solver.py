@@ -307,6 +307,31 @@ def _intrinsic_dt(problem: LatticeProblem, state: np.ndarray, factor: float) -> 
     return factor * problem.grid.spacing ** sp * (osc / 4.0) ** (2.0 - problem.p)
 
 
+def _reached(t: float, horizon: float) -> bool:
+    return t >= horizon - 1e-12 * horizon
+
+
+def _step_times(horizon: float, config: SolverConfig) -> Optional[List[float]]:
+    """The levels a fixed-step solve lands on, up to the first that reaches
+    the horizon; None under the intrinsic policy, whose steps follow the
+    solution."""
+    if config.dt_policy != "fixed":
+        return None
+    n_steps = max(1, int(math.ceil(horizon / config.dt - 1e-9)))
+    levels = [min((k + 1) * config.dt, horizon) for k in range(n_steps)]
+    levels[-1] = horizon
+    return levels[:next(k for k, t in enumerate(levels, 1) if _reached(t, horizon))]
+
+
+def stored_times(horizon: float, config: SolverConfig) -> Optional[List[float]]:
+    """The times a fixed-step solve stores, t = 0 first, known before it
+    runs; None under the intrinsic policy."""
+    levels = _step_times(horizon, config)
+    return None if levels is None else [0.0] + [
+        t for count, t in enumerate(levels, 1)
+        if count % config.store_every == 0 or _reached(t, horizon)]
+
+
 def solve(problem: LatticeProblem, config: SolverConfig) -> Trajectory:
     """March the implicit scheme from t = 0 to the horizon.
 
@@ -318,15 +343,10 @@ def solve(problem: LatticeProblem, config: SolverConfig) -> Trajectory:
     times = [0.0]
     states = [state.copy()]
     diags: List[StepDiagnostics] = []
-    if config.dt_policy == "fixed":
-        n_steps = max(1, int(math.ceil(problem.horizon / config.dt - 1e-9)))
-        level_times = [min((k + 1) * config.dt, problem.horizon) for k in range(n_steps)]
-        level_times[-1] = problem.horizon
-    else:
-        level_times = None
+    level_times = _step_times(problem.horizon, config)
     t = 0.0
     step_count = 0
-    while t < problem.horizon - 1e-12 * problem.horizon:
+    while not _reached(t, problem.horizon):
         if level_times is not None:
             t_next = level_times[step_count]
         else:
@@ -336,8 +356,7 @@ def solve(problem: LatticeProblem, config: SolverConfig) -> Trajectory:
         diags.append(diag)
         step_count += 1
         t = t_next
-        at_end = t >= problem.horizon - 1e-12 * problem.horizon
-        if step_count % config.store_every == 0 or at_end:
+        if step_count % config.store_every == 0 or _reached(t, problem.horizon):
             times.append(t)
             states.append(state.copy())
     return Trajectory(problem=problem, times=times, states=states, diagnostics=diags)

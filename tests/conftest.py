@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlstefan.presets import load_preset, melt1d
+from nlstefan import load_preset
 from nlstefan.solver import SolverConfig, solve
 
 
@@ -23,7 +23,7 @@ def melt_run():
 @pytest.fixture(scope="session")
 def small_melt_traj():
     """Coarse, short melting run for cheap module-level checks."""
-    preset = melt1d(n_nodes=65, horizon=0.1, eps=0.2, n_steps=20)
+    preset = load_preset("melt1d", n_nodes=65, horizon=0.1, eps=0.2, n_steps=20)
     return preset, solve(preset.problem, preset.solver)
 
 

@@ -16,12 +16,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nlstefan import analysis, cli
+from nlstefan import analysis, cli, load_preset
 from nlstefan.config import parse_run_config
 from nlstefan.continuation import limit_pair, run_family
 from nlstefan.enthalpy import RegularizedEnthalpy
 from nlstefan.lattice import Grid, tail
-from nlstefan.presets import load_preset
 from nlstefan.solver import _Stepper, structural_audit
 
 BASELINE_DIR = os.path.join(os.path.dirname(__file__), "baselines")

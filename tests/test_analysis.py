@@ -25,6 +25,7 @@ from nlstefan import (
     lemma_iter_epsilon,
     lemma_iter_verify,
     level_set_fraction,
+    load_preset,
     measure_density,
     modulus_ladder,
     oscillation,
@@ -32,7 +33,6 @@ from nlstefan import (
     sequence_tail_report,
 )
 from nlstefan.lattice import Grid
-from nlstefan.presets import const1d, melt1d
 from nlstefan.solver import solve
 
 
@@ -319,7 +319,7 @@ def test_geometric_decay_certificate_random_thresholds(c, b, alpha):
 
 
 def test_measure_density_half_line():
-    pre = melt1d(n_nodes=65)
+    pre = load_preset("melt1d", n_nodes=65)
     grid = pre.problem.grid
     x = grid.coordinates()[:, 0]
     omega = x > 1e-12
@@ -331,7 +331,7 @@ def test_measure_density_half_line():
 
 
 def test_measure_density_flags_interior_anchor():
-    pre = melt1d(n_nodes=65)
+    pre = load_preset("melt1d", n_nodes=65)
     grid = pre.problem.grid
     h = grid.spacing
     omega = np.ones(grid.n_nodes, dtype=bool)
@@ -342,7 +342,7 @@ def test_measure_density_flags_interior_anchor():
 
 
 def test_measure_density_validation():
-    pre = melt1d(n_nodes=17)
+    pre = load_preset("melt1d", n_nodes=17)
     grid = pre.problem.grid
     omega = np.ones(grid.n_nodes, dtype=bool)
     with pytest.raises(InvalidParamsError, match="match the grid"):
@@ -410,14 +410,14 @@ def test_modulus_ladder_radii_and_monotonicity(small_melt_traj):
 
 
 def test_oscillation_scale_floor():
-    pre = const1d(value=0.3)
+    pre = load_preset("const1d", value=0.3)
     traj = solve(pre.problem, pre.solver)
     scale = oscillation_scale(traj, Cylinder((0.0,), pre.problem.horizon, 0.4, 1.0))
     assert scale == 1.0
 
 
 def test_sequence_tail_report_constant_solution():
-    pre = const1d(value=0.3)
+    pre = load_preset("const1d", value=0.3)
     traj = solve(pre.problem, pre.solver)
     params = IterationParams(s=0.5, p=3.0, eps=0.05, omega0=1.0, rho0=0.4)
     levels = interior_sequences(params, n_levels=4)

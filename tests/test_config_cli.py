@@ -1,5 +1,6 @@
 """Run-config schema, canonical emission, command line round trips."""
 
+import hashlib
 import json
 import os
 import re
@@ -7,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from nlstefan import SchemaViolationError, cli
+from nlstefan import SchemaViolationError, cli, load_preset
 from nlstefan.config import (
     RunConfig,
     emit_run_config,
@@ -212,6 +213,76 @@ def test_realize_applies_overrides_and_solver_section():
     assert solver_cfg.dt == pytest.approx(0.1 / 5)
 
 
+def test_realize_reports_override_violations_with_the_rest():
+    cfg = parse_run_config({"problem": "melt1d", "overrides": {"c_g": 1},
+                            "analysis": {"anchor": [0.1]}})
+    with pytest.raises(SchemaViolationError) as exc:
+        realize(cfg)
+    assert exc.value.violations == ["overrides.c_g: not a parameter of preset 'melt1d'",
+                                    "analysis.anchor: expected length 2"]
+
+
+PIN_OVERRIDES = {"n_nodes": 65, "n_steps": 10, "horizon": 0.05}
+PIN_EXTRA = {"logbdy": {"c_g": 0.4, "delta": 0.7}, "const1d": {"value": -0.2}}
+
+# sha256 of each built problem: grid, parameters, far value, solver, the
+# datum on the box and its exterior at t = 0, dt and the horizon, the
+# unknown mask and the initial value
+PRESET_DIGESTS = {
+    ("const1d", "default"): "3ef12c48f9e457cfb0f416bac0c4bb281aab0804c28a651af1affd9af9b8d0ef",
+    ("const1d", "overridden"): "54bb47d7d22b0ae3838a6d562c3ae08c821a3bdcd31903112f3be701b088408a",
+    ("logbdy", "default"): "113e157c7f0957c331e2034d55869f4d38973eac5353fed07c8f530934704398",
+    ("logbdy", "overridden"): "bcfcf1bd868fe6350f7c1eae44bd531fed2d3f19b802e737290ebecbd48a3f0a",
+    ("melt1d", "default"): "f24994c4351f86c359eeb54738119b6fb63940eada7dea8d01db69c920e92ec0",
+    ("melt1d", "overridden"): "57853f332fd7acf020f29b5a549e1a7b326a7974b5640a54c36a9cfe1a026399",
+    ("twophase1d", "default"): "40c0fcda79f011f9a609218c522056e59513dce7b4bd15bc9cba2d8187401bdd",
+    ("twophase1d", "overridden"): "4612f8cc1516c4727fe27d4c8972c19d33d37c73ab07de1b6343573aff004222",
+}
+
+# (anchor x, rho0, shrink, boundary modulus at radii 1e-3, 0.1, 0.5, 2)
+PRESET_ANALYSIS = {
+    "const1d": ((0.0,), 0.4, 0.65, None),
+    "logbdy": ((0.5,), 0.3, 0.65, {
+        "default": [0.07775388638593467, 0.17060878482588573, 0.3112753741087529, 0.5],
+        "overridden": [0.09406384707762913, 0.17332538754761465, 0.27667740460942, 0.4]}),
+    "melt1d": ((0.5,), 0.3, 0.85, None),
+    "twophase1d": ((0.0,), 0.4, 0.65, None),
+}
+
+
+def problem_digest(preset):
+    problem, solver = preset.problem, preset.solver
+    grid = problem.grid
+    h = hashlib.sha256(repr((grid.spacing, grid.shape, grid.origin, grid.r_infinity,
+                             problem.s, problem.p, problem.eps, problem.horizon,
+                             problem.far_value, solver)).encode())
+    for coords in (grid.coordinates(), grid.exterior_coordinates()):
+        h.update(coords.tobytes())
+        for t in (0.0, solver.dt, problem.horizon):
+            h.update(np.asarray(problem.dirichlet(coords, t), dtype=float).tobytes())
+    h.update(problem.unknown_mask.tobytes())
+    h.update(problem.initial.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("size", ["default", "overridden"])
+@pytest.mark.parametrize("name", sorted(PRESET_ANALYSIS))
+def test_catalog_presets_build_pinned_problems(name, size):
+    overrides = {} if size == "default" else dict(PIN_OVERRIDES, **PIN_EXTRA.get(name, {}))
+    preset = load_preset(name, **overrides)
+    via_config = realize(parse_run_config({"problem": name, "overrides": overrides}))[0]
+    assert problem_digest(preset) == problem_digest(via_config) == PRESET_DIGESTS[name, size]
+    x0, rho0, shrink, modulus = PRESET_ANALYSIS[name]
+    assert preset.anchor == (x0, preset.problem.horizon)
+    assert (preset.rho0, preset.ladder_levels, preset.ladder_shrink) == (rho0, 8, shrink)
+    assert preset.delta_resolve == 0.05
+    assert preset.boundary_point == ((-1.0,) if name != "logbdy" else (0.0,), 0.0)
+    if modulus is None:
+        assert preset.boundary_modulus is None
+    else:
+        assert [preset.boundary_modulus(r) for r in (1e-3, 0.1, 0.5, 2.0)] == modulus[size]
+
+
 def test_inline_core_initial_round_trip():
     core = json.loads(json.dumps(INLINE))
     core["problem"]["initial"] = {"type": "core", "value": -1.0,
@@ -290,6 +361,32 @@ def test_cli_tail_rejects_a_reversed_window_before_solving(tmp_path, capsys, mon
     assert json.loads(capsys.readouterr().err)["error"] == {
         "type": "SchemaViolationError",
         "violations": ["tail.window: start must not exceed end"]}
+    assert not out.exists()
+
+
+def test_cli_tail_rejects_an_empty_window_before_solving(tmp_path, capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved a rejected config")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    cfg = write_cfg(tmp_path, {"problem": "const1d", "tail": {"window": [5.0, 6.0]}})
+    out = tmp_path / "tail"
+    assert cli.main(["tail", "--config", cfg, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "EmptyWindowError", "message": "no stored samples in window [5.0, 6.0]"}
+    assert not out.exists()
+
+
+def test_cli_tail_with_an_empty_window_under_the_intrinsic_policy_makes_no_out(
+        tmp_path, capsys):
+    # the intrinsic policy's stored times are known only after the solve
+    cfg = write_cfg(tmp_path, {"problem": "melt1d",
+                               "overrides": {"n_nodes": 17, "horizon": 0.01},
+                               "solver": {"dt_policy": "intrinsic"},
+                               "tail": {"window": [0.5, 0.6]}})
+    out = tmp_path / "tail"
+    assert cli.main(["tail", "--config", cfg, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "EmptyWindowError"
     assert not out.exists()
 
 
@@ -528,8 +625,8 @@ def test_too_few_preset_nodes_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"problem": "const1d", "overrides": {"n_nodes": 1}})
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == {"type": "InvalidParamsError",
-                            "message": "each axis needs at least two nodes"}
+    assert err["error"] == {"type": "SchemaViolationError",
+                            "violations": ["overrides.n_nodes: must be at least 2"]}
 
 
 def test_cli_verify_2d_inline_problem(tmp_path, capsys):
@@ -540,6 +637,20 @@ def test_cli_verify_2d_inline_problem(tmp_path, capsys):
     checks = read_json(os.path.join(out, "verify.json"))["checks"]
     assert checks["measure_density"]["radii"] == [2.0, 4.0, 8.0]
     assert checks["max_principle"]["passed"] and checks["comparison"]["passed"]
+
+
+def test_verify_density_is_measured_at_the_unknown_sets_lower_corner(tmp_path, capsys):
+    # the unknown set lies inside the box: its corner, not the box's, is a
+    # boundary point, where the complement fills about half of each ball
+    inset = inline_with(horizon=0.02,
+                        box={"lo": [-1.5], "hi": [1.5], "nodes": [49], "r_infinity": 4.0})
+    inset["solver"] = {"dt": 0.01}
+    assert realize(parse_run_config(inset))[0].boundary_point == ((-1.0,), 0.0)
+    out = str(tmp_path / "verify")
+    assert cli.main(["verify", "--config", write_cfg(tmp_path, inset), "--out", out]) == 0
+    fractions = read_json(os.path.join(out, "verify.json"))["checks"]["measure_density"][
+        "fractions"]
+    assert fractions == pytest.approx([0.5] * 3, abs=0.04)
 
 
 @pytest.mark.parametrize("payload", [

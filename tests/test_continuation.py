@@ -15,17 +15,17 @@ from nlstefan import (
     UnresolvedBandError,
     convergence_report,
     limit_pair,
+    load_preset,
     normalize,
     run_family,
     solve,
 )
 from nlstefan import lattice
-from nlstefan.presets import const1d, melt1d
 
 
 @pytest.fixture(scope="module")
 def melt_family():
-    pre = melt1d(n_nodes=33, horizon=0.05, eps=0.2, n_steps=10)
+    pre = load_preset("melt1d", n_nodes=33, horizon=0.05, eps=0.2, n_steps=10)
     return pre, run_family(pre.problem, (0.4, 0.2, 0.1), pre.solver)
 
 
@@ -33,7 +33,7 @@ def melt_family():
 
 
 def test_family_schedule_validation():
-    pre = const1d()
+    pre = load_preset("const1d")
     with pytest.raises(InvalidParamsError, match="empty"):
         run_family(pre.problem, (), pre.solver)
     with pytest.raises(InvalidParamsError, match="lie in"):
@@ -49,7 +49,7 @@ def test_family_schedule_validation():
 
 @pytest.mark.parametrize("threads", [0, -1])
 def test_family_rejects_fewer_than_one_thread(threads):
-    pre = const1d()
+    pre = load_preset("const1d")
     with pytest.raises(InvalidParamsError, match="threads must be at least 1"):
         run_family(pre.problem, (0.2, 0.1), pre.solver, threads=threads)
 
@@ -60,7 +60,7 @@ def test_a_threaded_family_builds_each_lattice_cache_once():
     caches = (lattice._box_coordinates, lattice._exterior_coordinates,
               lattice._box_displacement_weights, lattice._closure)
     before = [cache.cache_info().misses for cache in caches]
-    pre = melt1d(n_nodes=251, horizon=0.005, eps=0.2, n_steps=2)
+    pre = load_preset("melt1d", n_nodes=251, horizon=0.005, eps=0.2, n_steps=2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -72,7 +72,7 @@ def test_a_threaded_family_builds_each_lattice_cache_once():
 
 
 def test_single_member_family_has_empty_distances():
-    pre = const1d()
+    pre = load_preset("const1d")
     fam = run_family(pre.problem, (0.1,), pre.solver)
     assert fam.distances.shape == (0, 0)
     assert fam.eps_values == [0.1]
@@ -83,7 +83,7 @@ def test_single_member_family_has_empty_distances():
 def test_family_of_a_normalized_problem_keeps_its_latent_heat():
     # the scaled problem carries latent heat 1/2; a one-member family at its
     # own eps must be the plain solve, and its limit phase saturates at 1/2
-    pre = melt1d(n_nodes=33, n_steps=3)
+    pre = load_preset("melt1d", n_nodes=33, n_steps=3)
     scaled = normalize(pre.problem, 2.0)
     fam = run_family(scaled, (scaled.eps,), pre.solver)
     direct = solve(scaled, pre.solver)
@@ -99,7 +99,7 @@ def test_family_of_a_normalized_problem_keeps_its_latent_heat():
 
 
 def test_constant_family_is_degenerate():
-    pre = const1d(value=0.3)
+    pre = load_preset("const1d", value=0.3)
     fam = run_family(pre.problem, (0.2, 0.1, 0.05), pre.solver)
     assert np.array_equal(fam.distances, np.zeros((3, 3)))
     assert fam.successive_distances() == [0.0, 0.0]
@@ -108,7 +108,7 @@ def test_constant_family_is_degenerate():
 
 
 def test_constant_family_at_the_interface_is_all_band():
-    pre = const1d(value=0.0)
+    pre = load_preset("const1d", value=0.0)
     fam = run_family(pre.problem, (0.2, 0.1), pre.solver)
     # beta_eps(0) = 1/2 everywhere: the whole sample set is latent layer
     assert fam.band_fractions == [1.0, 1.0]
@@ -151,7 +151,7 @@ def test_family_is_thread_count_invariant(melt_family):
 
 
 def test_family_records_failures_instead_of_aborting():
-    pre = melt1d(n_nodes=33, horizon=0.05, eps=0.2, n_steps=10)
+    pre = load_preset("melt1d", n_nodes=33, horizon=0.05, eps=0.2, n_steps=10)
     hopeless = SolverConfig(dt=0.005, newton_tol=1e-16, newton_max=1)
     fam = run_family(pre.problem, (0.4, 0.2), hopeless)
     assert [e.ok for e in fam.entries] == [False, False]
@@ -177,7 +177,7 @@ def test_limit_pair_contract(melt_family):
 
 
 def test_limit_pair_band_overflow():
-    pre = const1d(value=0.0)
+    pre = load_preset("const1d", value=0.0)
     fam = run_family(pre.problem, (0.2, 0.1), pre.solver)
     with pytest.raises(UnresolvedBandError, match="unresolved"):
         limit_pair(fam, delta_resolve=0.05, max_band_fraction=0.5)
@@ -229,8 +229,8 @@ def test_convergence_report_needs_two_members():
 
 
 def test_convergence_report_flags_mixed_grids():
-    pre_a = melt1d(n_nodes=17, horizon=0.02, eps=0.2, n_steps=4)
-    pre_b = melt1d(n_nodes=33, horizon=0.02, eps=0.2, n_steps=4)
+    pre_a = load_preset("melt1d", n_nodes=17, horizon=0.02, eps=0.2, n_steps=4)
+    pre_b = load_preset("melt1d", n_nodes=33, horizon=0.02, eps=0.2, n_steps=4)
     fam_a = run_family(pre_a.problem, (0.2,), pre_a.solver)
     fam_b = run_family(pre_b.problem, (0.1,), pre_b.solver)
     mixed = FamilyResult(

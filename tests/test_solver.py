@@ -22,6 +22,7 @@ from nlstefan import (
     cli,
     energy_history,
     intrinsic_theta,
+    load_preset,
     max_principle_check,
     normalize,
     parse_run_config,
@@ -31,12 +32,11 @@ from nlstefan import (
     space_time_bump,
     weak_residual,
 )
-from nlstefan.presets import const1d, load_preset, melt1d
-from nlstefan.solver import _intrinsic_dt, _Stepper
+from nlstefan.solver import _intrinsic_dt, _Stepper, stored_times
 
 
 def tiny_melt(n_nodes=33, horizon=0.05, eps=0.2, n_steps=10):
-    return melt1d(n_nodes=n_nodes, horizon=horizon, eps=eps, n_steps=n_steps)
+    return load_preset("melt1d", n_nodes=n_nodes, horizon=horizon, eps=eps, n_steps=n_steps)
 
 
 # ---------------------------------------------------------------- validation
@@ -146,7 +146,7 @@ def test_datum_that_turns_scalar_stops_the_solve():
 
 
 def test_constant_data_stay_constant():
-    pre = const1d(value=0.3)
+    pre = load_preset("const1d", value=0.3)
     traj = solve(pre.problem, pre.solver)
     for state in traj.states:
         assert np.array_equal(state, pre.problem.initial)
@@ -171,7 +171,7 @@ def test_trajectory_layout():
 
 
 def test_store_every_keeps_final_level():
-    pre = melt1d(n_nodes=33, horizon=0.07, eps=0.2, n_steps=7)
+    pre = load_preset("melt1d", n_nodes=33, horizon=0.07, eps=0.2, n_steps=7)
     cfg = SolverConfig(dt=0.01, store_every=3)
     traj = solve(pre.problem, cfg)
     assert traj.times == [0.0, 0.03, 0.06, 0.07]
@@ -208,7 +208,7 @@ def test_newton_meets_tolerance_every_step():
        center=st.floats(-0.5, 0.5), radius=st.floats(0.2, 0.45))
 def test_no_step_raises_the_objective(eps, amp, center, radius):
     # a smooth bump inside the unknown set on top of the melt's initial value
-    pre = melt1d(n_nodes=33, horizon=0.02, eps=eps, n_steps=4)
+    pre = load_preset("melt1d", n_nodes=33, horizon=0.02, eps=eps, n_steps=4)
     r2 = ((pre.problem.grid.coordinates()[:, 0] - center) / radius) ** 2
     bump = np.zeros_like(r2)
     inside = r2 < 1.0
@@ -278,7 +278,7 @@ def test_benchmark_size_solves_keep_their_newton_work(monkeypatch):
     # canonical dt) and the 21 x 21 melt: a change that moves Newton's path
     # moves these counts and has to say so.  Each Newton point is evaluated
     # once: every step's start, every iteration's full step, every backtrack.
-    pre = melt1d(n_nodes=257, horizon=0.02, n_steps=16)
+    pre = load_preset("melt1d", n_nodes=257, horizon=0.02, n_steps=16)
     _, problem, config = realize(parse_run_config(MELT2D_21))
     calls = []
     evaluate = OperatorWorkspace.evaluate
@@ -300,7 +300,7 @@ def test_benchmark_size_solves_keep_their_newton_work(monkeypatch):
 @pytest.mark.parametrize("eps", [0.2, 0.02])
 def test_objective_drop_is_start_minus_final_objective(eps, monkeypatch):
     # eps 0.2 converges on full steps alone; eps 0.02 needs the line search
-    pre = melt1d(n_nodes=33, horizon=0.05, eps=eps, n_steps=10)
+    pre = load_preset("melt1d", n_nodes=33, horizon=0.05, eps=eps, n_steps=10)
     prob, dt = pre.problem, 0.025
     stepper = _Stepper(prob, SolverConfig(dt=dt))
     calls = []
@@ -385,7 +385,7 @@ def test_comparison_principle():
 @settings(max_examples=5, deadline=None)
 @given(st.floats(min_value=0.01, max_value=0.5), st.integers(min_value=1, max_value=8))
 def test_comparison_principle_random_bumps(amp, width):
-    pre = melt1d(n_nodes=17, horizon=0.02, eps=0.2, n_steps=4)
+    pre = load_preset("melt1d", n_nodes=17, horizon=0.02, eps=0.2, n_steps=4)
     base_traj = solve(pre.problem, pre.solver)
     x = pre.problem.grid.coordinates()[:, 0]
     bump = np.where(pre.problem.unknown_mask, amp * np.exp(-width * x * x), 0.0)
@@ -475,7 +475,7 @@ def test_weak_residual_vanishing_test_function(small_melt_traj):
 
 
 def test_weak_residual_constant_solution_is_rounding_level():
-    pre = const1d()
+    pre = load_preset("const1d")
     traj = solve(pre.problem, pre.solver)
     phi = space_time_bump((0.0,), 0.5, (0.02, 0.08))
     assert weak_residual(traj, phi) < 1e-12
@@ -484,7 +484,7 @@ def test_weak_residual_constant_solution_is_rounding_level():
 def test_weak_residual_decays_with_the_time_step():
     vals = {}
     for n_steps in (20, 40):
-        pre = melt1d(n_nodes=65, horizon=0.1, eps=0.2, n_steps=n_steps)
+        pre = load_preset("melt1d", n_nodes=65, horizon=0.1, eps=0.2, n_steps=n_steps)
         traj = solve(pre.problem, pre.solver)
         phi = space_time_bump((0.0,), 0.6, (0.02, 0.08))
         vals[n_steps] = weak_residual(traj, phi)
@@ -513,7 +513,7 @@ def test_energy_history_monotone(small_melt_traj):
 
 
 def test_caccioppoli_constant_solution_all_zero():
-    pre = const1d(value=0.3)
+    pre = load_preset("const1d", value=0.3)
     traj = solve(pre.problem, pre.solver)
     cyl = Cylinder(x0=(0.0,), t0=pre.problem.horizon, rho=0.4,
                    theta=intrinsic_theta(1.0, pre.problem.p))
@@ -612,3 +612,12 @@ def test_caccioppoli_rejects_bad_sign(small_melt_traj):
                    theta=intrinsic_theta(1.0, pre.problem.p))
     with pytest.raises(InvalidParamsError, match="sign"):
         caccioppoli_audit(traj, 0.1, "x", cyl)
+
+
+@pytest.mark.parametrize("horizon, dt, store_every", [
+    (0.05, 0.005, 1), (0.05, 0.005, 3), (0.047, 0.01, 2), (0.01, 0.02, 4)])
+def test_stored_times_are_the_times_a_fixed_step_solve_stores(horizon, dt, store_every):
+    pre = load_preset("melt1d", n_nodes=17, horizon=horizon, eps=0.2)
+    config = SolverConfig(dt=dt, store_every=store_every)
+    assert stored_times(horizon, config) == solve(pre.problem, config).times
+    assert stored_times(horizon, replace(config, dt_policy="intrinsic")) is None
