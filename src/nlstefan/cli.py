@@ -1,9 +1,14 @@
 """Command line front end.
 
 Subcommands: solve, analyze-modulus, continuation, lemma-check, verify,
-tail.  Contract failures exit with status 2 and print a machine-readable
-error object to stderr; failed verification checks exit with status 1.
-Scalar output on stdout uses 17 significant digits.
+tail.  `main` orders every run: parse the arguments, load and realize the
+config, check `--out`, run the command, then make `--out` and write.  A
+command only computes: it returns (write, summary, exit status), where
+write(out) writes its finished results and summary is what stdout shows
+after, so a failed run leaves no directory and no partial files.  Every
+failure, usage errors and unwritable paths included, exits with status 2
+and prints a JSON error object to stderr; failed verification checks exit
+with status 1.  Scalar output on stdout uses 17 significant digits.
 """
 
 from __future__ import annotations
@@ -46,28 +51,14 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _require_out(args, make=True) -> str:
-    if not args.out:
-        raise SchemaViolationError(["out: this subcommand needs --out DIR"])
-    if make:
-        os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
-def cmd_solve(args) -> int:
-    cfg = _load_config(args)
-    preset, problem, solver_cfg = realize(cfg)
-    out = _require_out(args)
+def cmd_solve(args, cfg, preset, problem, solver_cfg):
     traj = solve(problem, solver_cfg)
-    fileio.write_trajectory(out, traj, config_echo=_echo(cfg))
     worst = max(d.residual_norm for d in traj.diagnostics)
-    print(f"solve: {len(traj.diagnostics)} steps, worst residual {F % worst}")
-    return 0
+    return (lambda out: fileio.write_trajectory(out, traj, config_echo=_echo(cfg)),
+            f"solve: {len(traj.diagnostics)} steps, worst residual {F % worst}", 0)
 
 
-def cmd_tail(args) -> int:
-    cfg = _load_config(args)
-    preset, problem, solver_cfg = realize(cfg)
+def cmd_tail(args, cfg, preset, problem, solver_cfg):
     x0, t0 = preset.anchor
     *center, t_at = cfg.tail.get("center", [*x0, t0])
     rho = cfg.tail.get("rho", preset.rho0)
@@ -75,21 +66,15 @@ def cmd_tail(args) -> int:
     times = stored_times(problem.horizon, solver_cfg)
     if times is not None:
         in_window([(t,) for t in times], window)    # an empty window fails before the solve
-    out = _require_out(args, make=False)
     traj = solve(problem, solver_cfg)
     value = tail_fn(problem.grid, traj.samples(), center, rho, window, problem.s, problem.p)
-    os.makedirs(out, exist_ok=True)    # only once the tail is known
     payload = {"center": center + [t_at], "rho": rho, "window": list(window),
-               "tail": value}
-    fileio.write_json(os.path.join(out, "tail.json"), payload)
-    print(f"tail: {F % value}")
-    return 0
+               "tail": value, "config": _echo(cfg)}
+    return (lambda out: fileio.write_json(os.path.join(out, "tail.json"), payload),
+            f"tail: {F % value}", 0)
 
 
-def cmd_analyze_modulus(args) -> int:
-    cfg = _load_config(args)
-    preset, problem, solver_cfg = realize(cfg)
-    out = _require_out(args)
+def cmd_analyze_modulus(args, cfg, preset, problem, solver_cfg):
     traj = solve(problem, solver_cfg)
     x0, t0 = preset.anchor
     rho0, n_levels = preset.rho0, preset.ladder_levels
@@ -106,77 +91,69 @@ def cmd_analyze_modulus(args) -> int:
         s=problem.s, p=problem.p, eps=problem.eps, omega0=omega0, rho0=rho0)
     seq = analysis.interior_sequences(params, n_levels=n_levels)
     tail_rows = analysis.sequence_tail_report(traj, seq, (x0, t0))
-    fileio.write_sequence_csv(
-        os.path.join(out, "sequences.csv"),
-        [{"level": r.index, "rho": r.rho, "omega": r.omega, "theta": r.theta,
-          "osc": r.osc, "tail_ratio": r.ratio} for r in tail_rows])
-    with open(os.path.join(out, "modulus.csv"), "w", encoding="utf-8") as fh:
-        fh.write("level,radius,osc\n")
-        for i, (r, o) in enumerate(levels):
-            fh.write(f"{i},{F % r},{F % o}\n")
-    fileio.write_json(os.path.join(out, "modulus.json"), {
+    summary = {
         "anchor": list(x0) + [t0], "rho0": rho0, "omega0": omega0,
         "c": report.c, "varsigma": report.varsigma, "eps": report.eps,
         "residual": report.residual, "n_samples": report.n_samples,
-        "config": _echo(cfg)})
-    print(f"modulus fit: c={F % report.c} varsigma={F % report.varsigma} "
-          f"residual={F % report.residual}")
-    return 0
+        "config": _echo(cfg)}
+
+    def write(out):
+        fileio.write_csv(os.path.join(out, "sequences.csv"),
+                         ("level", "rho", "omega", "theta", "osc", "tail_ratio"),
+                         [[str(r.index)] + [F % x for x in (r.rho, r.omega, r.theta,
+                                                            r.osc, r.ratio)]
+                          for r in tail_rows])
+        fileio.write_csv(os.path.join(out, "modulus.csv"), ("level", "radius", "osc"),
+                         [(str(i), F % r, F % o) for i, (r, o) in enumerate(levels)])
+        fileio.write_json(os.path.join(out, "modulus.json"), summary)
+
+    return (write, f"modulus fit: c={F % report.c} varsigma={F % report.varsigma} "
+                   f"residual={F % report.residual}", 0)
 
 
-def cmd_continuation(args) -> int:
-    cfg = _load_config(args)
-    preset, problem, solver_cfg = realize(cfg)
-    # a family that run_family would refuse leaves no --out directory behind
-    continuation_mod.check_family(cfg.continuation["eps_values"], solver_cfg, args.threads)
-    out = _require_out(args)
+def cmd_continuation(args, cfg, preset, problem, solver_cfg):
     family = continuation_mod.run_family(problem, cfg.continuation["eps_values"],
                                          solver_cfg, threads=args.threads)
-    for entry in family.entries:
-        if entry.ok:
-            fileio.write_trajectory(os.path.join(out, f"eps_{entry.eps:g}"),
-                                    entry.trajectory)
     pair = continuation_mod.limit_pair(family, preset.delta_resolve)
     report = continuation_mod.convergence_report(family)
     grid = family.entries[-1].trajectory.problem.grid
-    fileio.write_field_csv(os.path.join(out, "limit_u.csv"), grid, pair.u_states[-1])
-    fileio.write_field_csv(os.path.join(out, "limit_w.csv"), grid, pair.w_states[-1])
-    fileio.write_field_csv(os.path.join(out, "limit_v.csv"), grid, pair.v_states[-1])
-    fileio.write_json(os.path.join(out, "family.json"), {
-        "eps_values": family.eps_values,
-        "distances": [[None if not np.isfinite(d) else d for d in row]
-                      for row in family.distances.tolist()],
-        "successive_distances": report.successive_distances,
-        "monotone": report.monotone,
-        "band_fractions": [None if not np.isfinite(f) else f
-                           for f in family.band_fractions],
-        "limit_band_fraction": pair.band_fraction,
-        "errors": {f"{e.eps:g}": e.error for e in family.entries if not e.ok},
-        "config": _echo(cfg)})
-    print(f"continuation: distances {[F % d for d in report.successive_distances]} "
-          f"bands {[F % f for f in family.band_fractions]}")
-    return 0
+
+    def write(out):
+        for entry in family.entries:
+            if entry.ok:
+                fileio.write_trajectory(os.path.join(out, f"eps_{entry.eps:g}"),
+                                        entry.trajectory)
+        for name, states in zip("uwv", (pair.u_states, pair.w_states, pair.v_states)):
+            fileio.write_field_csv(os.path.join(out, f"limit_{name}.csv"), grid, states[-1])
+        fileio.write_json(os.path.join(out, "family.json"), {
+            "eps_values": family.eps_values,
+            "distances": [[None if not np.isfinite(d) else d for d in row]
+                          for row in family.distances.tolist()],
+            "successive_distances": report.successive_distances,
+            "monotone": report.monotone,
+            "band_fractions": [None if not np.isfinite(f) else f
+                               for f in family.band_fractions],
+            "limit_band_fraction": pair.band_fraction,
+            "errors": {f"{e.eps:g}": e.error for e in family.entries if not e.ok},
+            "config": _echo(cfg)})
+
+    return (write, f"continuation: distances {[F % d for d in report.successive_distances]} "
+                   f"bands {[F % f for f in family.band_fractions]}", 0)
 
 
-def cmd_lemma_check(args) -> int:
-    out = _require_out(args)
+def cmd_lemma_check(args):
     grid_vals = (4.0, 8.0, 16.0)
-    rows = []
+    iter_rows = []
     all_pass = True
     for m2, n2, l2 in itertools.product(grid_vals, repeat=3):
         if l2 < m2:
             continue
         for omega0 in (1.0, 2.0, 10.0):
             verdict = analysis.lemma_iter_verify(m2, n2, l2, omega0)
-            rows.append({"m2": m2, "n2": n2, "l2": l2, "omega0": omega0,
-                         "epsilon": verdict.epsilon, "passed": verdict.passed,
-                         "min_margin": verdict.min_margin})
+            iter_rows.append([f"{x:g}" for x in (m2, n2, l2, omega0)]
+                             + [F % verdict.epsilon, F % verdict.min_margin,
+                                str(int(verdict.passed))])
             all_pass &= verdict.passed
-    with open(os.path.join(out, "lemma_iter.csv"), "w", encoding="utf-8") as fh:
-        fh.write("m2,n2,l2,omega0,epsilon,min_margin,passed\n")
-        for r in rows:
-            fh.write(f"{r['m2']:g},{r['n2']:g},{r['l2']:g},{r['omega0']:g},"
-                     f"{F % r['epsilon']},{F % r['min_margin']},{int(r['passed'])}\n")
 
     rng = np.random.default_rng(args.seed)
     geo_rows = []
@@ -187,29 +164,29 @@ def cmd_lemma_check(args) -> int:
         a0 = c ** (-1.0 / alpha) * b ** (-1.0 / alpha ** 2)
         rep = analysis.geometric_convergence(c, b, alpha, a0)
         ok = bool(rep.within_certificate) if rep.within_certificate is not None else rep.bounded
-        geo_rows.append({"c": c, "b": b, "alpha": alpha, "a0": a0, "passed": ok})
+        geo_rows.append([F % x for x in (c, b, alpha, a0)] + [str(int(ok))])
         all_pass &= ok
     negative = analysis.geometric_convergence(1.0, 2.0, 1.0, 0.75)
     all_pass &= negative.diverged
-    with open(os.path.join(out, "lemma_tech.csv"), "w", encoding="utf-8") as fh:
-        fh.write("c,b,alpha,a0,passed\n")
-        for r in geo_rows:
-            fh.write(f"{F % r['c']},{F % r['b']},{F % r['alpha']},"
-                     f"{F % r['a0']},{int(r['passed'])}\n")
-    fileio.write_json(os.path.join(out, "verdicts.json"), {
-        "iteration_lemma": {"cases": len(rows), "all_passed": all_pass},
+    verdicts = {
+        "iteration_lemma": {"cases": len(iter_rows), "all_passed": all_pass},
         "decay_lemma": {"cases": len(geo_rows),
                         "negative_control_diverged": bool(negative.diverged)},
-    })
-    print(f"lemma-check: {len(rows)} iteration cases, "
-          f"{len(geo_rows)} decay cases, all_passed={all_pass}")
-    return 0 if all_pass else 1
+    }
+
+    def write(out):
+        fileio.write_csv(os.path.join(out, "lemma_iter.csv"),
+                         ("m2", "n2", "l2", "omega0", "epsilon", "min_margin", "passed"),
+                         iter_rows)
+        fileio.write_csv(os.path.join(out, "lemma_tech.csv"),
+                         ("c", "b", "alpha", "a0", "passed"), geo_rows)
+        fileio.write_json(os.path.join(out, "verdicts.json"), verdicts)
+
+    return (write, f"lemma-check: {len(iter_rows)} iteration cases, "
+                   f"{len(geo_rows)} decay cases, all_passed={all_pass}", 0 if all_pass else 1)
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args)
-    preset, problem, solver_cfg = realize(cfg)
-    out = _require_out(args)
+def cmd_verify(args, cfg, preset, problem, solver_cfg):
     traj = solve(problem, solver_cfg)
     checks = structural_audit(traj, solver_cfg)
 
@@ -230,47 +207,64 @@ def cmd_verify(args) -> int:
                                  "passed": density.passed}
 
     passed = all(c["passed"] for c in checks.values())
-    fileio.write_json(os.path.join(out, "verify.json"),
-                      {"checks": checks, "passed": passed, "config": _echo(cfg)})
-    for name, c in checks.items():
-        print(f"verify {name}: {'PASS' if c['passed'] else 'FAIL'}")
-    return 0 if passed else 1
+    payload = {"checks": checks, "passed": passed, "config": _echo(cfg)}
+    return (lambda out: fileio.write_json(os.path.join(out, "verify.json"), payload),
+            "\n".join(f"verify {name}: {'PASS' if c['passed'] else 'FAIL'}"
+                      for name, c in checks.items()), 0 if passed else 1)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a schema violation, reported like every other failure."""
+
+    def error(self, message):
+        raise SchemaViolationError([f"{self.prog}: {message}"])
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="nlstefan",
-                                     description="nonlocal two-phase lattice laboratory")
+    parser = _Parser(prog="nlstefan", description="nonlocal two-phase lattice laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("solve", cmd_solve), ("analyze-modulus", cmd_analyze_modulus),
                      ("continuation", cmd_continuation), ("lemma-check", cmd_lemma_check),
                      ("verify", cmd_verify), ("tail", cmd_tail)):
         sp = sub.add_parser(name)
-        sp.add_argument("--config", type=str, default=None, help="run config JSON")
         sp.add_argument("--out", type=str, default=None, help="output directory")
-        sp.add_argument("--preset", type=str, default=None, help="preset name")
+        if name == "lemma-check":
+            sp.add_argument("--seed", type=int, default=0, help="sampling seed")
+        else:
+            sp.add_argument("--config", type=str, default=None, help="run config JSON")
+            sp.add_argument("--preset", type=str, default=None, help="preset name")
         if name == "continuation":
             sp.add_argument("--threads", type=int, default=1,
                             help="worker threads for family solves")
-        if name == "lemma-check":
-            sp.add_argument("--seed", type=int, default=0, help="sampling seed")
         sp.set_defaults(handler=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        args = build_parser().parse_args(argv)
+        inputs = ()
+        if "config" in args:    # every subcommand but lemma-check reads one
+            cfg = _load_config(args)
+            inputs = (cfg, *realize(cfg))
+        out = args.out
+        if not out:
+            raise SchemaViolationError(["out: this subcommand needs --out DIR"])
+        if os.path.exists(out) and not os.path.isdir(out):
+            raise SchemaViolationError([f"out: {out} exists and is not a directory"])
+        write, summary, status = args.handler(args, *inputs)
+        os.makedirs(out, exist_ok=True)
+        write(out)
     except SchemaViolationError as exc:
-        json.dump({"error": {"type": "SchemaViolationError",
-                             "violations": exc.violations}}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    except NlstefanError as exc:
-        json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}},
-                  sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        error = {"type": "SchemaViolationError", "violations": exc.violations}
+    except (NlstefanError, OSError) as exc:
+        error = {"type": type(exc).__name__, "message": str(exc)}
+    else:
+        print(summary)
+        return status
+    json.dump({"error": error}, sys.stderr)
+    sys.stderr.write("\n")
+    return 2
 
 
 if __name__ == "__main__":

@@ -154,9 +154,7 @@ def _problem(v: _Validator, path: str, value):
     if not isinstance(value, dict):
         v.fail(path, "expected a preset name or an object")
         return None
-    prob = _walk(v, path, value, _INLINE)
-    _check_inline(v, prob)
-    return prob
+    return _walk(v, path, value, _INLINE)
 
 
 def _overrides(v: _Validator, path: str, value):
@@ -181,18 +179,27 @@ def _datum(v: _Validator, path: str, value):
     return _walk(v, path, value, _LOG_DATUM if log else _CONSTANT_DATUM)
 
 
-def _check_inline(v: _Validator, prob: dict) -> None:
-    """The checks of an inline problem that read more than one key, and the
-    initial value's default."""
+def _check_inline(v: _Validator, prob: dict, analysis: dict, tail: dict) -> None:
+    """The checks of an inline problem that read more than one key, those of
+    the points that the analysis and tail sections place in its box, and
+    the initial value's default."""
     box = prob.get("box", {})
     if len(box) == len(_BOX):
         dim = len(box["lo"])
         if not len(box["hi"]) == len(box["nodes"]) == dim or dim not in (1, 2):
             v.fail("problem.box", "lo, hi, nodes must share length 1 or 2")
         else:
+            spacings = [(h - l) / (n - 1)
+                        for l, h, n in zip(box["lo"], box["hi"], box["nodes"])]
+            if any(abs(sp - spacings[0]) > 1e-12 * abs(spacings[0]) for sp in spacings):
+                v.fail("problem.box", "axes must share one spacing")
             for key, values in prob.get("unknown", {}).items():
                 if len(values) != dim:
                     v.fail(f"problem.unknown.{key}", f"expected length {dim}")
+            for path, point in (("analysis.anchor", analysis.get("anchor")),
+                                ("tail.center", tail.get("center"))):
+                if point is not None:
+                    v.number_list(path, point, length=dim + 1)
     if not v.violations and "value" not in prob["initial"] and "value" in prob["datum"]:
         # a constant datum's value, second in emission order
         prob["initial"] = {"type": prob["initial"]["type"],
@@ -303,6 +310,8 @@ def parse_run_config(source) -> RunConfig:
         raise SchemaViolationError(["top level: expected an object"])
     v = _Validator()
     values = _walk(v, "", raw, _RUN)
+    if isinstance(values.get("problem"), dict):
+        _check_inline(v, values["problem"], values.get("analysis", {}), values.get("tail", {}))
     if v.violations:
         raise SchemaViolationError(v.violations)
     return RunConfig(**values)
@@ -379,7 +388,7 @@ def _catalog_problem(v: _Validator, name: str, overrides: dict):
                 box=dict(prob["box"], nodes=[values.get("n_nodes", prob["box"]["nodes"][0])]),
                 datum=dict(prob["datum"], **{k: values[k] for k in _DATUM_OVERRIDES
                                              if k in values}))
-    return _problem(v, "problem", prob), values.get("n_steps", entry["n_steps"])
+    return _walk(v, "problem", prob, _INLINE), values.get("n_steps", entry["n_steps"])
 
 
 def _dirichlet(prob: dict):
@@ -407,10 +416,7 @@ def _dirichlet(prob: dict):
 
 def _build(name: str, prob: dict, n_steps: int, entry: dict) -> Preset:
     box, initial = prob["box"], prob["initial"]
-    spacings = [(h - l) / (n - 1) for l, h, n in zip(box["lo"], box["hi"], box["nodes"])]
-    spacing = spacings[0]
-    if any(abs(sp - spacing) > 1e-12 * abs(spacing) for sp in spacings):
-        raise SchemaViolationError(["problem.box: axes must share one spacing"])
+    spacing = (box["hi"][0] - box["lo"][0]) / (box["nodes"][0] - 1)
     grid = Grid(spacing=spacing, shape=tuple(box["nodes"]), origin=tuple(box["lo"]),
                 r_infinity=box["r_infinity"])
     coords = grid.coordinates()
@@ -455,11 +461,7 @@ def realize(cfg: RunConfig):
         prob, n_steps = _catalog_problem(v, name, cfg.overrides)
     elif cfg.overrides:
         v.fail("overrides", "an inline problem takes no overrides")
-    dim = len(prob["box"]["lo"])
-    for path, point in (("analysis.anchor", cfg.analysis.get("anchor")),
-                        ("tail.center", cfg.tail.get("center"))):
-        if point is not None:
-            v.number_list(path, point, length=dim + 1)
+    _check_inline(v, prob, cfg.analysis, cfg.tail)
     if v.violations:
         raise SchemaViolationError(v.violations)
     preset = _build(name, prob, n_steps, entry)

@@ -53,10 +53,15 @@ def _family_member(problem: LatticeProblem, eps: float) -> LatticeProblem:
                    enthalpy=RegularizedEnthalpy(eps, problem.enthalpy.latent_heat))
 
 
-def check_family(eps_values: Sequence[float], config: SolverConfig,
-                 threads: int = 1) -> List[float]:
-    """The eps schedule as floats; raises InvalidParamsError, before any
-    work, for a family that run_family would refuse."""
+def run_family(problem: LatticeProblem, eps_values: Sequence[float],
+               config: SolverConfig, threads: int = 1) -> FamilyResult:
+    """Solve the problem for every eps in a strictly decreasing schedule.
+
+    Members share the fixed time grid, so fields are comparable sample by
+    sample.  A family it would refuse raises InvalidParamsError before any
+    solve.  Solver failures are recorded per entry instead of aborting the
+    family; distances involving a failed entry are NaN.
+    """
     if threads < 1:
         raise InvalidParamsError(f"threads must be at least 1, got {threads}")
     eps_values = [float(e) for e in eps_values]
@@ -69,18 +74,6 @@ def check_family(eps_values: Sequence[float], config: SolverConfig,
     if config.dt_policy != "fixed":
         raise InvalidParamsError("family solves require the fixed step policy "
                                  "so members share one time grid")
-    return eps_values
-
-
-def run_family(problem: LatticeProblem, eps_values: Sequence[float],
-               config: SolverConfig, threads: int = 1) -> FamilyResult:
-    """Solve the problem for every eps in a strictly decreasing schedule.
-
-    Members share the fixed time grid, so fields are comparable sample by
-    sample.  Solver failures are recorded per entry instead of aborting
-    the family; distances involving a failed entry are NaN.
-    """
-    eps_values = check_family(eps_values, config, threads)
 
     def run_one(eps: float) -> FamilyEntry:
         try:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -66,15 +66,12 @@ def read_json(path):
         return json.load(fh)
 
 
-def write_sequence_csv(path, rows: Sequence[dict]) -> None:
-    """Ladder table (level, rho_i, omega_i, theta_i, osc, tail_ratio)."""
-    cols = ["level", "rho", "omega", "theta", "osc", "tail_ratio"]
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """A header line and one line per row of already formatted cells."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
+        fh.write(",".join(header) + "\n")
         for row in rows:
-            parts = [str(int(row["level"]))]
-            parts += [FLOAT_FMT % float(row[c]) for c in cols[1:]]
-            fh.write(",".join(parts) + "\n")
+            fh.write(",".join(row) + "\n")
 
 
 def write_trajectory(out_dir, traj, config_echo=None) -> dict:

@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -408,12 +410,15 @@ def test_cli_lemma_check(tmp_path, capsys):
 
 
 def test_cli_rejects_flags_its_subcommand_ignores(tmp_path, capsys):
-    # --threads belongs to continuation and --seed to lemma-check only
-    for argv in (["solve", "--threads", "2"], ["verify", "--seed", "1"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--preset", "const1d", "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+    # --threads belongs to continuation, --seed to lemma-check only, and
+    # lemma-check reads no config
+    for argv in (["solve", "--threads", "2"], ["verify", "--seed", "1"],
+                 ["lemma-check", "--config", "x.json"]):
+        assert cli.main(argv + ["--preset", "const1d", "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "SchemaViolationError"
+        [violation] = err["violations"]
+        assert "unrecognized arguments" in violation
 
 
 def test_cli_verify_const_preset(tmp_path, capsys):
@@ -629,6 +634,17 @@ def test_too_few_preset_nodes_exit_2(tmp_path, capsys):
                             "violations": ["overrides.n_nodes: must be at least 2"]}
 
 
+def test_box_spacing_is_reported_with_the_other_violations():
+    bad = inline_with(box={"lo": [-1.0, -1.0], "hi": [1.0, 2.0], "nodes": [9, 9],
+                           "r_infinity": 3.0},
+                      unknown={"lo": [-1.0, -1.0], "hi": [1.0, 1.0]})
+    bad["analysis"] = {"anchor": [0.1]}
+    with pytest.raises(SchemaViolationError) as exc:
+        realize(parse_run_config(bad))
+    assert exc.value.violations == ["problem.box: axes must share one spacing",
+                                    "analysis.anchor: expected length 3"]
+
+
 def test_cli_verify_2d_inline_problem(tmp_path, capsys):
     cfg = write_cfg(tmp_path, dict(INLINE_2D, solver={"dt": 0.01}))
     out = str(tmp_path / "verify")
@@ -677,3 +693,86 @@ def test_rejected_config_leaves_no_output_directory(tmp_path, capsys, command):
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "SchemaViolationError"
     assert not out.exists()
+
+
+# ---------------------------------------------------------------- failures
+
+
+# one Newton iteration per step cannot take the first step of this melt
+STALLING = {"problem": "melt1d",
+            "overrides": {"n_nodes": 33, "horizon": 0.05, "n_steps": 2, "eps": 0.01},
+            "solver": {"newton_max": 1}}
+
+
+@pytest.mark.parametrize("command, error", [
+    ("solve", "NewtonDivergenceError"),
+    ("tail", "NewtonDivergenceError"),
+    ("analyze-modulus", "NewtonDivergenceError"),
+    ("verify", "NewtonDivergenceError"),
+    # every member fails, so the family has no finest member to take a limit of
+    ("continuation", "InvalidParamsError"),
+])
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys, command, error):
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", write_cfg(tmp_path, STALLING),
+                     "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == error
+    assert not out.exists()
+
+
+def test_continuation_without_a_limit_writes_no_member(tmp_path, capsys):
+    # delta_resolve 10 puts every sample on the unresolved band
+    cfg = write_cfg(tmp_path, {"problem": "const1d",
+                               "continuation": {"eps_values": [0.2, 0.1],
+                                                "delta_resolve": 10}})
+    assert cli.main(["continuation", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "UnresolvedBandError"
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("below, error", [
+    (None, "SchemaViolationError"),     # refused before the solve
+    ("run", "NotADirectoryError"),      # fails when --out is made
+], ids=["a-file", "under-a-file"])
+def test_out_that_cannot_be_a_directory_exits_2_without_a_traceback(tmp_path, below, error):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    out = blocker / below if below else blocker
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "nlstefan.cli", "solve", "--preset",
+                           "const1d", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert json.loads(line)["error"]["type"] == error
+    assert blocker.read_text() == "kept\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["continuation", "--threads", "two", "--out", "o"],
+     "argument --threads: invalid int value: 'two'"),
+    ([], "the following arguments are required: command"),
+], ids=["non-integer-threads", "no-subcommand"])
+def test_usage_errors_exit_2_with_a_json_error(tmp_path, monkeypatch, capsys, argv, text):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "SchemaViolationError"
+    [violation] = err["violations"]
+    assert text in violation
+    assert os.listdir(tmp_path) == []
+
+
+def test_help_exits_0_and_lists_only_the_flags_a_subcommand_reads(capsys):
+    for command, flags in (("solve", ("--config", "--preset", "--out")),
+                           ("lemma-check", ("--out", "--seed"))):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out
+        for flag in ("--config", "--preset", "--out", "--seed", "--threads"):
+            assert (flag in usage) == (flag in flags)
