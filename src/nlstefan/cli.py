@@ -250,8 +250,11 @@ def main(argv=None) -> int:
         out = args.out
         if not out:
             raise SchemaViolationError(["out: this subcommand needs --out DIR"])
-        if os.path.exists(out) and not os.path.isdir(out):
-            raise SchemaViolationError([f"out: {out} exists and is not a directory"])
+        existing = os.path.abspath(out)     # makedirs needs a directory to start from
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise SchemaViolationError([f"out: {existing} exists and is not a directory"])
         write, summary, status = args.handler(args, *inputs)
         os.makedirs(out, exist_ok=True)
         write(out)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 from typing import Iterable, List, Sequence
 
 import numpy as np
@@ -87,12 +88,7 @@ def write_trajectory(out_dir, traj, config_echo=None) -> dict:
         "times": list(traj.times),
         "n_stored": len(traj.states),
         "n_steps": len(traj.diagnostics),
-        "diagnostics": [
-            {"t": d.t, "dt": d.dt, "newton_iterations": d.newton_iterations,
-             "residual_norm": d.residual_norm, "objective_drop": d.objective_drop,
-             "backtracks": d.backtracks}
-            for d in traj.diagnostics
-        ],
+        "diagnostics": [asdict(d) for d in traj.diagnostics],
     }
     if config_echo is not None:
         manifest["config"] = config_echo

@@ -14,8 +14,11 @@ functional
 
 with B the enthalpy potential and E the pairwise p-energy, so a damped
 Newton iteration with an SPD Jacobian and an Armijo line search is
-globally convergent.  _linalg solves the Newton systems by a Cholesky
-pinned to one BLAS thread, so trajectories do not depend on the count.
+globally convergent.  _linalg solves each Newton system matrix-free by
+CG to an Eisenstat-Walker forcing term, eta_k = min(1e-3, 0.9 (|r_k| /
+|r_{k-1}|)^2) and eta_0 = 1e-3, floored at 0.01 newton_tol / |r_k|
+(2-norms), never through BLAS, so trajectories do not depend on the BLAS
+thread count.  The outer test on max |r| is unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from ._linalg import solve_spd
+from ._linalg import newton_cg
 from .enthalpy import RegularizedEnthalpy
 from .errors import (DegenerateCutoffError, EmptyCylinderError,
                      InvalidParamsError, NewtonDivergenceError)
@@ -166,6 +169,7 @@ class StepDiagnostics:
     residual_norm: float
     objective_drop: float
     backtracks: int
+    linear_iterations: int
 
 
 @dataclass
@@ -197,7 +201,6 @@ class _Stepper:
         self.config = config
         self.ws = OperatorWorkspace(problem.grid, problem.s, problem.p, problem.kernel_scale)
         self.mask = problem.unknown_mask
-        self.unknown = np.flatnonzero(self.mask)
         self.hn = problem.grid.spacing ** problem.grid.dimension
 
     def datum(self, t: float):
@@ -218,16 +221,12 @@ class _Stepper:
         lv = self.ws.scale * sums.flux
         return (enth.b(full[self.mask]) - b_prev) + dt * lv[self.mask], sums
 
-    def jacobian(self, full: np.ndarray, dt: float, sums: PairSums) -> np.ndarray:
-        """Newton matrix at full; sums must be the workspace's latest
-        evaluation, as its conductance lives in the workspace's buffer."""
+    def jacobian(self, full: np.ndarray, dt: float, sums: PairSums):
+        """(diagonal, coupling) of the Newton matrix at full, whose
+        off-diagonal part is -coupling sums.conductance on the unknown nodes."""
         dt_k = dt * self.ws.scale * (self.problem.p - 1.0)
-        # the conductance has a zero diagonal, so this leaves the diagonal empty
-        jac = sums.conductance.take(self.unknown, axis=0).take(self.unknown, axis=1)
-        jac *= -dt_k
-        jac[np.diag_indices_from(jac)] = (
-            self.problem.enthalpy.b_prime(full[self.mask]) + dt_k * sums.rows[self.mask])
-        return jac
+        # the conductance has a zero diagonal, so rows alone make the diagonal
+        return self.problem.enthalpy.b_prime(full[self.mask]) + dt_k * sums.rows[self.mask], dt_k
 
     def objective(self, full: np.ndarray, b_prev: np.ndarray, dt: float,
                   sums: PairSums) -> float:
@@ -246,7 +245,8 @@ class _Stepper:
         full = self.compose(v, pinned_vals)
         history = []
         f_start = None
-        backtracks = 0
+        backtracks = linear_iterations = 0
+        r2 = None
         r, sums = self.residual(full, b_prev, dt, ext_vals)
         for iteration in range(cfg.newton_max + 1):
             r_norm = float(np.max(np.abs(r)))
@@ -261,17 +261,22 @@ class _Stepper:
                     drop = f_start - self.objective(full, b_prev, dt, sums)
                 diag = StepDiagnostics(
                     t=t_next, dt=dt, newton_iterations=iteration,
-                    residual_norm=r_norm, objective_drop=drop, backtracks=backtracks)
+                    residual_norm=r_norm, objective_drop=drop, backtracks=backtracks,
+                    linear_iterations=linear_iterations)
                 return full, diag
             if iteration == cfg.newton_max:
                 break
+            # Eisenstat-Walker; the first ratio is 1, so eta_0 = 1e-3
+            r2_prev, r2 = r2, math.sqrt(np.einsum("i,i", r, r))
+            eta = max(min(1e-3, 0.9 * (r2 / (r2_prev or r2)) ** 2), 0.01 * cfg.newton_tol / r2)
             try:
-                # unnamed, so it is freed before the trial point is evaluated
-                delta = solve_spd(self.jacobian(full, dt, sums), -r)
+                delta, cg_iterations = newton_cg(*self.jacobian(full, dt, sums), sums.conductance,
+                                                 self.mask, -r, eta)
             except np.linalg.LinAlgError as exc:
                 raise NewtonDivergenceError(
                     f"Newton linear solve failed at t={t_next:.6g}: {exc}",
                     last_iterate=full, residuals=history) from exc
+            linear_iterations += cg_iterations
             if f_start is None:
                 f_start = self.objective(full, b_prev, dt, sums)
             # local phase: the full step stands on its own whenever it

@@ -730,24 +730,25 @@ def test_continuation_without_a_limit_writes_no_member(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
-@pytest.mark.parametrize("below, error", [
-    (None, "SchemaViolationError"),     # refused before the solve
-    ("run", "NotADirectoryError"),      # fails when --out is made
-], ids=["a-file", "under-a-file"])
-def test_out_that_cannot_be_a_directory_exits_2_without_a_traceback(tmp_path, below, error):
+@pytest.mark.parametrize("below", [None, "run/deeper"], ids=["a-file", "under-a-file"])
+def test_out_that_cannot_be_a_directory_exits_2_without_a_traceback(tmp_path, below):
+    # the solve of STALLING fails, so an error other than the refusal of
+    # --out would show that the solve ran first
     blocker = tmp_path / "blocker"
     blocker.write_text("kept\n")
     out = blocker / below if below else blocker
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "nlstefan.cli", "solve", "--preset",
-                           "const1d", "--out", str(out)],
+    proc = subprocess.run([sys.executable, "-m", "nlstefan.cli", "solve", "--config",
+                           write_cfg(tmp_path, STALLING), "--out", str(out)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     [line] = proc.stderr.splitlines()
-    assert json.loads(line)["error"]["type"] == error
+    error = json.loads(line)["error"]
+    assert error["type"] == "SchemaViolationError"
+    assert error["violations"] == [f"out: {blocker} exists and is not a directory"]
     assert blocker.read_text() == "kept\n"
     assert proc.stdout == ""
 

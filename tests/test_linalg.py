@@ -1,176 +1,151 @@
-"""Pinned dense Cholesky solve: scipy's LAPACK without scipy's modules,
-accuracy, breakdown, untouched inputs, the OpenBLAS thread pin, and
-thread-count invariance."""
+"""Matrix-free Newton solve: agreement with a dense solve on captured
+Newton systems, thread-count invariance, typed failures, and a runtime
+without scipy."""
 
 import os
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
 
-from nlstefan._linalg import _LAPACK, _PIN_LOCK, solve_spd
+from nlstefan import _linalg, load_preset, solver
+from nlstefan.config import parse_run_config, realize
+from nlstefan.errors import NewtonDivergenceError
+from nlstefan.solver import SolverConfig, solve
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# builds the system with elementwise numpy only (a matrix product would
-# itself go through threaded BLAS) and prints the solution bytes
+# a 129-node melt with a backtracking first step; prints the linear
+# iteration total and the bytes of every stored level
 THREAD_PROBE = """
 import sys
 import numpy as np
-from nlstefan._linalg import solve_spd
-rng = np.random.default_rng(7)
-m = rng.standard_normal((300, 300))
-sym = m + m.T
-a = sym + np.diag(np.sum(np.abs(sym), axis=1))
-sys.stdout.write(solve_spd(a, rng.standard_normal(300)).tobytes().hex())
+from nlstefan import load_preset, solve
+pre = load_preset('melt1d', n_nodes=129, horizon=0.02, n_steps=8, eps=0.025)
+traj = solve(pre.problem, pre.solver)
+print(sum(d.linear_iterations for d in traj.diagnostics))
+sys.stdout.write(np.asarray(traj.states).tobytes().hex())
 """
 
-
-def random_spd(n, seed):
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((n, n))
-    return m @ m.T / n + np.eye(n), rng.standard_normal(n)
-
-
-@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 255, 361])
-def test_solve_spd_matches_dense_solve(n):
-    a, rhs = random_spd(n, seed=n)
-    x = solve_spd(a, rhs)
-    ref = np.linalg.solve(a, rhs)
-    assert x.shape == (n,)
-    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+MELT2D_21 = {
+    "problem": {
+        "s": 0.5, "p": 3.0, "eps": 0.05, "horizon": 0.02,
+        "box": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "nodes": [21, 21], "r_infinity": 3.0},
+        "unknown": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+        "datum": {"type": "constant", "value": 1.0},
+        "initial": {"type": "constant", "value": -1.0},
+    },
+    "solver": {"dt": 0.01},
+}
 
 
-def test_the_loaded_library_is_scipys_lapack_extension():
-    from scipy.linalg import _flapack
-
-    assert os.path.samefile(_LAPACK.path, _flapack.__file__)
-
-
-@pytest.mark.parametrize("n", [1, 2, 65, 257, 441])
-def test_solve_spd_matches_scipys_lapack_bit_for_bit(n):
-    # scipy's own wrappers are the oracle, run on the one thread solve_spd
-    # pins; solve_spd reads only the upper triangle, so NaN below it is inert
-    from scipy.linalg.lapack import dpotrf, dpotrs
-
-    a, rhs = random_spd(n, seed=n)
-    with _PIN_LOCK:
-        saved = _LAPACK.get_threads()
-        _LAPACK.set_threads(1)
-        try:
-            low, info = dpotrf(a.T, lower=1, clean=0)
-            want = dpotrs(low, rhs, lower=1)[0]
-        finally:
-            _LAPACK.set_threads(saved)
-    assert info == 0
-    assert solve_spd(a, rhs).tobytes() == want.tobytes()
-    upper = np.triu(a) + np.tril(np.full_like(a, np.nan), -1)
-    assert solve_spd(upper, rhs).tobytes() == want.tobytes()
+def benchmark_problem(name):
+    if name == "melt1d":
+        pre = load_preset("melt1d", n_nodes=257, horizon=0.02, n_steps=16)
+        return pre.problem, pre.solver
+    return realize(parse_run_config(MELT2D_21))[1:]
 
 
-def test_package_import_and_a_solve_leave_scipy_out():
-    probe = ("import sys, nlstefan, nlstefan.cli\n"
-             "from nlstefan import SolverConfig, load_preset, solve\n"
-             "pre = load_preset('melt1d', n_nodes=33, horizon=0.01)\n"
-             "traj = solve(pre.problem, SolverConfig(dt=0.005))\n"
-             "print(sum(d.newton_iterations for d in traj.diagnostics))\n"
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    iterations, modules = proc.stdout.split("\n")[:2]
-    assert int(iterations) > 0 and modules == "[]"
+def tiny_melt():
+    pre = load_preset("melt1d", n_nodes=33, horizon=0.025, eps=0.2, n_steps=1)
+    return pre.problem, SolverConfig(dt=0.025)
 
 
-def test_solve_spd_rejects_mismatched_shapes():
-    a, rhs = random_spd(4, seed=0)
-    for bad_a, bad_rhs in ((a[:3], rhs), (a, rhs[:3]), (a, np.ones((4, 1))), (a[0], rhs[0])):
-        with pytest.raises(ValueError, match="do not match"):
-            solve_spd(bad_a, bad_rhs)
+def dense(diagonal, coupling, conductance, mask):
+    a = -coupling * conductance[np.ix_(mask, mask)]
+    a[np.diag_indices_from(a)] = diagonal
+    return a
 
 
-def test_solve_spd_rejects_an_indefinite_matrix():
-    a = np.diag([2.0, 1.0, -0.5, 3.0])
-    a[0, 1] = a[1, 0] = 0.3
-    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-        solve_spd(a, np.ones(4))
+@pytest.mark.parametrize("name", ["melt1d", "melt2d"])
+def test_newton_cg_matches_a_dense_solve_on_newton_systems(monkeypatch, name):
+    # every Newton system of the benchmark-size solve, made dense before
+    # the next evaluation overwrites the conductance buffer
+    systems = []
+
+    def capturing(*args):
+        x, iterations = _linalg.newton_cg(*args)
+        systems.append((dense(*args[:4]),) + args[4:] + (x,))
+        return x, iterations
+
+    monkeypatch.setattr(solver, "newton_cg", capturing)
+    solve(*benchmark_problem(name))
+    assert len(systems) > 10
+    for a, rhs, rtol, x in systems:
+        want = np.linalg.solve(a, rhs)
+        # the recursive residual CG stops on equals the true one up to rounding
+        slack = 1e-12 * np.linalg.norm(rhs)
+        assert np.linalg.norm(a @ x - rhs) <= rtol * np.linalg.norm(rhs) + slack
+        assert (np.linalg.norm(x - want)
+                <= np.linalg.cond(a) * rtol * np.linalg.norm(want) + slack)
 
 
-@pytest.mark.parametrize("n, order", [(1, "C"), (65, "C"), (65, "F")])
-def test_solve_spd_leaves_its_inputs_unchanged(n, order):
-    a, rhs = random_spd(n, seed=n)
-    a = np.array(a, order=order)
-    a_before, rhs_before = a.copy(), rhs.copy()
-    solve_spd(a, rhs)
-    assert np.array_equal(a, a_before) and np.array_equal(rhs, rhs_before)
-
-
-@pytest.fixture
-def scipy_blas_threads():
-    get, put = _LAPACK.get_threads, _LAPACK.set_threads
-    saved = get()
-    yield get, put
-    put(saved)
-
-
-def test_thread_setter_resolves(scipy_blas_threads):
-    # the fallback pair ignores the setter, so a count that reads back
-    # shows that the pin reaches scipy's OpenBLAS
-    get, put = scipy_blas_threads
-    for count in (2, 1):
-        put(count)
-        assert get() == count
-
-
-def test_solve_spd_restores_the_thread_count(scipy_blas_threads):
-    get, put = scipy_blas_threads
-    put(2)
-    a, rhs = random_spd(65, seed=3)
-    solve_spd(a, rhs)
-    assert get() == 2
-    with pytest.raises(np.linalg.LinAlgError):
-        solve_spd(-a, rhs)
-    assert get() == 2
-
-
-def test_concurrent_solves_keep_the_thread_count_and_the_bits(scipy_blas_threads):
-    # more workers than cores and a short switch interval; without the
-    # lock one worker saves another's pinned count and restores 1
-    get, put = scipy_blas_threads
-    put(2)
-    a, rhs = random_spd(32, seed=5)
-    expected = solve_spd(a, rhs).tobytes()
-    mismatches = []
-
-    def work():
-        for _ in range(1000):
-            if solve_spd(a, rhs).tobytes() != expected:
-                mismatches.append(1)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=work) for _ in range(2 * os.cpu_count())]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
-    assert mismatches == [] and get() == 2
-
-
-def test_solve_spd_is_thread_count_invariant():
+def test_newton_cg_is_thread_count_invariant():
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=SRC)
         env.update({var: threads for var in THREAD_VARS})
         proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
-                              capture_output=True, text=True, timeout=120, check=True)
+                              capture_output=True, text=True, timeout=300, check=True)
         outputs.append(proc.stdout)
-    assert len(outputs[0]) == 2 * 8 * 300
+    iterations, states = outputs[0].split("\n")
+    assert int(iterations) > 0 and len(states) == 2 * 8 * 129 * 9
     assert outputs[0] == outputs[1]
+
+
+def _negated_diagonal(diagonal, coupling, conductance):
+    return -diagonal, coupling, conductance
+
+
+def _strong_coupling(diagonal, coupling, conductance):
+    # the diagonal stays positive, so only the curvature shows A is indefinite
+    return diagonal, 1e6 * coupling, conductance
+
+
+def _nan_diagonal(diagonal, coupling, conductance):
+    diagonal = diagonal.copy()
+    diagonal[len(diagonal) // 2] = np.nan
+    return diagonal, coupling, conductance
+
+
+def _inf_conductance(diagonal, coupling, conductance):
+    return diagonal, coupling, np.full_like(conductance, np.inf)
+
+
+@pytest.mark.parametrize("damage, curvature", [
+    (_negated_diagonal, "-"), (_strong_coupling, "-"), (_nan_diagonal, "nan"),
+    (_inf_conductance, "nan"),
+], ids=["negative-diagonal", "indefinite", "nan-diagonal", "inf-conductance"])
+def test_a_failed_linear_solve_is_a_newton_divergence(monkeypatch, damage, curvature):
+    monkeypatch.setattr(solver, "newton_cg", lambda *args: _linalg.newton_cg(
+        *damage(*args[:3]), *args[3:]))
+    problem, config = tiny_melt()
+    with pytest.raises(NewtonDivergenceError, match=(
+            f"linear solve failed.*curvature p\\^T A p = {curvature}.*not finite and "
+            "positive definite")) as exc:
+        solve(problem, config)
+    assert exc.value.residuals and exc.value.residuals[0] > 0.0
+    assert exc.value.last_iterate.shape == (problem.grid.n_nodes,)
+
+
+def test_a_linear_solve_past_the_iteration_bound_is_a_newton_divergence(monkeypatch):
+    monkeypatch.setattr(_linalg, "MAX_ITERATIONS", 1)
+    with pytest.raises(NewtonDivergenceError, match="linear solve failed.*CG reached 1 "):
+        solve(*tiny_melt())
+
+
+def test_package_import_and_a_solve_leave_scipy_out():
+    # scipy is blocked, so any import of it, direct or through numpy, fails
+    probe = ("import sys\n"
+             "sys.modules['scipy'] = None\n"
+             "import nlstefan, nlstefan.cli\n"
+             "from nlstefan import SolverConfig, load_preset, solve\n"
+             "pre = load_preset('melt1d', n_nodes=33, horizon=0.01)\n"
+             "traj = solve(pre.problem, SolverConfig(dt=0.005))\n"
+             "print(sum(d.linear_iterations for d in traj.diagnostics))\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert int(proc.stdout) > 0

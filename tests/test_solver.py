@@ -32,6 +32,7 @@ from nlstefan import (
     space_time_bump,
     weak_residual,
 )
+from nlstefan import fileio
 from nlstefan.solver import _intrinsic_dt, _Stepper, stored_times
 
 
@@ -243,10 +244,10 @@ def test_newton_stops_at_the_first_non_finite_residual():
 
 
 def test_linear_solve_failure_is_a_newton_divergence(monkeypatch, tmp_path, capsys):
-    def broken(a, rhs):
+    def broken(*args):
         raise np.linalg.LinAlgError("matrix is not positive definite")
 
-    monkeypatch.setattr("nlstefan.solver.solve_spd", broken)
+    monkeypatch.setattr("nlstefan.solver.newton_cg", broken)
     pre = tiny_melt(n_steps=4, horizon=0.1)
     with pytest.raises(NewtonDivergenceError, match="linear solve failed") as exc:
         solve(replace(pre.problem, horizon=0.025), SolverConfig(dt=0.025))
@@ -295,6 +296,20 @@ def test_benchmark_size_solves_keep_their_newton_work(monkeypatch):
         work = (sum(d.newton_iterations for d in diags), sum(d.backtracks for d in diags))
         assert work + (len(calls),) == expected
         assert len(calls) == len(diags) + sum(work)
+
+
+def test_benchmark_size_solve_keeps_its_linear_work(tmp_path):
+    # CG iterations of the 257-node melt (16 steps of the canonical dt): a
+    # change to the forcing term, the preconditioner or the Newton operator
+    # moves this count and has to say so; the manifest records it per step
+    pre = load_preset("melt1d", n_nodes=257, horizon=0.02, n_steps=16)
+    traj = solve(pre.problem, pre.solver)
+    counts = [d.linear_iterations for d in traj.diagnostics]
+    assert sum(counts) == 395
+    assert all(d.linear_iterations >= d.newton_iterations for d in traj.diagnostics)
+    fileio.write_trajectory(str(tmp_path), traj)
+    manifest = fileio.read_json(str(tmp_path / "manifest.json"))
+    assert [d["linear_iterations"] for d in manifest["diagnostics"]] == counts
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.02])
