@@ -1,10 +1,12 @@
-"""Matrix-free Newton solve: agreement with a dense solve on captured
-Newton systems, thread-count invariance, typed failures, and a runtime
-without scipy."""
+"""Matrix-free Newton solve: agreement with a dense solve on random and
+captured Newton systems, untouched inputs, breakdown, thread-count
+invariance, concurrent solves, typed failures, and a runtime without
+scipy."""
 
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -59,6 +61,56 @@ def dense(diagonal, coupling, conductance, mask):
     return a
 
 
+def random_newton_system(n, seed, order="C"):
+    """(diagonal, coupling, conductance, mask, rhs) of a Newton system on n
+    unknowns of an (n + 3)-node box: a symmetric conductance >= 0 of row
+    sums below 1, and a diagonal past 1 + coupling times those row sums,
+    so A is SPD and well conditioned, as a step's Newton matrix is."""
+    rng = np.random.default_rng(seed)
+    m = n + 3
+    k = rng.random((m, m)) / m
+    k = np.array((k + k.T) / 2, order=order)
+    k[np.diag_indices_from(k)] = 0.0
+    mask = np.zeros(m, dtype=bool)
+    mask[rng.choice(m, n, replace=False)] = True
+    coupling = 0.5
+    diagonal = 1.0 + rng.random(n) + coupling * k[mask].sum(axis=1)
+    return diagonal, coupling, k, mask, rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 255, 361])
+def test_solve_spd_matches_dense_solve(n):
+    system = random_newton_system(n, seed=n)
+    x, iterations = _linalg.newton_cg(*system, 1e-13)
+    ref = np.linalg.solve(dense(*system[:4]), system[4])
+    assert x.shape == (n,) and 0 < iterations <= 40
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_solve_spd_rejects_an_indefinite_matrix():
+    # A = diag(a) - K: one negative diagonal entry, then an indefinite A
+    # whose diagonal is positive, seen only through the curvature
+    conductance = np.zeros((4, 4))
+    conductance[0, 1] = conductance[1, 0] = -0.3
+    cases = [(np.array([2.0, 1.0, -0.5, 3.0]), conductance, np.ones(4, dtype=bool))]
+    cases.append((np.ones(2), np.array([[0.0, 2.0], [2.0, 0.0]]), np.ones(2, dtype=bool)))
+    for diagonal, k, mask in cases:
+        with pytest.raises(np.linalg.LinAlgError, match="not finite and positive definite"):
+            _linalg.newton_cg(diagonal, 1.0, k, mask, np.ones(mask.size), 1e-10)
+
+
+@pytest.mark.parametrize("n, order", [(1, "C"), (65, "C"), (65, "F")])
+def test_solve_spd_leaves_its_inputs_unchanged(n, order):
+    # the conductance is the evaluation's buffer, read in place
+    system = random_newton_system(n, seed=n, order=order)
+    before = [np.copy(item) for item in system]
+    x, _ = _linalg.newton_cg(*system, 1e-12)
+    for item, saved in zip(system, before):
+        assert np.array_equal(item, saved)
+    assert system[2].flags[f"{order}_CONTIGUOUS"]
+    assert np.max(np.abs(x - np.linalg.solve(dense(*system[:4]), system[4]))) < 1e-10
+
+
 @pytest.mark.parametrize("name", ["melt1d", "melt2d"])
 def test_newton_cg_matches_a_dense_solve_on_newton_systems(monkeypatch, name):
     # every Newton system of the benchmark-size solve, made dense before
@@ -82,7 +134,7 @@ def test_newton_cg_matches_a_dense_solve_on_newton_systems(monkeypatch, name):
                 <= np.linalg.cond(a) * rtol * np.linalg.norm(want) + slack)
 
 
-def test_newton_cg_is_thread_count_invariant():
+def test_solve_spd_is_thread_count_invariant():
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=SRC)
@@ -93,6 +145,36 @@ def test_newton_cg_is_thread_count_invariant():
     iterations, states = outputs[0].split("\n")
     assert int(iterations) > 0 and len(states) == 2 * 8 * 129 * 9
     assert outputs[0] == outputs[1]
+
+
+def test_concurrent_solves_keep_the_thread_count_and_the_bits():
+    # more workers than cores and a short switch interval: the CG holds no
+    # shared state and sets no thread count, so every worker gets the
+    # serial bits and iteration count, and every worker returns
+    system = random_newton_system(32, seed=5)
+    x, iterations = _linalg.newton_cg(*system, 1e-12)
+    expected = (x.tobytes(), iterations)
+    mismatches = []
+
+    def work():
+        for _ in range(300):
+            x, iterations = _linalg.newton_cg(*system, 1e-12)
+            if (x.tobytes(), iterations) != expected:
+                mismatches.append(1)
+
+    threads_before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(2 * os.cpu_count())]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert mismatches == [] and threading.active_count() == threads_before
 
 
 def _negated_diagonal(diagonal, coupling, conductance):
