@@ -2,13 +2,14 @@
 
 Subcommands: solve, analyze-modulus, continuation, lemma-check, verify,
 tail.  `main` orders every run: parse the arguments, load and realize the
-config, check `--out`, run the command, then make `--out` and write.  A
-command only computes: it returns (write, summary, exit status), where
-write(out) writes its finished results and summary is what stdout shows
-after, so a failed run leaves no directory and no partial files.  Every
-failure, usage errors and unwritable paths included, exits with status 2
-and prints a JSON error object to stderr; failed verification checks exit
-with status 1.  Scalar output on stdout uses 17 significant digits.
+config, check `--out` (a directory that does not exist yet, or is empty),
+run the command, then make `--out` and write.  A command only computes:
+it returns (write, summary, exit status), where write(out) writes its
+finished results and summary is what stdout shows after, so a failed run
+leaves no directory and no partial files.  Every failure, usage errors
+and unwritable paths included, exits with status 2 and prints a JSON
+error object to stderr; failed verification checks exit with status 1.
+Scalar output on stdout uses 17 significant digits.
 """
 
 from __future__ import annotations
@@ -255,6 +256,9 @@ def main(argv=None) -> int:
             existing = os.path.dirname(existing)
         if not os.path.isdir(existing):
             raise SchemaViolationError([f"out: {existing} exists and is not a directory"])
+        if os.path.isdir(out) and os.listdir(out):
+            # a new run's files beside an earlier run's could not be told apart
+            raise SchemaViolationError([f"out: {out} exists and is not empty"])
         write, summary, status = args.handler(args, *inputs)
         os.makedirs(out, exist_ok=True)
         write(out)

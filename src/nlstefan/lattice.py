@@ -14,16 +14,20 @@ R_inf^{-sp} / (sp).  Exterior columns whose datum equals the far value
 fold into it: phi_p(v_i - far) carries S_i - sum_{j in band} g_ij + w_far,
 S_i = sum_j g_ij over the geometry weights g_ij, and only the band of
 columns where the datum differs is summed.  No box x exterior matrix is
-kept: S_i is summed from row blocks once per grid, and the band's weights
-are built from the band's own nodes.  The box weights and the closure
-depend on the grid, s and p only, so they are cached and shared by every
-workspace on the grid, and the kernel scale multiplies the sums.  Cached
-arrays are read-only and built once, under one lock.
+built: every lattice node within R_inf of a box node lies in the dilated
+box, so S_i is one sum over the lattice displacements 0 < |k| h <= R_inf
+minus the box row sum, and the band's weights are built from the band's
+own nodes.  The box weights and the closure depend on the grid, s and p
+only, so they are cached and shared by every workspace on the grid, and
+the kernel scale multiplies the sums.  Cached arrays are read-only and
+built once, under one lock.
 
 One evaluation forms each pair's conductance k = w |v_i - v_j|^{p-2} once;
-the operator sums k d, the energy k d^2 and the Jacobian (p - 1) k.  It is
-a plain function of the field and the datum: the caller passes its result
-on to whatever else needs the same point.
+the operator sums k d, the energy k d^2 and the Jacobian (p - 1) k.  The
+box pairs' d and k live in two buffers of the workspace, so an evaluation
+allocates no box x box array.  It is a plain function of the field and
+the datum: the caller passes its result on to whatever else needs the
+same point.
 
 Tail quantities follow the same explicit-plus-analytic split, with a
 cell-fraction correction where lattice cells straddle the inner ball, so
@@ -44,13 +48,6 @@ from .errors import EmptyWindowError, InvalidExponentError, InvalidParamsError
 
 # surface measure of the unit sphere for the supported dimensions
 SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi}
-
-# entries per row block of box x exterior weights while a closure is summed.
-# Freeing the first block lifts glibc's mmap threshold for the process; at
-# 2^15 the operator's N_box x N_box temporaries stayed on fresh pages:
-# 52K instead of 2 minor faults per melt1d benchmark op, 39K instead of 2
-# on melt2d, although the closure is built once per grid.
-BLOCK_ENTRIES = 1 << 20
 
 
 def phi_p(tau, p: float):
@@ -182,20 +179,33 @@ def pair_geometry(grid: Grid, s: float, p: float, points: np.ndarray,
     is the constant sigma_n R_inf^{-sp} / (sp) that closes the medium past
     r_infinity.
     """
-    n = grid.dimension
-    sp = s * p
-    # axis by axis: the same a^2 + b^2 as a sum over a difference tensor
-    dist = np.square(np.subtract.outer(points[:, 0], nodes[:, 0]))
-    for a in range(1, n):
-        dist += np.square(np.subtract.outer(points[:, a], nodes[:, a]))
-    np.sqrt(dist, out=dist)
-    with np.errstate(divide="ignore"):
-        weights = grid.spacing ** n / dist ** (n + sp)
-    weights[dist == 0.0] = 0.0
+    dist, weights = _broadcast_geometry(grid, s, p, points[:, None, :], nodes[None, :, :])
     if not exterior:
         return dist, weights, None
     weights[dist > grid.r_infinity] = 0.0
-    return dist, weights, SPHERE_MEASURE[n] * grid.r_infinity ** (-sp) / sp
+    return dist, weights, _far_weight(grid, s, p)
+
+
+def _far_weight(grid: Grid, s: float, p: float) -> float:
+    """sigma_n R_inf^{-sp} / (sp), the weight of the medium past r_infinity."""
+    sp = s * p
+    return SPHERE_MEASURE[grid.dimension] * grid.r_infinity ** (-sp) / sp
+
+
+def _broadcast_geometry(grid: Grid, s: float, p: float, points: np.ndarray,
+                        nodes: np.ndarray):
+    """Distances and uncut weights between broadcast point and node arrays
+    of shape (..., dimension), coincident pairs weighted zero."""
+    n = grid.dimension
+    # axis by axis: the same a^2 + b^2 as a sum over a difference tensor
+    dist = np.square(points[..., 0] - nodes[..., 0])
+    for a in range(1, n):
+        dist += np.square(points[..., a] - nodes[..., a])
+    np.sqrt(dist, out=dist)
+    with np.errstate(divide="ignore"):
+        weights = grid.spacing ** n / dist ** (n + s * p)
+    weights[dist == 0.0] = 0.0
+    return dist, weights
 
 
 @_lattice_cache
@@ -205,23 +215,44 @@ def _box_displacement_weights(grid: Grid, s: float, p: float) -> np.ndarray:
     return _read_only(pair_geometry(grid, s, p, coords, coords)[1])
 
 
-def _exterior_geometry(grid: Grid, s: float, p: float, columns, rows=slice(None)):
-    """Geometry weights from box rows to the given exterior nodes, and the
-    far-field constant."""
-    points, nodes = grid.coordinates()[rows], grid.exterior_coordinates()[columns]
-    return pair_geometry(grid, s, p, points, nodes, exterior=True)[1:]
+# |k|^2 within this relative distance of (R_inf / h)^2 puts a displacement
+# on the truncation sphere, where the float cut of pair_geometry decides
+TIE_RTOL = 1e-9
 
 
 @_lattice_cache
 def _closure(grid: Grid, s: float, p: float) -> np.ndarray:
-    """closure_i = S_i + w_far, S_i summed from row blocks of the exterior
-    weights, each dropped after its sum."""
-    rows = max(1, BLOCK_ENTRIES // grid.exterior_coordinates().shape[0])
-    closure = np.empty(grid.n_nodes)
-    for i in range(0, grid.n_nodes, rows):
-        geom, far = _exterior_geometry(grid, s, p, slice(None), slice(i, i + rows))
-        closure[i:i + rows] = np.sum(geom, axis=1)
-    closure += far
+    """closure_i = S_i + w_far, S_i the weights from box node i to the
+    exterior nodes within r_infinity.
+
+    Every such node lies in the dilated box, so S_i is the lattice-ball sum
+    over the displacements 0 < |k| h < r_infinity minus the box row sum.
+    A displacement on the sphere is decided per node by pair_geometry's
+    float cut on real coordinates, as the dense sum decides it: its weight
+    counts wherever its node lies outside the box, unless the node is past
+    r_infinity in floating point, and always where the node lies inside it,
+    because the box row sum takes it out.
+    """
+    n, h = grid.dimension, grid.spacing
+    reach = int(math.ceil(grid.r_infinity / h))
+    k = np.indices((2 * reach + 1,) * n).reshape(n, -1).T - reach
+    k2 = np.sum(k * k, axis=1)
+    radius2 = (grid.r_infinity / h) ** 2
+    tie = np.abs(k2 - radius2) <= TIE_RTOL * radius2
+    inner = (k2 > 0) & (k2 < radius2) & ~tie
+    # correctly rounded: S_i is a small difference of two large sums
+    ball = math.fsum(h ** n / (np.sqrt(k2[inner]) * h) ** (n + s * p))
+
+    w_box = _box_displacement_weights(grid, s, p)
+    closure = ball - np.sum(w_box, axis=1)
+    index = np.indices(grid.shape).reshape(n, -1).T  # C order, as the coordinates
+    target = index[:, None, :] + k[tie][None, :, :]
+    in_box = np.all((target >= 0) & (target < np.asarray(grid.shape)), axis=2)
+    nodes = np.asarray(grid.origin) + h * target
+    dist, weights = _broadcast_geometry(grid, s, p, grid.coordinates()[:, None, :], nodes)
+    weights[(dist > grid.r_infinity) & ~in_box] = 0.0
+    closure += np.sum(weights, axis=1)
+    closure += _far_weight(grid, s, p)
     return _read_only(closure)
 
 
@@ -257,7 +288,7 @@ class OperatorWorkspace:
         self.w_box = _box_displacement_weights(grid, s, p)
         self.closure = _closure(grid, s, p)
         self._band = None
-        self._conductance = None
+        self._conductance = self._difference = None
 
     def exterior(self, ext_values: np.ndarray, far_value: float):
         """(w_band, g_band, w_fold): weights and datum of the band, where the
@@ -266,7 +297,9 @@ class OperatorWorkspace:
         key = band.tobytes()
         if self._band is None or self._band[0] != key:
             self._band = None  # free the old band before building the new one
-            w_band = _exterior_geometry(self.grid, self.s, self.p, band)[0]
+            grid = self.grid
+            w_band = pair_geometry(grid, self.s, self.p, grid.coordinates(),
+                                   grid.exterior_coordinates()[band], exterior=True)[1]
             self._band = (key, w_band, self.closure - np.sum(w_band, axis=1))
         return self._band[1], ext_values[band], self._band[2]
 
@@ -274,28 +307,34 @@ class OperatorWorkspace:
                  far_value: Optional[float]) -> PairSums:
         """Pair sums at values over the box pairs, met from both ends, the
         band and the fold, with d = v_i - v_j and the conductance
-        k = w |d|^{p-2}.  The box pairs' k is written into the workspace's
-        one N_box x N_box buffer, so it stays valid until this workspace's
-        next evaluation."""
+        k = w |d|^{p-2}.  The box pairs' d and k are written into the
+        workspace's two N_box x N_box buffers, so k stays valid until this
+        workspace's next evaluation."""
         v = np.asarray(values, dtype=float)
         if self._conductance is None:  # no box x box array per evaluation
             self._conductance = np.empty_like(self.w_box)
-        sets = [(self.w_box, v, 0.5, self._conductance)]
+            self._difference = np.empty_like(self.w_box)
+        d = np.subtract.outer(v, v, out=self._difference)
+        k = np.abs(d, out=self._conductance)
+        k **= self.p - 2.0
+        k *= self.w_box
+        rows = np.sum(k, axis=1)
+        # numpy's own sum-of-products loops, never BLAS: the bits do not
+        # depend on the thread count
+        flux = np.einsum("ij,ij->i", k, d)
+        energy = 0.5 * np.einsum("ij,ij,ij->", k, d, d)
         if ext_values is not None:
             w_band, g_band, w_fold = self.exterior(ext_values, far_value)
-            sets += [(w_band, g_band, 1.0, None),
-                     (w_fold[:, None], np.array([far_value]), 1.0, None)]
-        flux = rows = energy = 0.0
-        for w, ends, share, out in sets:
-            d = np.subtract.outer(v, ends)
-            k = np.abs(d, out=out)
-            k **= self.p - 2.0
-            k *= w
-            rows = rows + np.sum(k, axis=1)
-            kd = k * d  # the flux phi_p(d) w
-            flux = flux + np.sum(kd, axis=1)
-            kd *= d
-            energy += share * np.sum(kd)
+            for w, ends in ((w_band, g_band), (w_fold[:, None], np.array([far_value]))):
+                d = np.subtract.outer(v, ends)
+                k = np.abs(d)
+                k **= self.p - 2.0
+                k *= w
+                rows += np.sum(k, axis=1)
+                kd = k * d  # the flux phi_p(d) w
+                flux += np.sum(kd, axis=1)
+                kd *= d
+                energy += np.sum(kd)
         return PairSums(self._conductance, flux, rows, float(energy) / self.p)
 
     def apply(self, values: np.ndarray, ext_values: Optional[np.ndarray],

@@ -730,6 +730,36 @@ def test_continuation_without_a_limit_writes_no_member(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("command, compute, rerun", [
+    # a rerun that stores fewer levels would leave the earlier levels behind
+    ("solve", "solve", {"problem": "const1d", "solver": {"store_every": 5}}),
+    # a rerun with other members would leave the earlier members behind
+    ("continuation", "continuation_mod.run_family",
+     {"problem": "const1d", "continuation": {"eps_values": [0.3, 0.15]}}),
+])
+def test_a_non_empty_out_is_refused_before_the_command_runs(tmp_path, capsys, monkeypatch,
+                                                            command, compute, rerun):
+    out = tmp_path / "o"
+    out.mkdir()  # an existing empty directory takes the run
+    first = write_cfg(tmp_path, {"problem": "const1d",
+                                 "continuation": {"eps_values": [0.2, 0.1]}}, "first.json")
+    assert cli.main([command, "--config", first, "--out", str(out)]) == 0
+    before = tree_bytes(out)
+    capsys.readouterr()
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(f"nlstefan.cli.{compute}", no_compute)
+    assert cli.main([command, "--config", write_cfg(tmp_path, rerun), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)["error"]
+    assert error == {"type": "SchemaViolationError",
+                     "violations": [f"out: {out} exists and is not empty"]}
+    assert captured.out == ""
+    assert tree_bytes(out) == before
+
+
 @pytest.mark.parametrize("below", [None, "run/deeper"], ids=["a-file", "under-a-file"])
 def test_out_that_cannot_be_a_directory_exits_2_without_a_traceback(tmp_path, below):
     # the solve of STALLING fails, so an error other than the refusal of

@@ -1,5 +1,7 @@
 """Lattice operator: collocation sums, tail quadrature, field IO."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -430,19 +432,56 @@ def test_workspace_holds_no_exterior_sized_array():
     assert all(n_ext not in shape for shape in shapes), shapes
 
 
-@pytest.mark.parametrize("kernel_name", sorted(KERNEL_SCALES))
-def test_closure_from_row_blocks_matches_the_dense_row_sum(kernel_name):
-    # N_ext = BLOCK_ENTRIES / 4 gives 4 rows per block: blocks of 4, 4 and 2 rows
-    scale, s, p = KERNEL_SCALES[kernel_name], 0.45, 3.2
-    h, n_box = 0.25, 10
-    reach = lattice.BLOCK_ENTRIES // 8
-    grid = line_grid(n=n_box, h=h, r_inf=reach * h)
-    x, y = grid.coordinates(), grid.exterior_coordinates()
-    rows_per_block = lattice.BLOCK_ENTRIES // y.shape[0]
-    assert 1 < rows_per_block < n_box and n_box % rows_per_block != 0
-    _, geom, far = pair_geometry(grid, s, p, x, y, exterior=True)
-    expected = np.sum(geom, axis=1) + far
-    assert np.array_equal(OperatorWorkspace(grid, s, p, scale).closure, expected)
+SQUARE_21 = Grid(spacing=0.1, shape=(21, 21), origin=(-1.0, -1.0), r_infinity=3.0)
+CLOSURE_GRIDS = {
+    # |k| = 30 holds 12 displacements on the sphere; each row keeps 2 to 10
+    "21x21-ties": SQUARE_21,
+    # the float cut keeps other tie nodes once the box leaves the lattice
+    "21x21-shifted": SQUARE_21.translate((0.0123, -0.0371)),
+    "1d-off-lattice": line_grid(n=10, h=0.25, origin=0.3, r_inf=7.3),
+    # the corner pairs (3, 4) lie on the sphere and inside the box, and two
+    # of them lie past r_infinity in floating point
+    "r-inf-at-diameter": Grid(spacing=0.1, shape=(4, 5), origin=(0.0, 0.2),
+                              r_infinity=0.5),
+}
+
+
+def dense_closure(grid, s, p):
+    _, geom, far = pair_geometry(grid, s, p, grid.coordinates(),
+                                 grid.exterior_coordinates(), exterior=True)
+    return np.sum(geom, axis=1) + far
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_GRIDS))
+def test_closure_matches_the_dense_row_sum(name):
+    grid, s, p = CLOSURE_GRIDS[name], 0.45, 3.2
+    assert (grid.r_infinity == grid.diameter) == (name == "r-inf-at-diameter")
+    closure = OperatorWorkspace(grid, s, p, 1.3).closure
+    np.testing.assert_allclose(closure, dense_closure(grid, s, p), rtol=1e-12, atol=0.0)
+
+
+def test_the_float_cut_breaks_translation_invariance_of_the_closure():
+    # so the shifted case checks other tie nodes than the unshifted one; an
+    # integer cut on |k|^2 would make the two closures agree to rounding
+    base, shifted = (dense_closure(CLOSURE_GRIDS[name], 0.45, 3.2)
+                     for name in ("21x21-ties", "21x21-shifted"))
+    assert np.max(np.abs(shifted - base) / base) > 1e-6
+
+
+def test_evaluate_allocates_no_box_by_box_array():
+    # the box pairs' d and k live in the workspace's buffers, filled in place
+    grid = SQUARE_21
+    ws = OperatorWorkspace(grid, 0.5, 3.0)
+    v = np.random.default_rng(3).uniform(-1.0, 1.0, grid.n_nodes)
+    ext = np.full(grid.exterior_coordinates().shape[0], 0.4)  # an empty band
+    ws.evaluate(v, ext, 0.4)
+    tracemalloc.start()
+    try:
+        ws.evaluate(v, ext, 0.4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.n_nodes ** 2 * 8
 
 
 def difference_tensor_geometry(grid, s, p, points, nodes, exterior):
