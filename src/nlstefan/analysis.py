@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,26 +58,48 @@ def intrinsic_theta(omega: float, p: float, boundary: bool = False) -> float:
     return (omega / 4.0) ** expo
 
 
-def _cylinder_selection(traj, cyl: Cylinder):
-    problem = traj.problem
-    sp = problem.s * problem.p
-    x0 = np.asarray(cyl.x0, dtype=float)
-    coords = problem.grid.coordinates()
+def _ball(coords: np.ndarray, x0: np.ndarray, rho: float):
+    """Distances from x0 to the coordinate rows and the closed ball mask,
+    with relative slack 1e-12."""
     dist = np.sqrt(np.sum((coords - x0[None, :]) ** 2, axis=1))
-    node_sel = dist <= cyl.rho * (1.0 + 1e-12)
-    t_lo, t_hi = cyl.window(sp)
-    time_sel = [i for i, t in enumerate(traj.times)
-                if t_lo - 1e-12 < t <= t_hi + 1e-12]
-    if not node_sel.any() or not time_sel:
+    return dist, dist <= rho * (1.0 + 1e-12)
+
+
+class CylinderSamples(NamedTuple):
+    """A cylinder read on the lattice: the distance of every box node to
+    x0, the closed ball mask and the stored levels (t, state) in the
+    window."""
+
+    dist: np.ndarray
+    in_ball: np.ndarray
+    levels: list
+
+    def block(self) -> np.ndarray:
+        """The ball values, one row per stored level."""
+        return np.stack([u[self.in_ball] for _, u in self.levels])
+
+
+def cylinder_samples(traj, cyl: Cylinder) -> CylinderSamples:
+    """The lattice samples of a cylinder: the box nodes in the closed ball
+    and the stored times in the half-open window (t0 - theta rho^{sp}, t0],
+    each with slack 1e-12.  An EmptyCylinderError names the empty part."""
+    problem = traj.problem
+    dist, in_ball = _ball(problem.grid.coordinates(), problem.grid.point(cyl.x0), cyl.rho)
+    if not in_ball.any():
         raise EmptyCylinderError(
-            f"cylinder rho={cyl.rho:.4g} about t0={cyl.t0:.4g} holds no samples")
-    return node_sel, time_sel
+            f"cylinder ball of radius {cyl.rho:.4g} contains no lattice nodes")
+    t_lo, t_hi = cyl.window(problem.s * problem.p)
+    levels = [(t, u) for t, u in zip(traj.times, traj.states)
+              if t_lo - 1e-12 < t <= t_hi + 1e-12]
+    if not levels:
+        raise EmptyCylinderError(
+            f"cylinder window ({t_lo:.4g}, {t_hi:.4g}] contains no stored times")
+    return CylinderSamples(dist, in_ball, levels)
 
 
 def oscillation(traj, cyl: Cylinder) -> float:
     """sup - inf of the stored field over the cylinder's lattice samples."""
-    node_sel, time_sel = _cylinder_selection(traj, cyl)
-    block = np.stack([traj.states[i][node_sel] for i in time_sel])
+    block = cylinder_samples(traj, cyl).block()
     return float(np.max(block) - np.min(block))
 
 
@@ -85,8 +107,7 @@ def level_set_fraction(traj, cyl: Cylinder, side: str, level: float) -> float:
     """Fraction of cylinder samples with u <= level ("below") or u > level."""
     if side not in ("below", "above"):
         raise InvalidParamsError("side must be 'below' or 'above'")
-    node_sel, time_sel = _cylinder_selection(traj, cyl)
-    block = np.stack([traj.states[i][node_sel] for i in time_sel])
+    block = cylinder_samples(traj, cyl).block()
     if side == "below":
         return float(np.mean(block <= level))
     return float(np.mean(block > level))
@@ -150,48 +171,44 @@ def _check_nesting(levels: List[SequenceLevel], sp: float) -> None:
             raise InvalidParamsError("cylinder nesting failed; constants too small")
 
 
-def interior_sequences(params: IterationParams, n_levels: int = 40) -> List[SequenceLevel]:
-    """Interior ladder rho_{i+1} = f1(omega_i) rho_i,
-    omega_{i+1} = max(omega_i f2(omega_i), omega_i 2^{-s}, 4 eps),
-    truncated once the oscillation bound stabilizes at 4 eps."""
-    sp = params.s * params.p
+def _reduction_ladder(params: IterationParams, n_levels: int, osc_g=None,
+                      z0=None) -> List[SequenceLevel]:
+    """rho_{i+1} = f1(omega_i) rho_i,
+    omega_{i+1} = max(omega_i f2(omega_i), omega_i 2^{-s}, 2 osc_g(Q_i), 4 eps),
+    truncated once the oscillation bound stabilizes at 4 eps.  With a
+    datum oscillation osc_g it is the lateral ladder; without one it is
+    the interior ladder, a flat datum with n0 = 1, (l1, l2) = (m1, m2) and
+    theta one power more of the oscillation."""
+    boundary = osc_g is not None
+    n0, l1, l2 = (params.n0, params.l1, params.l2) if boundary else (1.0, params.m1, params.m2)
+    x0, t0 = _normalize_anchor(z0)
     rho, omega = params.rho0, params.omega0
-    out = [SequenceLevel(0, rho, omega, intrinsic_theta(omega, params.p))]
+    out = [SequenceLevel(0, rho, omega, intrinsic_theta(omega, params.p, boundary))]
     for i in range(1, n_levels):
-        f1 = omega ** params.m1 / (params.n1 * params.omega0 ** params.m1)
-        f2 = 1.0 - omega ** params.m2 / (params.n2 * params.omega0 ** params.m2)
+        datum = 2.0 * float(osc_g(Cylinder(x0, t0, rho, out[-1].theta))) if boundary else 0.0
+        f1 = omega ** params.m1 / (n0 * params.n1 * params.omega0 ** l1)
+        f2 = 1.0 - omega ** params.m2 / (params.n2 * params.omega0 ** l2)
         rho = rho * f1
-        omega = max(omega * f2, omega * 2.0 ** (-params.s), 4.0 * params.eps)
+        omega = max(omega * f2, omega * 2.0 ** (-params.s), datum, 4.0 * params.eps)
         stab = omega <= 4.0 * params.eps
-        out.append(SequenceLevel(i, rho, omega, intrinsic_theta(omega, params.p), stab))
+        out.append(SequenceLevel(i, rho, omega, intrinsic_theta(omega, params.p, boundary), stab))
         if stab:
             break
-    _check_nesting(out, sp)
+    _check_nesting(out, params.s * params.p)
     return out
+
+
+def interior_sequences(params: IterationParams, n_levels: int = 40) -> List[SequenceLevel]:
+    """Interior ladder: the lateral recursion with a flat datum, n0 = 1,
+    (l1, l2) = (m1, m2) and theta = (omega/4)^{2-p}."""
+    return _reduction_ladder(params, n_levels)
 
 
 def boundary_sequences(params: IterationParams, osc_g: Callable[[Cylinder], float],
                        z0=None, n_levels: int = 40) -> List[SequenceLevel]:
     """Lateral ladder; the datum oscillation on each cylinder enters the
     maximum and theta carries one power less of the oscillation."""
-    sp = params.s * params.p
-    x0, t0 = _normalize_anchor(z0)
-    rho, omega = params.rho0, params.omega0
-    out = [SequenceLevel(0, rho, omega, intrinsic_theta(omega, params.p, boundary=True))]
-    for i in range(1, n_levels):
-        cyl = Cylinder(x0, t0, rho, out[-1].theta)
-        f1 = omega ** params.m1 / (params.n0 * params.n1 * params.omega0 ** params.l1)
-        f2 = 1.0 - omega ** params.m2 / (params.n2 * params.omega0 ** params.l2)
-        rho = rho * f1
-        omega = max(omega * f2, omega * 2.0 ** (-params.s),
-                    2.0 * float(osc_g(cyl)), 4.0 * params.eps)
-        stab = omega <= 4.0 * params.eps
-        out.append(SequenceLevel(i, rho, omega,
-                                 intrinsic_theta(omega, params.p, boundary=True), stab))
-        if stab:
-            break
-    _check_nesting(out, sp)
-    return out
+    return _reduction_ladder(params, n_levels, osc_g, z0)
 
 
 def initial_sequences(params: IterationParams, osc_g: Callable[[Cylinder], float],
@@ -214,9 +231,9 @@ def initial_sequences(params: IterationParams, osc_g: Callable[[Cylinder], float
     return out
 
 
-def _normalize_anchor(z0):
+def _normalize_anchor(z0, dimension: int = 1):
     if z0 is None:
-        return (0.0,), 0.0
+        return (0.0,) * dimension, 0.0
     x0, t0 = z0
     if np.isscalar(x0):
         x0 = (float(x0),)
@@ -362,37 +379,27 @@ def measure_density(grid: Grid, omega_mask: np.ndarray, x0,
     omega_mask = np.asarray(omega_mask, dtype=bool)
     if omega_mask.shape != (grid.n_nodes,):
         raise InvalidParamsError("omega_mask must match the grid size")
-    x0 = np.asarray(x0, dtype=float).reshape(grid.dimension)
+    x0 = grid.point(x0)
+    radii = list(radii)
+    if not radii or not all(r > 0.0 for r in radii):
+        raise InvalidParamsError("radii must be positive")
+    # the lattice cube about x0 that holds the largest ball
     h = grid.spacing
-    coords = grid.coordinates()
+    reach = int(math.ceil(max(radii) / h)) + 1
+    anchor_idx = np.round((x0 - np.asarray(grid.origin)) / h).astype(int)
+    axes = [grid.origin[d] + h * np.arange(anchor_idx[d] - reach, anchor_idx[d] + reach + 1)
+            for d in range(grid.dimension)]
+    cube = np.stack([mm.ravel() for mm in np.meshgrid(*axes, indexing="ij")], axis=1)
     fractions = []
     for r in radii:
-        if not r > 0.0:
-            raise InvalidParamsError("radii must be positive")
-        reach = int(math.ceil(r / h)) + 1
-        anchor_idx = np.round((x0 - np.asarray(grid.origin)) / h).astype(int)
-        axes = [grid.origin[d] + h * np.arange(anchor_idx[d] - reach, anchor_idx[d] + reach + 1)
-                for d in range(grid.dimension)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([mm.ravel() for mm in mesh], axis=1)
-        d = np.sqrt(np.sum((pts - x0[None, :]) ** 2, axis=1))
-        in_ball = d <= r * (1.0 + 1e-12)
-        pts = pts[in_ball]
+        total = int(np.count_nonzero(_ball(cube, x0, r)[1]))
         # a lattice point belongs to the unknown set only if it is a box
         # node flagged by the mask
-        in_omega = np.zeros(pts.shape[0], dtype=bool)
-        idx = np.round((pts - np.asarray(grid.origin)[None, :]) / h).astype(int)
-        ok = np.ones(pts.shape[0], dtype=bool)
-        for dim in range(grid.dimension):
-            ok &= (idx[:, dim] >= 0) & (idx[:, dim] < grid.shape[dim])
-        if ok.any():
-            sub = idx[ok]
-            flat_idx = np.ravel_multi_index(tuple(sub.T), grid.shape)
-            in_omega[ok] = omega_mask[flat_idx]
-        fractions.append(float(np.mean(~in_omega)))
+        unknown = int(np.count_nonzero(omega_mask & _ball(grid.coordinates(), x0, r)[1]))
+        fractions.append((total - unknown) / total)
     min_fraction = min(fractions)
     passed = None if alpha0 is None else min_fraction >= alpha0
-    return MeasureDensityReport(radii=list(radii), fractions=fractions,
+    return MeasureDensityReport(radii=radii, fractions=fractions,
                                 min_fraction=min_fraction, alpha0=alpha0, passed=passed)
 
 
@@ -451,10 +458,11 @@ def modulus_ladder(traj, z0, rho0: float, n_levels: int = 8,
 
     theta is frozen at (omega0/4)^{2-p} with omega0 estimated from the
     trajectory (2 sup |u| + tail over the base cylinder) unless given.
+    Without z0 the ladder is anchored at the origin at t = 0.
     Returns (levels, omega0) with levels a list of (radius, oscillation).
     """
     problem = traj.problem
-    x0, t0 = _normalize_anchor(z0)
+    x0, t0 = _normalize_anchor(z0, problem.grid.dimension)
     if omega0 is None:
         base = Cylinder(x0, t0, rho0, 1.0)
         omega0 = oscillation_scale(traj, base)
@@ -470,8 +478,7 @@ def oscillation_scale(traj, cyl: Cylinder) -> float:
     """Global scale 2 sup |u| + tail over the cylinder, floored at 1."""
     problem = traj.problem
     sp = problem.s * problem.p
-    node_sel, time_sel = _cylinder_selection(traj, cyl)
-    sup = max(float(np.max(np.abs(traj.states[i][node_sel]))) for i in time_sel)
+    sup = float(np.max(np.abs(cylinder_samples(traj, cyl).block())))
     tl = tail(problem.grid, traj.samples(), cyl.x0, cyl.rho, cyl.window(sp),
               problem.s, problem.p)
     return max(2.0 * sup + tl, 1.0)
@@ -494,20 +501,20 @@ def sequence_tail_report(traj, levels: Sequence[SequenceLevel], z0) -> List[Leve
     a cylinder ladder; mu_i^+ is the running sup and mu_i^- = mu_i^+ - omega_i.
 
     The ratios estimate the constant c0 in the inductive tail bound
-    Tail((u - mu_i^±)_±; Q_i) <= c0 omega_i.
+    Tail((u - mu_i^±)_±; Q_i) <= c0 omega_i.  Without z0 the ladder is
+    anchored at the origin at t = 0.
     """
     problem = traj.problem
     sp = problem.s * problem.p
-    x0, t0 = _normalize_anchor(z0)
+    x0, t0 = _normalize_anchor(z0, problem.grid.dimension)
     samples = traj.samples()
     out = []
     for lev in levels:
         cyl = Cylinder(x0, t0, lev.rho, lev.theta)
-        node_sel, time_sel = _cylinder_selection(traj, cyl)
-        block = np.stack([traj.states[i][node_sel] for i in time_sel])
+        block = cylinder_samples(traj, cyl).block()
         mu_plus = float(np.max(block))
         mu_minus = mu_plus - lev.omega
-        osc = float(np.max(block) - np.min(block))
+        osc = mu_plus - float(np.min(block))
         window = cyl.window(sp)
         t_plus, t_minus = (
             tail(problem.grid, _truncated(samples, cut), x0, lev.rho, window,

@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .enthalpy import RegularizedEnthalpy
 from .errors import (InconsistentFamilyError, InvalidParamsError,
                      NewtonDivergenceError, UnresolvedBandError)
 from .solver import LatticeProblem, SolverConfig, Trajectory, solve
@@ -47,12 +46,6 @@ class FamilyResult:
         return [float(self.distances[i, i + 1]) for i in range(len(self.entries) - 1)]
 
 
-def _family_member(problem: LatticeProblem, eps: float) -> LatticeProblem:
-    """The problem with only the layer width of its enthalpy replaced."""
-    return replace(problem, eps=eps,
-                   enthalpy=RegularizedEnthalpy(eps, problem.enthalpy.latent_heat))
-
-
 def run_family(problem: LatticeProblem, eps_values: Sequence[float],
                config: SolverConfig, threads: int = 1) -> FamilyResult:
     """Solve the problem for every eps in a strictly decreasing schedule.
@@ -77,7 +70,7 @@ def run_family(problem: LatticeProblem, eps_values: Sequence[float],
 
     def run_one(eps: float) -> FamilyEntry:
         try:
-            return FamilyEntry(eps=eps, trajectory=solve(_family_member(problem, eps), config))
+            return FamilyEntry(eps=eps, trajectory=solve(replace(problem, eps=eps), config))
         except NewtonDivergenceError as exc:
             return FamilyEntry(eps=eps, trajectory=None, error=str(exc))
 

@@ -114,6 +114,14 @@ class Grid:
         """Lattice nodes of the dilated box (reach r_infinity) minus the box."""
         return _exterior_coordinates(self)
 
+    def point(self, x) -> np.ndarray:
+        """x as a float vector with one coordinate per axis."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape != (self.dimension,):
+            raise InvalidParamsError(f"a point of a {self.dimension}D grid needs "
+                                     f"{self.dimension} coordinates, got shape {x.shape}")
+        return x
+
     def translate(self, shift) -> "Grid":
         new_origin = tuple(o - sh for o, sh in zip(self.origin, shift))
         return replace(self, origin=new_origin)
@@ -414,7 +422,7 @@ def tail(grid: Grid, samples: Sequence, x0, rho: float, window, s: float,
     if rho >= grid.r_infinity:
         raise InvalidParamsError("tail radius must stay below r_infinity")
     sp = s * p
-    x0 = np.asarray(x0, dtype=float)
+    x0 = grid.point(x0)
     w_box, _ = _ball_weights(grid, s, p, x0, rho, grid.coordinates())
     w_ext, far_geom = _ball_weights(grid, s, p, x0, rho, ext_coords, exterior=True)
 

@@ -24,15 +24,15 @@ thread count.  The outer test on max |r| is unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional
 
 import numpy as np
 
 from ._linalg import newton_cg
+from .analysis import cylinder_samples
 from .enthalpy import RegularizedEnthalpy
-from .errors import (DegenerateCutoffError, EmptyCylinderError,
-                     InvalidParamsError, NewtonDivergenceError)
+from .errors import DegenerateCutoffError, InvalidParamsError, NewtonDivergenceError
 from .lattice import Grid, OperatorWorkspace, PairSums, check_exponents
 
 
@@ -63,6 +63,9 @@ class LatticeProblem:
         Regularization width of the enthalpy.
     kernel_scale : float
         Value of the constant kernel; it multiplies the operator.
+    latent_heat : float
+        Jump of the latent-heat graph.  The enthalpy is built from eps and
+        latent_heat, so a replaced eps replaces the layer.
     """
 
     s: float
@@ -75,7 +78,8 @@ class LatticeProblem:
     horizon: float
     eps: float
     kernel_scale: float = 1.0
-    enthalpy: object = None
+    latent_heat: float = 1.0
+    enthalpy: RegularizedEnthalpy = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_exponents(self.s, self.p)
@@ -94,12 +98,13 @@ class LatticeProblem:
             raise InvalidParamsError("pinned complement inside the box is empty")
         if not 0.0 < self.horizon < math.inf:
             raise InvalidParamsError("horizon must be positive and finite")
-        if not self.eps > 0.0:
-            raise InvalidParamsError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise InvalidParamsError("eps must be positive and finite")
         if not self.kernel_scale > 0.0:
             raise InvalidParamsError("kernel scale must be positive")
-        if self.enthalpy is None:
-            self.enthalpy = RegularizedEnthalpy(self.eps)
+        if not 0.0 < self.latent_heat < math.inf:
+            raise InvalidParamsError("latent heat must be positive and finite")
+        self.enthalpy = RegularizedEnthalpy(self.eps, self.latent_heat)
         datum0, ext0 = self.datum(0.0)
         if not all(np.all(np.isfinite(a)) for a in (datum0, ext0, self.far_value)):
             raise InvalidParamsError("far_value and the datum on pinned and exterior "
@@ -126,6 +131,10 @@ class LatticeProblem:
         return self._datum_at(self.grid.exterior_coordinates(), t)
 
 
+# line-search steps (each scales the trial by damping) one Newton step may take
+MAX_BACKTRACKS = 40
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Time stepping and Newton controls.
@@ -141,7 +150,6 @@ class SolverConfig:
     newton_tol: float = 1e-10
     newton_max: int = 40
     damping: float = 0.5
-    max_backtracks: int = 40
     store_every: int = 1
 
     def __post_init__(self):
@@ -157,8 +165,6 @@ class SolverConfig:
             raise InvalidParamsError("newton_tol must be positive and finite")
         if self.newton_max < 1 or self.store_every < 1:
             raise InvalidParamsError("newton_max and store_every must be >= 1")
-        if self.max_backtracks < 0:
-            raise InvalidParamsError("max_backtracks must be >= 0")
 
 
 @dataclass
@@ -290,7 +296,7 @@ class _Stepper:
                 slope = self.hn * float(np.sum(r * delta))
                 f_trial = self.objective(trial, b_prev, dt, sums_trial)
                 nb = 0
-                while f_trial > f0 + 1e-4 * alpha * slope and nb < cfg.max_backtracks:
+                while f_trial > f0 + 1e-4 * alpha * slope and nb < MAX_BACKTRACKS:
                     alpha *= cfg.damping
                     nb += 1
                     trial = self.compose(v + alpha * delta, pinned_vals)
@@ -378,18 +384,15 @@ def normalize(problem: LatticeProblem, m: float, z0=None) -> LatticeProblem:
     """
     if not m > 0.0:
         raise InvalidParamsError("normalization scale must be positive")
-    dim = problem.grid.dimension
     if z0 is None:
-        x0 = np.zeros(dim)
+        x0 = np.zeros(problem.grid.dimension)
         t0 = 0.0
     else:
-        x0 = np.asarray(z0[0], dtype=float).reshape(dim)
+        x0 = problem.grid.point(z0[0])
         t0 = float(z0[1])
     if t0 != 0.0:
         raise InvalidParamsError("time recentering of an initial value problem "
                                  "requires t0 = 0")
-    base = problem.enthalpy
-    scaled = RegularizedEnthalpy(base.eps / m, base.latent_heat / m)
     g_old = problem.dirichlet
     new_dirichlet = lambda x, t, _g=g_old, _x0=x0, _m=m: np.asarray(_g(x + _x0, t), dtype=float) / _m
     return LatticeProblem(
@@ -400,9 +403,9 @@ def normalize(problem: LatticeProblem, m: float, z0=None) -> LatticeProblem:
         far_value=problem.far_value / m,
         initial=problem.initial / m,
         horizon=problem.horizon,
-        eps=scaled.eps,
+        eps=problem.eps / m,
         kernel_scale=problem.kernel_scale * m ** (problem.p - 2.0),
-        enthalpy=scaled)
+        latent_heat=problem.latent_heat / m)
 
 
 @dataclass
@@ -577,57 +580,39 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
     if sign not in ("+", "-"):
         raise InvalidParamsError("sign must be '+' or '-'")
     problem = traj.problem
-    sp = problem.s * problem.p
-    n = problem.grid.dimension
-    x0 = np.asarray(cylinder.x0, dtype=float)
-    coords = problem.grid.coordinates()
-    dist = np.sqrt(np.sum((coords - x0[None, :]) ** 2, axis=1))
-    in_ball = dist <= cylinder.rho * (1.0 + 1e-12)
-    if not in_ball.any():
-        raise EmptyCylinderError("cylinder ball contains no lattice nodes")
+    dist, in_ball, levels = cylinder_samples(traj, cylinder)
     if cutoff is None:
         cutoff = RadialCutoff(radius=0.8 * cylinder.rho)
-    phi = np.where(in_ball, cutoff.values(dist), 0.0)
-    if float(np.max(phi[in_ball], initial=0.0)) <= 0.0:
+    phi_b = cutoff.values(dist[in_ball])
+    if float(np.max(phi_b)) <= 0.0:
         raise DegenerateCutoffError("cutoff vanishes at every node of the ball")
-    t_lo = cylinder.t0 - cylinder.theta * cylinder.rho ** sp
-    t_sel = [i for i, t in enumerate(traj.times)
-             if t_lo - 1e-12 < t <= cylinder.t0 + 1e-12]
-    if not t_sel:
-        raise EmptyCylinderError("cylinder window contains no stored times")
 
     enth = problem.enthalpy
     p = problem.p
     grid = problem.grid
-    hn = grid.spacing ** n
+    hn = grid.spacing ** grid.dimension
     ball_idx = np.nonzero(in_ball)[0]
-    phi_b = phi[ball_idx]
     out_box_idx = np.nonzero(~in_ball)[0]
     # the geometry alone, cached per grid: the estimate carries no kernel scale
     ws = OperatorWorkspace(grid, problem.s, p)
     pair_w = hn * ws.w_box[np.ix_(ball_idx, ball_idx)]
     w_out = ws.w_box[np.ix_(ball_idx, out_box_idx)]
+    # (u - level)_+ for sign '+', (level - u)_+ = (-(u - level))_+ for '-'
+    side = 1.0 if sign == "+" else -1.0
 
-    def truncate(vals):
-        if sign == "+":
-            return np.clip(vals - level, 0.0, None)
-        return np.clip(level - vals, 0.0, None)
+    def truncate(vals, side=side):
+        return np.clip(side * (vals - level), 0.0, None)
 
-    sup_term = 0.0
-    seminorm = 0.0
-    mixed = 0.0
-    grad_term = 0.0
-    tail_term = 0.0
-    grad_phi = np.where(in_ball, cutoff.gradient_magnitude(dist), 0.0)[ball_idx]
+    sup_term = seminorm = mixed = grad_term = tail_term = 0.0
+    grad_phi = cutoff.gradient_magnitude(dist[in_ball])
+    support = phi_b > 0.0
     far_w = truncate(np.asarray([problem.far_value]))[0]
 
-    prev_t = traj.times[t_sel[0]]
-    for pos, idx in enumerate(t_sel):
-        t = traj.times[idx]
-        u = traj.states[idx]
-        w_ball = truncate(u[ball_idx])
-        w_opp = _truncate_opposite(u[ball_idx], level, sign)
-        latent = enth.truncation_energy(u[ball_idx], level, sign)
+    for pos, (t, u) in enumerate(levels):
+        u_ball = u[ball_idx]
+        w_ball = truncate(u_ball)
+        w_opp = truncate(u_ball, -side)
+        latent = enth.truncation_energy(u_ball, level, sign)
         slice_energy = float(np.sum((w_ball ** 2 + latent) * phi_b ** p)) * hn
         sup_term = max(sup_term, slice_energy)
         if pos == 0:
@@ -642,7 +627,6 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
                                    * (w_ball * phi_b ** p)[:, None]))
         grad_term += dt * float(np.sum((w_ball ** p) * (grad_phi ** p))) * hn
         # exterior supremum over the cutoff support of the truncated tail
-        support = phi_b > 0.0
         u_out = truncate(u[out_box_idx])
         g_ext = truncate(problem.exterior_values(t))
         # exterior columns where the truncated datum equals the far value fold into w_fold
@@ -663,9 +647,3 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
         initial_term=initial_term, lhs=lhs, rhs=rhs, ratio=ratio,
         passed=None if c_audit is None else ratio <= c_audit)
 
-
-def _truncate_opposite(vals, level, sign):
-    """Truncation of the opposite sign, used by the mixed term."""
-    if sign == "+":
-        return np.clip(level - vals, 0.0, None)
-    return np.clip(vals - level, 0.0, None)

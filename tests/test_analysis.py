@@ -1,5 +1,6 @@
 """Intrinsic cylinders, iteration ladders, algebraic lemmas, modulus fitting."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from nlstefan import (
     NonpositiveExcessError,
     Trajectory,
     boundary_sequences,
+    caccioppoli_audit,
     fit_log_modulus,
     geometric_convergence,
     initial_sequences,
@@ -32,7 +34,7 @@ from nlstefan import (
     oscillation_scale,
     sequence_tail_report,
 )
-from nlstefan.lattice import Grid
+from nlstefan.lattice import Grid, tail
 from nlstefan.solver import solve
 
 
@@ -49,6 +51,18 @@ def static_traj(values, dirichlet, lo=-1.0, hi=1.0, far=0.0):
         horizon=1.0, eps=0.05)
     return Trajectory(problem=problem, times=[0.0],
                       states=[np.asarray(values, dtype=float)], diagnostics=[])
+
+
+def plane_traj(n=9):
+    """One-snapshot trajectory of u = x + y on the 2D box [-1, 1]^2."""
+    grid = Grid(spacing=2.0 / (n - 1), shape=(n, n), origin=(-1.0, -1.0), r_infinity=4.0)
+    field = lambda x, t: np.atleast_2d(x).sum(axis=1)
+    coords = grid.coordinates()
+    values = field(coords, 0.0)
+    problem = LatticeProblem(
+        s=0.5, p=3.0, grid=grid, unknown_mask=np.all(np.abs(coords) < 1.0 - 1e-12, axis=1),
+        dirichlet=field, far_value=0.0, initial=values, horizon=1.0, eps=0.05)
+    return Trajectory(problem=problem, times=[0.0], states=[values], diagnostics=[])
 
 
 # ---------------------------------------------------------------- cylinders
@@ -121,6 +135,42 @@ def test_level_set_fractions_are_complementary_on_the_melt(small_melt_traj):
         below = level_set_fraction(traj, cyl, "below", level)
         above = level_set_fraction(traj, cyl, "above", level)
         assert below + above == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("x0", [(0.5,), (0.5, 0.5, 0.5)])
+def test_anchor_of_the_wrong_dimension_is_rejected(x0):
+    # a 1-vector used to broadcast to (x, x) on a 2D grid; a 3-vector raised
+    # a bare ValueError and tail an IndexError
+    traj = plane_traj()
+    problem = traj.problem
+    cyl = Cylinder(x0, 0.0, 0.5, 1.0)
+    readers = (oscillation, oscillation_scale,
+               lambda tr, c: level_set_fraction(tr, c, "below", 0.0),
+               lambda tr, c: caccioppoli_audit(tr, 0.0, "+", c))
+    for read in readers:
+        with pytest.raises(InvalidParamsError, match="2 coordinates"):
+            read(traj, cyl)
+    with pytest.raises(InvalidParamsError, match="2 coordinates"):
+        tail(problem.grid, traj.samples(), x0, 0.5, (0.0, 0.0), problem.s, problem.p)
+    with pytest.raises(InvalidParamsError, match="2 coordinates"):
+        measure_density(problem.grid, problem.unknown_mask, x0, [0.5])
+    flat = static_traj(np.zeros(9), lambda x, t: np.zeros(np.atleast_2d(x).shape[0]))
+    with pytest.raises(InvalidParamsError, match="1 coordinates"):
+        oscillation(flat, Cylinder((0.0, 0.0), 0.0, 0.5, 1.0))
+
+
+def test_ladders_default_to_the_origin_of_the_grid_dimension():
+    # the default anchor used to be (0.0,) on every grid, an IndexError in 2D
+    traj = plane_traj()
+    origin = ((0.0, 0.0), 0.0)
+    levels, omega0 = modulus_ladder(traj, None, 0.5, n_levels=3, shrink=0.5)
+    assert (levels, omega0) == modulus_ladder(traj, origin, 0.5, n_levels=3, shrink=0.5)
+    # u = x + y on the ball of radius 0.5 about the origin: the nodes
+    # (0.25, 0.25) and (-0.25, -0.25) give sup - inf = 1
+    assert levels[0] == (0.5, 1.0)
+    params = IterationParams(s=0.5, p=3.0, eps=0.05, omega0=omega0, rho0=0.5)
+    seq = interior_sequences(params, n_levels=3)
+    assert sequence_tail_report(traj, seq, None) == sequence_tail_report(traj, seq, origin)
 
 
 # ---------------------------------------------------------------- ladders
@@ -339,6 +389,42 @@ def test_measure_density_flags_interior_anchor():
     rep = measure_density(grid, omega, (0.0,), [2 * h, 4 * h], alpha0=0.25)
     assert rep.min_fraction == 0.0
     assert rep.passed is False
+
+
+def brute_force_density(grid, mask, x0, r):
+    """Fraction of the lattice points origin + k h in the closed ball
+    B_r(x0) (relative slack 1e-12) that are not box nodes flagged by mask,
+    counted point by point."""
+    h = grid.spacing
+    reach = int(r / h) + 2
+    centre = [round((x0[d] - grid.origin[d]) / h) for d in range(grid.dimension)]
+    total = outside = 0
+    for k in itertools.product(*(range(c - reach, c + reach + 1) for c in centre)):
+        point = [grid.origin[d] + h * k[d] for d in range(grid.dimension)]
+        if math.dist(point, x0) > r * (1.0 + 1e-12):
+            continue
+        total += 1
+        in_box = all(0 <= k[d] < grid.shape[d] for d in range(grid.dimension))
+        outside += not (in_box and mask[np.ravel_multi_index(k, grid.shape)])
+    return outside / total
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_measure_density_matches_a_brute_force_count(dimension, rng):
+    shape, origin = ((17,), (-1.0,)) if dimension == 1 else ((9, 13), (-0.5, -0.75))
+    grid = Grid(spacing=0.125, shape=shape, origin=origin, r_infinity=4.0)
+    mask = rng.random(grid.n_nodes) < 0.6
+    h = grid.spacing
+    # a node, an off-lattice point, and a point outside the box
+    anchors = [grid.coordinates()[grid.n_nodes // 3],
+               np.asarray(origin) + np.array([2.3, 4.7][:dimension]) * h,
+               np.asarray(origin) - 0.3]
+    # lattice radii (with nodes on the sphere), an off-lattice radius, and
+    # radii past the box
+    radii = [h, 5 * h, 2.7 * h, 0.61, 2.0]
+    for x0 in anchors:
+        rep = measure_density(grid, mask, x0, radii)
+        assert rep.fractions == [brute_force_density(grid, mask, x0, r) for r in radii]
 
 
 def test_measure_density_validation():

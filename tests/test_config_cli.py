@@ -231,14 +231,14 @@ PIN_EXTRA = {"logbdy": {"c_g": 0.4, "delta": 0.7}, "const1d": {"value": -0.2}}
 # datum on the box and its exterior at t = 0, dt and the horizon, the
 # unknown mask and the initial value
 PRESET_DIGESTS = {
-    ("const1d", "default"): "3ef12c48f9e457cfb0f416bac0c4bb281aab0804c28a651af1affd9af9b8d0ef",
-    ("const1d", "overridden"): "54bb47d7d22b0ae3838a6d562c3ae08c821a3bdcd31903112f3be701b088408a",
-    ("logbdy", "default"): "113e157c7f0957c331e2034d55869f4d38973eac5353fed07c8f530934704398",
-    ("logbdy", "overridden"): "bcfcf1bd868fe6350f7c1eae44bd531fed2d3f19b802e737290ebecbd48a3f0a",
-    ("melt1d", "default"): "f24994c4351f86c359eeb54738119b6fb63940eada7dea8d01db69c920e92ec0",
-    ("melt1d", "overridden"): "57853f332fd7acf020f29b5a549e1a7b326a7974b5640a54c36a9cfe1a026399",
-    ("twophase1d", "default"): "40c0fcda79f011f9a609218c522056e59513dce7b4bd15bc9cba2d8187401bdd",
-    ("twophase1d", "overridden"): "4612f8cc1516c4727fe27d4c8972c19d33d37c73ab07de1b6343573aff004222",
+    ("const1d", "default"): "0e89d17053526f22be15573e7a33e9579844528dd081b7fd35970ec1cf8ade1e",
+    ("const1d", "overridden"): "d9b325a33ff639892659bfa87e532011da41dfcb17c113083eae17f364097fb4",
+    ("logbdy", "default"): "e23bc4627df1e28c75a31c5154b3a2ec4246a27cae23eacbe7dc3f69ffcc4342",
+    ("logbdy", "overridden"): "b824e1674ca3bcabaf4ba95523ed5d32ea9aa07242b28caec665eb4457fcf832",
+    ("melt1d", "default"): "b7f8f2fa1b58a5639b25ea4ca3ce86a2eed064bc5169831f8d96bf3e06aec546",
+    ("melt1d", "overridden"): "ec948729cca4215c5119af544bb5de6fbf58f1febce5efcd87dfccb15e057cca",
+    ("twophase1d", "default"): "8da908fbce567a674e5c203325895bf46460997e5c377e427f6f99d6192ab8d8",
+    ("twophase1d", "overridden"): "3acbd8cc948df8891421a7c6cafa671cec21fa134e2e3d0731b3a15169a9e0b1",
 }
 
 # (anchor x, rho0, shrink, boundary modulus at radii 1e-3, 0.1, 0.5, 2)

@@ -60,7 +60,7 @@ def test_solver_config_validation():
 
 @pytest.mark.parametrize("controls", [
     {"newton_tol": -1.0}, {"newton_tol": 0.0}, {"newton_tol": np.inf},
-    {"newton_tol": np.nan}, {"max_backtracks": -1}])
+    {"newton_tol": np.nan}])
 def test_solver_config_rejects_unusable_newton_controls(controls):
     # a negative newton_tol used to run newton_max iterations and then
     # report a stall at a residual of 2e-16
@@ -98,6 +98,23 @@ def test_problem_validation():
     bad[np.nonzero(prob.unknown_mask)[0][0]] = np.nan
     with pytest.raises(InvalidParamsError, match="finite"):
         replace(prob, initial=bad)
+
+
+def test_replaced_eps_replaces_the_enthalpy_layer():
+    # the enthalpy used to be a separate field that replace kept, so the
+    # solve ran the old layer while the 4 eps fit floor read the new eps
+    prob = tiny_melt().problem
+    for eps in (0.3, 0.01):
+        member = replace(prob, eps=eps)
+        assert member.enthalpy.eps == eps
+        assert member.enthalpy.latent_heat == prob.latent_heat == 1.0
+    assert replace(prob, latent_heat=0.5).enthalpy.latent_heat == 0.5
+    for latent_heat in (0.0, np.inf, np.nan):
+        with pytest.raises(InvalidParamsError, match="latent heat"):
+            replace(prob, latent_heat=latent_heat)
+    # an infinite eps used to solve with a NaN objective
+    with pytest.raises(InvalidParamsError, match="eps must be positive and finite"):
+        replace(prob, eps=np.inf)
 
 
 def test_non_finite_far_value_is_rejected():
