@@ -31,7 +31,8 @@ from .lattice import Grid, tail
 @dataclass(frozen=True)
 class Cylinder:
     """Backward space-time cylinder; the ball is closed, the window is
-    half open: (t0 - theta rho^{sp}, t0]."""
+    half open: (t0 - theta rho^{sp}, t0].  x0 None is the origin of the
+    grid the cylinder is read on."""
 
     x0: tuple
     t0: float
@@ -231,9 +232,9 @@ def initial_sequences(params: IterationParams, osc_g: Callable[[Cylinder], float
     return out
 
 
-def _normalize_anchor(z0, dimension: int = 1):
-    if z0 is None:
-        return (0.0,) * dimension, 0.0
+def _normalize_anchor(z0):
+    if z0 is None:  # the origin, in the dimension of whatever grid reads it
+        return None, 0.0
     x0, t0 = z0
     if np.isscalar(x0):
         x0 = (float(x0),)
@@ -462,7 +463,7 @@ def modulus_ladder(traj, z0, rho0: float, n_levels: int = 8,
     Returns (levels, omega0) with levels a list of (radius, oscillation).
     """
     problem = traj.problem
-    x0, t0 = _normalize_anchor(z0, problem.grid.dimension)
+    x0, t0 = _normalize_anchor(z0)
     if omega0 is None:
         base = Cylinder(x0, t0, rho0, 1.0)
         omega0 = oscillation_scale(traj, base)
@@ -506,7 +507,7 @@ def sequence_tail_report(traj, levels: Sequence[SequenceLevel], z0) -> List[Leve
     """
     problem = traj.problem
     sp = problem.s * problem.p
-    x0, t0 = _normalize_anchor(z0, problem.grid.dimension)
+    x0, t0 = _normalize_anchor(z0)
     samples = traj.samples()
     out = []
     for lev in levels:

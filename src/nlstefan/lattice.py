@@ -24,10 +24,11 @@ built once, under one lock.
 
 One evaluation forms each pair's conductance k = w |v_i - v_j|^{p-2} once;
 the operator sums k d, the energy k d^2 and the Jacobian (p - 1) k.  The
-box pairs' d and k live in two buffers of the workspace, so an evaluation
-allocates no box x box array.  It is a plain function of the field and
-the datum: the caller passes its result on to whatever else needs the
-same point.
+box pairs' k is the one box x box array, a workspace buffer: with
+c = v - mean v the flux is c_i sum_j k_ij - sum_j k_ij c_j and the box
+energy (1/2) sum k d^2 is sum_i c_i flux_i by antisymmetry, so d is never
+stored.  An evaluation is a plain function of the field and the exterior,
+resolved once per datum: the caller passes its result on.
 
 Tail quantities follow the same explicit-plus-analytic split, with a
 cell-fraction correction where lattice cells straddle the inner ball, so
@@ -115,8 +116,8 @@ class Grid:
         return _exterior_coordinates(self)
 
     def point(self, x) -> np.ndarray:
-        """x as a float vector with one coordinate per axis."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        """x as a float vector with one coordinate per axis; None is the origin."""
+        x = np.zeros(self.dimension) if x is None else np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.dimension,):
             raise InvalidParamsError(f"a point of a {self.dimension}D grid needs "
                                      f"{self.dimension} coordinates, got shape {x.shape}")
@@ -283,8 +284,8 @@ class OperatorWorkspace:
     workspace on the grid, so a later workspace costs nothing to build;
     no box x exterior matrix is held.  The band's weights and the fold
     are built from the band's nodes and kept until the band changes; a
-    step's datum is fixed, so its Newton calls share them.  The kernel
-    scale multiplies every sum.
+    step's datum is fixed, so the stepper resolves them once per step and
+    its Newton calls share them.  The kernel scale multiplies every sum.
     """
 
     def __init__(self, grid: Grid, s: float, p: float, scale: float = 1.0):
@@ -296,11 +297,14 @@ class OperatorWorkspace:
         self.w_box = _box_displacement_weights(grid, s, p)
         self.closure = _closure(grid, s, p)
         self._band = None
-        self._conductance = self._difference = None
+        self._conductance = None
 
-    def exterior(self, ext_values: np.ndarray, far_value: float):
-        """(w_band, g_band, w_fold): weights and datum of the band, where the
-        datum differs from far_value, and the folded weight of each node."""
+    def exterior(self, ext_values: Optional[np.ndarray], far_value: Optional[float]):
+        """(w_ends, ends): the weights to the band, where the datum differs
+        from far_value, then the folded weight of each node as one more
+        column, and the band's datum then far_value; None for no exterior."""
+        if ext_values is None:
+            return None
         band = np.flatnonzero(ext_values != far_value)
         key = band.tobytes()
         if self._band is None or self._band[0] != key:
@@ -308,53 +312,50 @@ class OperatorWorkspace:
             grid = self.grid
             w_band = pair_geometry(grid, self.s, self.p, grid.coordinates(),
                                    grid.exterior_coordinates()[band], exterior=True)[1]
-            self._band = (key, w_band, self.closure - np.sum(w_band, axis=1))
-        return self._band[1], ext_values[band], self._band[2]
+            fold = self.closure - np.sum(w_band, axis=1)
+            self._band = (key, _read_only(np.column_stack((w_band, fold))))
+        return self._band[1], np.append(ext_values[band], far_value)
 
-    def evaluate(self, values: np.ndarray, ext_values: Optional[np.ndarray],
-                 far_value: Optional[float]) -> PairSums:
-        """Pair sums at values over the box pairs, met from both ends, the
-        band and the fold, with d = v_i - v_j and the conductance
-        k = w |d|^{p-2}.  The box pairs' d and k are written into the
-        workspace's two N_box x N_box buffers, so k stays valid until this
-        workspace's next evaluation."""
+    def evaluate(self, values: np.ndarray, exterior) -> PairSums:
+        """Pair sums at values over the box pairs, met from both ends, and
+        the end columns of exterior (self.exterior's result), with
+        d = v_i - v_j and k = w |d|^{p-2}.  The box pairs' k is written into
+        the workspace's buffer and stays valid until its next evaluation."""
         v = np.asarray(values, dtype=float)
         if self._conductance is None:  # no box x box array per evaluation
             self._conductance = np.empty_like(self.w_box)
-            self._difference = np.empty_like(self.w_box)
-        d = np.subtract.outer(v, v, out=self._difference)
-        k = np.abs(d, out=self._conductance)
-        k **= self.p - 2.0
+        k = np.abs(np.subtract.outer(v, v, out=self._conductance), out=self._conductance)
+        if self.p != 3.0:  # x**1.0 == x: p = 3 skips the power exactly
+            k **= self.p - 2.0
         k *= self.w_box
         rows = np.sum(k, axis=1)
-        # numpy's own sum-of-products loops, never BLAS: the bits do not
-        # depend on the thread count
-        flux = np.einsum("ij,ij->i", k, d)
-        energy = 0.5 * np.einsum("ij,ij,ij->", k, d, d)
-        if ext_values is not None:
-            w_band, g_band, w_fold = self.exterior(ext_values, far_value)
-            for w, ends in ((w_band, g_band), (w_fold[:, None], np.array([far_value]))):
-                d = np.subtract.outer(v, ends)
-                k = np.abs(d)
-                k **= self.p - 2.0
-                k *= w
-                rows += np.sum(k, axis=1)
-                kd = k * d  # the flux phi_p(d) w
-                flux += np.sum(kd, axis=1)
-                kd *= d
-                energy += np.sum(kd)
+        # centred, so the products carry the size of d, not of v; numpy's
+        # own sum-of-products loops, never BLAS: the bits do not depend on
+        # the thread count
+        c = v - np.mean(v)
+        flux = c * rows - np.einsum("ij,j->i", k, c)
+        energy = np.einsum("i,i", c, flux)
+        if exterior is not None:
+            w_ends, ends = exterior
+            d = np.subtract.outer(v, ends)
+            ke = np.abs(d) ** (self.p - 2.0) * w_ends
+            rows += np.sum(ke, axis=1)
+            ke *= d  # the flux phi_p(d) w
+            flux += np.sum(ke, axis=1)
+            ke *= d
+            energy += np.sum(ke)
         return PairSums(self._conductance, flux, rows, float(energy) / self.p)
 
     def apply(self, values: np.ndarray, ext_values: Optional[np.ndarray],
               far_value: Optional[float]) -> np.ndarray:
         """Operator values at every box node."""
-        return self.scale * self.evaluate(values, ext_values, far_value).flux
+        return self.scale * self.evaluate(values, self.exterior(ext_values, far_value)).flux
 
     def pair_energy(self, values: np.ndarray, ext_values: Optional[np.ndarray],
                     far_value: Optional[float]) -> float:
         """Convex energy whose node gradient is h^n times the operator."""
         hn = self.grid.spacing ** self.grid.dimension
-        return self.scale * hn * self.evaluate(values, ext_values, far_value).energy
+        return self.scale * hn * self.evaluate(values, self.exterior(ext_values, far_value)).energy
 
     def test_pairing(self, values: np.ndarray, ext_values: Optional[np.ndarray],
                      far_value: Optional[float], test_values: np.ndarray) -> float:

@@ -176,6 +176,7 @@ class StepDiagnostics:
     objective_drop: float
     backtracks: int
     linear_iterations: int
+    evaluations: int
 
 
 @dataclass
@@ -218,12 +219,11 @@ class _Stepper:
         full[~self.mask] = pinned_vals
         return full
 
-    def residual(self, full: np.ndarray, b_prev: np.ndarray, dt: float,
-                 ext_vals: np.ndarray):
-        """(r, sums): the residual at full and the pair sums it comes from,
-        which jacobian and objective at full read."""
+    def residual(self, full: np.ndarray, b_prev: np.ndarray, dt: float, exterior):
+        """(r, sums): the residual at full over the step's ws.exterior and the
+        pair sums it comes from, which jacobian and objective at full read."""
         enth = self.problem.enthalpy
-        sums = self.ws.evaluate(full, ext_vals, self.problem.far_value)
+        sums = self.ws.evaluate(full, exterior)
         lv = self.ws.scale * sums.flux
         return (enth.b(full[self.mask]) - b_prev) + dt * lv[self.mask], sums
 
@@ -246,14 +246,15 @@ class _Stepper:
         cfg = self.config
         enth = self.problem.enthalpy
         pinned_vals, ext_vals = self.datum(t_next)
+        exterior = self.ws.exterior(ext_vals, self.problem.far_value)
         b_prev = enth.b(u_prev[self.mask])
         v = u_prev[self.mask].copy()
         full = self.compose(v, pinned_vals)
         history = []
         f_start = None
-        backtracks = linear_iterations = 0
+        backtracks, linear_iterations, evaluations = 0, 0, 1
         r2 = None
-        r, sums = self.residual(full, b_prev, dt, ext_vals)
+        r, sums = self.residual(full, b_prev, dt, exterior)
         for iteration in range(cfg.newton_max + 1):
             r_norm = float(np.max(np.abs(r)))
             history.append(r_norm)
@@ -268,7 +269,7 @@ class _Stepper:
                 diag = StepDiagnostics(
                     t=t_next, dt=dt, newton_iterations=iteration,
                     residual_norm=r_norm, objective_drop=drop, backtracks=backtracks,
-                    linear_iterations=linear_iterations)
+                    linear_iterations=linear_iterations, evaluations=evaluations)
                 return full, diag
             if iteration == cfg.newton_max:
                 break
@@ -289,7 +290,8 @@ class _Stepper:
             # shrinks the residual; the objective is flat to rounding near
             # the minimizer and cannot arbitrate there
             trial = self.compose(v + delta, pinned_vals)
-            r_trial, sums_trial = self.residual(trial, b_prev, dt, ext_vals)
+            r_trial, sums_trial = self.residual(trial, b_prev, dt, exterior)
+            evaluations += 1
             alpha = 1.0
             if float(np.max(np.abs(r_trial))) > 0.9 * r_norm:
                 f0 = f_start if iteration == 0 else self.objective(full, b_prev, dt, sums)
@@ -300,7 +302,8 @@ class _Stepper:
                     alpha *= cfg.damping
                     nb += 1
                     trial = self.compose(v + alpha * delta, pinned_vals)
-                    r_trial, sums_trial = self.residual(trial, b_prev, dt, ext_vals)
+                    r_trial, sums_trial = self.residual(trial, b_prev, dt, exterior)
+                    evaluations += 1
                     f_trial = self.objective(trial, b_prev, dt, sums_trial)
                 backtracks += nb
             # the accepted point was evaluated last, so its sums are current
@@ -384,12 +387,8 @@ def normalize(problem: LatticeProblem, m: float, z0=None) -> LatticeProblem:
     """
     if not m > 0.0:
         raise InvalidParamsError("normalization scale must be positive")
-    if z0 is None:
-        x0 = np.zeros(problem.grid.dimension)
-        t0 = 0.0
-    else:
-        x0 = problem.grid.point(z0[0])
-        t0 = float(z0[1])
+    x0 = problem.grid.point(None if z0 is None else z0[0])
+    t0 = 0.0 if z0 is None else float(z0[1])
     if t0 != 0.0:
         raise InvalidParamsError("time recentering of an initial value problem "
                                  "requires t0 = 0")
@@ -629,11 +628,10 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
         # exterior supremum over the cutoff support of the truncated tail
         u_out = truncate(u[out_box_idx])
         g_ext = truncate(problem.exterior_values(t))
-        # exterior columns where the truncated datum equals the far value fold into w_fold
-        w_band, g_band, w_fold = ws.exterior(g_ext, far_w)
+        # the band's columns and the fold, where the truncated datum is the far value
+        w_ends, ends = ws.exterior(g_ext, far_w)
         y_sum = (np.sum(w_out * (u_out ** (p - 1.0))[None, :], axis=1)
-                 + np.sum(w_band[ball_idx] * (g_band ** (p - 1.0))[None, :], axis=1)
-                 + w_fold[ball_idx] * far_w ** (p - 1.0))
+                 + np.sum(w_ends[ball_idx] * (ends ** (p - 1.0))[None, :], axis=1))
         sup_y = float(np.max(y_sum[support], initial=0.0))
         tail_term += dt * sup_y * float(np.sum(w_ball * phi_b ** p)) * hn
 

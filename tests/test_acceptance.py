@@ -151,6 +151,7 @@ def test_05_solver_contracts(melt_run, report):
     stepper = _Stepper(problem, preset.solver)
     dt = preset.solver.dt
     pinned_vals, ext_vals = stepper.datum(dt)
+    exterior = stepper.ws.exterior(ext_vals, problem.far_value)
     eta = 1e-5
     worst_rel = 0.0
     for _ in range(10):
@@ -158,14 +159,14 @@ def test_05_solver_contracts(melt_run, report):
         b_prev = problem.enthalpy.b(u_prev[stepper.mask])
         v = 0.2 * rng.standard_normal(int(stepper.mask.sum()))
         full = stepper.compose(v, pinned_vals)
-        grad = stepper.hn * stepper.residual(full, b_prev, dt, ext_vals)[0]
+        grad = stepper.hn * stepper.residual(full, b_prev, dt, exterior)[0]
         for i in rng.choice(v.size, size=5, replace=False):
             vp = v.copy()
             vp[i] += eta
             vm = v.copy()
             vm[i] -= eta
             fp, fm = (stepper.objective(f, b_prev, dt,
-                                        stepper.residual(f, b_prev, dt, ext_vals)[1])
+                                        stepper.residual(f, b_prev, dt, exterior)[1])
                       for f in (stepper.compose(vp, pinned_vals),
                                 stepper.compose(vm, pinned_vals)))
             fd = (fp - fm) / (2.0 * eta)

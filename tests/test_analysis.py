@@ -160,7 +160,7 @@ def test_anchor_of_the_wrong_dimension_is_rejected(x0):
 
 
 def test_ladders_default_to_the_origin_of_the_grid_dimension():
-    # the default anchor used to be (0.0,) on every grid, an IndexError in 2D
+    # the default anchor used to be (0.0,) on every grid, an error in 2D
     traj = plane_traj()
     origin = ((0.0, 0.0), 0.0)
     levels, omega0 = modulus_ladder(traj, None, 0.5, n_levels=3, shrink=0.5)
@@ -171,6 +171,13 @@ def test_ladders_default_to_the_origin_of_the_grid_dimension():
     params = IterationParams(s=0.5, p=3.0, eps=0.05, omega0=omega0, rho0=0.5)
     seq = interior_sequences(params, n_levels=3)
     assert sequence_tail_report(traj, seq, None) == sequence_tail_report(traj, seq, origin)
+    # the lateral and initial ladders read the datum on cylinders about the
+    # same origin; their default anchor raised "needs 2 coordinates" in 2D
+    osc_g = lambda cyl: oscillation(traj, cyl)
+    for ladder in (boundary_sequences, initial_sequences):
+        default = ladder(params, osc_g, n_levels=3)
+        assert default == ladder(params, osc_g, z0=origin, n_levels=3)
+        assert len(default) > 1
 
 
 # ---------------------------------------------------------------- ladders

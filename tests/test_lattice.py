@@ -1,5 +1,6 @@
 """Lattice operator: collocation sums, tail quadrature, field IO."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -308,7 +309,7 @@ def dense_exterior_reference(grid, scale, s, p, v, q, ext, far):
 
 def dense_jacobian(stepper, v, dt, ext, far):
     """The Newton matrix at v that the stepper hands to the CG, as a matrix."""
-    sums = stepper.ws.evaluate(v, ext, far)
+    sums = stepper.ws.evaluate(v, stepper.ws.exterior(ext, far))
     diagonal, coupling = stepper.jacobian(v, dt, sums)
     jac = -coupling * sums.conductance[np.ix_(stepper.mask, stepper.mask)]
     jac[np.diag_indices_from(jac)] = diagonal
@@ -469,19 +470,63 @@ def test_the_float_cut_breaks_translation_invariance_of_the_closure():
 
 
 def test_evaluate_allocates_no_box_by_box_array():
-    # the box pairs' d and k live in the workspace's buffers, filled in place
+    # the box pairs' k lives in the workspace's buffer, filled in place
     grid = SQUARE_21
     ws = OperatorWorkspace(grid, 0.5, 3.0)
     v = np.random.default_rng(3).uniform(-1.0, 1.0, grid.n_nodes)
     ext = np.full(grid.exterior_coordinates().shape[0], 0.4)  # an empty band
-    ws.evaluate(v, ext, 0.4)
+    ws.evaluate(v, ws.exterior(ext, 0.4))
     tracemalloc.start()
     try:
-        ws.evaluate(v, ext, 0.4)
+        ws.evaluate(v, ws.exterior(ext, 0.4))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < grid.n_nodes ** 2 * 8
+
+
+def test_the_workspace_holds_one_box_by_box_buffer():
+    # k is the only box x box array an evaluation writes; d is never stored
+    grid = SQUARE_21
+    ws = OperatorWorkspace(grid, 0.5, 3.0)
+    v = np.random.default_rng(3).uniform(-1.0, 1.0, grid.n_nodes)
+    ws.evaluate(v, ws.exterior(np.full(grid.exterior_coordinates().shape[0], 0.4), 0.4))
+    square = [a for a in reachable_arrays(ws)
+              if a.size == grid.n_nodes ** 2 and a is not ws.w_box]
+    assert len(square) == 1
+
+
+ACCURACY_GRIDS = {
+    "1d-257": Grid(spacing=2.0 / 256, shape=(257,), origin=(-1.0,), r_infinity=3.0),
+    "2d-41x41": Grid(spacing=0.05, shape=(41, 41), origin=(-1.0, -1.0), r_infinity=3.0),
+}
+ACCURACY_FIELDS = {
+    "near-flat-random": lambda x, rng: 1.0 + 1e-6 * rng.uniform(-1.0, 1.0, x.shape[0]),
+    "near-flat-smooth": lambda x, rng: 1.0 + 1e-6 * np.sum(np.sin(2.0 * x), axis=1),
+    "front": lambda x, rng: np.tanh(20.0 * x[:, 0]),
+    "smooth": lambda x, rng: np.sum(np.sin(2.0 * x), axis=1),
+}
+
+
+@pytest.mark.parametrize("field", sorted(ACCURACY_FIELDS))
+@pytest.mark.parametrize("name", sorted(ACCURACY_GRIDS))
+def test_centred_flux_and_energy_match_a_correctly_rounded_pair_sum(name, field):
+    # evaluate sums the box flux as c_i rows_i - sum_j k_ij c_j, c = v - mean v,
+    # and the box energy as sum_i c_i flux_i; the reference sums w |d| d per
+    # row and (1/2) w |d|^3 over the pairs, plus the fold, with math.fsum
+    grid, p = ACCURACY_GRIDS[name], 3.0
+    ws = OperatorWorkspace(grid, 0.5, p)
+    v = ACCURACY_FIELDS[field](grid.coordinates(), np.random.default_rng(7))
+    far = float(v[0])  # a far value off a near-flat field would swamp the box sums
+    exterior = ws.exterior(np.full(grid.exterior_coordinates().shape[0], far), far)
+    sums = ws.evaluate(v, exterior)
+    w_ends, ends = exterior
+    d, e = v[:, None] - v[None, :], v[:, None] - ends[None, :]
+    box, ext = ws.w_box * np.abs(d) * d, w_ends * np.abs(e) * e
+    flux = np.array([math.fsum(np.concatenate(row)) for row in zip(box, ext)])
+    energy = math.fsum(np.concatenate(((0.5 * box * d).ravel(), (ext * e).ravel()))) / p
+    assert np.max(np.abs(sums.flux - flux)) <= 1e-13 * np.max(np.abs(flux))
+    assert abs(sums.energy - energy) <= 1e-13 * energy
 
 
 def difference_tensor_geometry(grid, s, p, points, nodes, exterior):
@@ -639,13 +684,14 @@ def test_fold_keeps_residual_the_gradient_of_the_objective(nx, ny, seed, s, p):
         assert fd == pytest.approx(hn * lv[i], rel=1e-5, abs=1e-8)
     b_prev = problem.enthalpy.b(rng.uniform(-1.0, 1.0, int(mask.sum())))
     jac = dense_jacobian(stepper, full, dt, ext, far)
+    exterior = stepper.ws.exterior(ext, far)
     fd_jac = np.empty_like(jac)
     for col, i in enumerate(np.nonzero(mask)[0]):
         up, down = full.copy(), full.copy()
         up[i] += step
         down[i] -= step
-        fd_jac[:, col] = (stepper.residual(up, b_prev, dt, ext)[0]
-                          - stepper.residual(down, b_prev, dt, ext)[0]) / (2.0 * step)
+        fd_jac[:, col] = (stepper.residual(up, b_prev, dt, exterior)[0]
+                          - stepper.residual(down, b_prev, dt, exterior)[0]) / (2.0 * step)
     np.testing.assert_allclose(fd_jac, jac, rtol=1e-5, atol=1e-7 * np.max(np.abs(jac)))
 
 

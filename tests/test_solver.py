@@ -291,28 +291,21 @@ MELT2D_21 = {
 }
 
 
-def test_benchmark_size_solves_keep_their_newton_work(monkeypatch):
-    # Newton iterations and backtracks of the 257-node melt (16 steps of the
-    # canonical dt) and the 21 x 21 melt: a change that moves Newton's path
-    # moves these counts and has to say so.  Each Newton point is evaluated
-    # once: every step's start, every iteration's full step, every backtrack.
+def test_benchmark_size_solves_keep_their_newton_work():
+    # Newton iterations, backtracks and evaluations of the 257-node melt (16
+    # steps of the canonical dt) and the 21 x 21 melt: a change that moves
+    # Newton's path moves these counts and has to say so.  Each Newton point
+    # is evaluated once: every step's start, every iteration's full step,
+    # every backtrack.
     pre = load_preset("melt1d", n_nodes=257, horizon=0.02, n_steps=16)
     _, problem, config = realize(parse_run_config(MELT2D_21))
-    calls = []
-    evaluate = OperatorWorkspace.evaluate
-
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return evaluate(self, *args, **kwargs)
-
-    monkeypatch.setattr(OperatorWorkspace, "evaluate", counted)
     for (problem, config), expected in [((pre.problem, pre.solver), (92, 4, 112)),
                                         ((problem, config), (16, 4, 22))]:
-        calls.clear()
         diags = solve(problem, config).diagnostics
-        work = (sum(d.newton_iterations for d in diags), sum(d.backtracks for d in diags))
-        assert work + (len(calls),) == expected
-        assert len(calls) == len(diags) + sum(work)
+        work = tuple(sum(getattr(d, name) for d in diags)
+                     for name in ("newton_iterations", "backtracks", "evaluations"))
+        assert work == expected
+        assert all(d.evaluations == 1 + d.newton_iterations + d.backtracks for d in diags)
 
 
 def test_benchmark_size_solve_keeps_its_linear_work(tmp_path):
@@ -327,6 +320,8 @@ def test_benchmark_size_solve_keeps_its_linear_work(tmp_path):
     fileio.write_trajectory(str(tmp_path), traj)
     manifest = fileio.read_json(str(tmp_path / "manifest.json"))
     assert [d["linear_iterations"] for d in manifest["diagnostics"]] == counts
+    assert ([d["evaluations"] for d in manifest["diagnostics"]]
+            == [d.evaluations for d in traj.diagnostics])
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.02])
@@ -346,10 +341,13 @@ def test_objective_drop_is_start_minus_final_objective(eps, monkeypatch):
     final, diag = stepper.step(prob.initial, dt, dt)
     monkeypatch.undo()
     pinned, ext = stepper.datum(dt)
+    exterior = stepper.ws.exterior(ext, prob.far_value)
     b_prev = prob.enthalpy.b(prob.initial[prob.unknown_mask])
     start = stepper.compose(prob.initial[prob.unknown_mask], pinned)
-    f_start = stepper.objective(start, b_prev, dt, stepper.residual(start, b_prev, dt, ext)[1])
-    f_final = stepper.objective(final, b_prev, dt, stepper.residual(final, b_prev, dt, ext)[1])
+    f_start = stepper.objective(start, b_prev, dt,
+                                stepper.residual(start, b_prev, dt, exterior)[1])
+    f_final = stepper.objective(final, b_prev, dt,
+                                stepper.residual(final, b_prev, dt, exterior)[1])
     assert diag.newton_iterations >= 1
     assert diag.objective_drop == f_start - f_final
     if eps == 0.2:
