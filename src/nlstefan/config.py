@@ -417,7 +417,7 @@ def _dirichlet(prob: dict):
 def _build(name: str, prob: dict, n_steps: int, entry: dict) -> Preset:
     box, initial = prob["box"], prob["initial"]
     spacing = (box["hi"][0] - box["lo"][0]) / (box["nodes"][0] - 1)
-    grid = Grid(spacing=spacing, shape=tuple(box["nodes"]), origin=tuple(box["lo"]),
+    grid = Grid(spacing=spacing, shape=box["nodes"], origin=box["lo"],
                 r_infinity=box["r_infinity"])
     coords = grid.coordinates()
     mask = np.all((coords > np.asarray(prob["unknown"]["lo"]) + 1e-12)

@@ -13,22 +13,23 @@ the exact radial integral phi_p(v_i - far) w_far, w_far = sigma_n
 R_inf^{-sp} / (sp).  Exterior columns whose datum equals the far value
 fold into it: phi_p(v_i - far) carries S_i - sum_{j in band} g_ij + w_far,
 S_i = sum_j g_ij over the geometry weights g_ij, and only the band of
-columns where the datum differs is summed.  No box x exterior matrix is
-built: every lattice node within R_inf of a box node lies in the dilated
-box, so S_i is one sum over the lattice displacements 0 < |k| h <= R_inf
-minus the box row sum, and the band's weights are built from the band's
-own nodes.  The box weights and the closure depend on the grid, s and p
-only, so they are cached and shared by every workspace on the grid, and
-the kernel scale multiplies the sums.  Cached arrays are read-only and
-built once, under one lock.
+columns where the datum differs is summed, from the band's own nodes.
 
-One evaluation forms each pair's conductance k = w |v_i - v_j|^{p-2} once;
-the operator sums k d, the energy k d^2 and the Jacobian (p - 1) k.  The
-box pairs' k is the one box x box array, a workspace buffer: with
-c = v - mean v the flux is c_i sum_j k_ij - sum_j k_ij c_j and the box
-energy (1/2) sum k d^2 is sum_i c_i flux_i by antisymmetry, so d is never
-stored.  An evaluation is a plain function of the field and the exterior,
-resolved once per datum: the caller passes its result on.
+The kernel is translation invariant, so a lattice pair's weight depends
+only on its index displacement k: one table over |k_a| <= R_inf / h holds
+every weight.  The box pairs read it through a Toeplitz view, and S_i is
+its sum over the ball 0 < |k| h <= R_inf minus the box row sum, because
+every lattice node within R_inf of the box lies in the dilated box.  The
+table and the closure depend on the grid, s and p only: they are cached,
+read-only, built once under one lock and shared by every workspace on the
+grid.  The kernel scale multiplies the sums.
+
+One evaluation forms each pair's conductance k = w |v_i - v_j|^{p-2} once,
+the box pairs' k in one box x box workspace buffer; the operator sums k d,
+the energy k d^2 and the Jacobian (p - 1) k.  With c = v - mean v the flux
+is c_i sum_j k_ij - sum_j k_ij c_j and the box energy (1/2) sum k d^2 is
+sum_i c_i flux_i by antisymmetry, so d is never stored.  An evaluation is a
+plain function of the field and the exterior, resolved once per datum.
 
 Tail quantities follow the same explicit-plus-analytic split, with a
 cell-fraction correction where lattice cells straddle the inner ball, so
@@ -38,6 +39,7 @@ the quadrature converges at first order or better in h.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache, wraps
@@ -81,6 +83,11 @@ class Grid:
     r_infinity: float
 
     def __post_init__(self):
+        try:  # plain tuples: hashable cache keys, integer node counts
+            object.__setattr__(self, "shape", tuple(map(operator.index, self.shape)))
+            object.__setattr__(self, "origin", tuple(map(float, self.origin)))
+        except (TypeError, ValueError):
+            raise InvalidParamsError("shape needs integer node counts, origin numbers") from None
         if len(self.shape) not in (1, 2):
             raise InvalidParamsError("only dimensions 1 and 2 are supported")
         if len(self.origin) != len(self.shape):
@@ -124,8 +131,7 @@ class Grid:
         return x
 
     def translate(self, shift) -> "Grid":
-        new_origin = tuple(o - sh for o, sh in zip(self.origin, shift))
-        return replace(self, origin=new_origin)
+        return replace(self, origin=tuple(o - sh for o, sh in zip(self.origin, shift)))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -151,30 +157,22 @@ def _lattice_cache(fn):
     return locked
 
 
+def _indices(shape, offset: int = 0) -> np.ndarray:
+    """Multi-indices of a box of this shape less offset, one row each, C order."""
+    return np.indices(shape).reshape(len(shape), -1).T - offset
+
+
 @_lattice_cache
 def _box_coordinates(grid: Grid) -> np.ndarray:
-    axes = [grid.origin[d] + grid.spacing * np.arange(grid.shape[d])
-            for d in range(grid.dimension)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return _read_only(np.stack([m.ravel() for m in mesh], axis=1))
+    return _read_only(np.asarray(grid.origin) + grid.spacing * _indices(grid.shape))
 
 
 @_lattice_cache
 def _exterior_coordinates(grid: Grid) -> np.ndarray:
     reach = int(math.ceil(grid.r_infinity / grid.spacing))
-    axes = []
-    inside = []
-    for d in range(grid.dimension):
-        idx = np.arange(-reach, grid.shape[d] + reach)
-        axes.append(grid.origin[d] + grid.spacing * idx)
-        inside.append((idx >= 0) & (idx < grid.shape[d]))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=1)
-    in_box = np.ones(coords.shape[0], dtype=bool)
-    flags = np.meshgrid(*inside, indexing="ij")
-    for f in flags:
-        in_box &= f.ravel()
-    return _read_only(coords[~in_box])
+    index = _indices([n + 2 * reach for n in grid.shape], reach)  # the dilated box
+    index = index[~np.all((index >= 0) & (index < grid.shape), axis=1)]
+    return _read_only(np.asarray(grid.origin) + grid.spacing * index)
 
 
 def pair_geometry(grid: Grid, s: float, p: float, points: np.ndarray,
@@ -217,11 +215,33 @@ def _broadcast_geometry(grid: Grid, s: float, p: float, points: np.ndarray,
     return dist, weights
 
 
+def _displacements(grid: Grid):
+    """k[:, reach + k] = k and |k|^2 over the integer displacements
+    |k_a| <= reach, reach h >= r_infinity."""
+    reach = int(math.ceil(grid.r_infinity / grid.spacing))
+    k = np.indices((2 * reach + 1,) * grid.dimension) - reach
+    return k, np.sum(k * k, axis=0)
+
+
 @_lattice_cache
-def _box_displacement_weights(grid: Grid, s: float, p: float) -> np.ndarray:
-    """Box-box weights, shared by every workspace on the same grid."""
-    coords = grid.coordinates()
-    return _read_only(pair_geometry(grid, s, p, coords, coords)[1])
+def _displacement_table(grid: Grid, s: float, p: float) -> np.ndarray:
+    """h^n / (|k| h)^{n+sp} at table[reach + k], zero at k = 0: the weight
+    of every lattice pair whose index displacement is k."""
+    n, h = grid.dimension, grid.spacing
+    k2 = _displacements(grid)[1]
+    with np.errstate(divide="ignore"):
+        table = h ** n / (np.sqrt(k2) * h) ** (n + s * p)
+    table[k2 == 0] = 0.0
+    return _read_only(table)
+
+
+def _box_weights(table: np.ndarray, shape: tuple) -> np.ndarray:
+    """w[i, j] = table[reach + j - i] over the multi-indices i, j of a box
+    of this shape, which r_infinity covers: a read-only Toeplitz view."""
+    reach = table.shape[0] // 2
+    centre = table[(slice(reach, None),) * table.ndim]
+    strides = tuple(-st for st in table.strides) + table.strides
+    return np.lib.stride_tricks.as_strided(centre, shape * 2, strides, writeable=False)
 
 
 # |k|^2 within this relative distance of (R_inf / h)^2 puts a displacement
@@ -232,37 +252,27 @@ TIE_RTOL = 1e-9
 @_lattice_cache
 def _closure(grid: Grid, s: float, p: float) -> np.ndarray:
     """closure_i = S_i + w_far, S_i the weights from box node i to the
-    exterior nodes within r_infinity.
-
-    Every such node lies in the dilated box, so S_i is the lattice-ball sum
-    over the displacements 0 < |k| h < r_infinity minus the box row sum.
-    A displacement on the sphere is decided per node by pair_geometry's
-    float cut on real coordinates, as the dense sum decides it: its weight
-    counts wherever its node lies outside the box, unless the node is past
-    r_infinity in floating point, and always where the node lies inside it,
-    because the box row sum takes it out.
+    exterior nodes within r_infinity: the table's ball sum minus the box
+    row sum.  A displacement on the sphere is decided per node by
+    pair_geometry's float cut on real coordinates, as the dense sum decides
+    it: its weight counts where its node lies outside the box and within
+    r_infinity in floating point, and always where the node lies inside the
+    box, because the box row sum takes it out.
     """
     n, h = grid.dimension, grid.spacing
-    reach = int(math.ceil(grid.r_infinity / h))
-    k = np.indices((2 * reach + 1,) * n).reshape(n, -1).T - reach
-    k2 = np.sum(k * k, axis=1)
+    k, k2 = _displacements(grid)
     radius2 = (grid.r_infinity / h) ** 2
     tie = np.abs(k2 - radius2) <= TIE_RTOL * radius2
-    inner = (k2 > 0) & (k2 < radius2) & ~tie
+    table = _displacement_table(grid, s, p)  # zero at k = 0
     # correctly rounded: S_i is a small difference of two large sums
-    ball = math.fsum(h ** n / (np.sqrt(k2[inner]) * h) ** (n + s * p))
-
-    w_box = _box_displacement_weights(grid, s, p)
-    closure = ball - np.sum(w_box, axis=1)
-    index = np.indices(grid.shape).reshape(n, -1).T  # C order, as the coordinates
-    target = index[:, None, :] + k[tie][None, :, :]
-    in_box = np.all((target >= 0) & (target < np.asarray(grid.shape)), axis=2)
+    ball = math.fsum(table[(k2 < radius2) & ~tie])
+    closure = ball - np.sum(_box_weights(table, grid.shape), axis=tuple(range(n, 2 * n))).ravel()
+    target = _indices(grid.shape)[:, None, :] + k[:, tie].T[None, :, :]
+    in_box = np.all((target >= 0) & (target < grid.shape), axis=2)
     nodes = np.asarray(grid.origin) + h * target
     dist, weights = _broadcast_geometry(grid, s, p, grid.coordinates()[:, None, :], nodes)
     weights[(dist > grid.r_infinity) & ~in_box] = 0.0
-    closure += np.sum(weights, axis=1)
-    closure += _far_weight(grid, s, p)
-    return _read_only(closure)
+    return _read_only(closure + np.sum(weights, axis=1) + _far_weight(grid, s, p))
 
 
 class PairSums(NamedTuple):
@@ -279,13 +289,13 @@ class OperatorWorkspace:
     """Geometry weights for one (grid, s, p) and kernel scale, reused by
     the stepper across Newton iterations and time steps.
 
-    w_box is the cached box geometry and closure the cached closure
-    weight of each node, closure_i = S_i + w_far, both shared by every
-    workspace on the grid, so a later workspace costs nothing to build;
-    no box x exterior matrix is held.  The band's weights and the fold
-    are built from the band's nodes and kept until the band changes; a
-    step's datum is fixed, so the stepper resolves them once per step and
-    its Newton calls share them.  The kernel scale multiplies every sum.
+    table (the displacement table) and closure (closure_i = S_i + w_far)
+    are cached and shared by every workspace on the grid, so a later
+    workspace costs nothing to build.  No box x box weights and no box x
+    exterior matrix are held: the first evaluation makes the conductance
+    buffer and the box pairs' view of the table.  The band's weights and
+    the fold are kept until the band changes; a step's datum is fixed, so
+    the stepper resolves them once per step.  The scale multiplies every sum.
     """
 
     def __init__(self, grid: Grid, s: float, p: float, scale: float = 1.0):
@@ -294,10 +304,10 @@ class OperatorWorkspace:
         self.s = s
         self.p = p
         self.scale = scale
-        self.w_box = _box_displacement_weights(grid, s, p)
+        self.table = _displacement_table(grid, s, p)
         self.closure = _closure(grid, s, p)
         self._band = None
-        self._conductance = None
+        self._conductance = self._weights = None
 
     def exterior(self, ext_values: Optional[np.ndarray], far_value: Optional[float]):
         """(w_ends, ends): the weights to the band, where the datum differs
@@ -323,11 +333,13 @@ class OperatorWorkspace:
         the workspace's buffer and stays valid until its next evaluation."""
         v = np.asarray(values, dtype=float)
         if self._conductance is None:  # no box x box array per evaluation
-            self._conductance = np.empty_like(self.w_box)
+            self._conductance = np.empty((v.size, v.size))
+            self._weights = _box_weights(self.table, self.grid.shape)
         k = np.abs(np.subtract.outer(v, v, out=self._conductance), out=self._conductance)
         if self.p != 3.0:  # x**1.0 == x: p = 3 skips the power exactly
             k **= self.p - 2.0
-        k *= self.w_box
+        box = k.reshape(self.grid.shape * 2)  # a view: pair (i, j) by multi-index
+        box *= self._weights
         rows = np.sum(k, axis=1)
         # centred, so the products carry the size of d, not of v; numpy's
         # own sum-of-products loops, never BLAS: the bits do not depend on
@@ -389,27 +401,15 @@ def in_window(samples: Sequence, window) -> list:
 
 def tail(grid: Grid, samples: Sequence, x0, rho: float, window, s: float,
          p: float) -> float:
-    """Supremum-in-time nonlocal tail of a space-time field.
+    """Supremum over the closed time window (t_lo, t_hi) of the nonlocal
+    tail about the spatial centre x0, outside the ball of radius rho.
 
-    Parameters
-    ----------
-    grid : Grid
-        Lattice the samples live on.
-    samples : sequence of (t, values, ext_values, far_value)
-        Stored time slices: the box values, the values on
-        grid.exterior_coordinates() and the constant past r_infinity.
-        Only the slices inside the window are used.
-    x0 : point
-        Spatial center.
-    rho : float
-        Inner ball radius; the tail integrates over its complement.
-    window : (t_lo, t_hi)
-        Closed time interval over which the supremum is taken.
-
-    The integrand |f|^{p-1} |x0 - y|^{-n-sp} is summed over lattice cells
-    outside the ball (with fractional weights on straddling cells) out to
-    r_infinity, and closed with the analytic radial integral of the far
-    value past it.
+    samples are the stored slices (t, values, ext_values, far_value): the
+    box values, the values on grid.exterior_coordinates() and the constant
+    past r_infinity.  The integrand |f|^{p-1} |x0 - y|^{-n-sp} is summed
+    over lattice cells outside the ball (with fractional weights on
+    straddling cells) out to r_infinity, and closed with the analytic
+    radial integral of the far value past it.
     """
     check_exponents(s, p)
     if not rho > 0.0:
@@ -422,7 +422,6 @@ def tail(grid: Grid, samples: Sequence, x0, rho: float, window, s: float,
     chosen = in_window(samples, window)
     if rho >= grid.r_infinity:
         raise InvalidParamsError("tail radius must stay below r_infinity")
-    sp = s * p
     x0 = grid.point(x0)
     w_box, _ = _ball_weights(grid, s, p, x0, rho, grid.coordinates())
     w_ext, far_geom = _ball_weights(grid, s, p, x0, rho, ext_coords, exterior=True)
@@ -433,4 +432,4 @@ def tail(grid: Grid, samples: Sequence, x0, rho: float, window, s: float,
         total += float(np.sum(w_ext * np.abs(ext_values) ** (p - 1.0)))
         total += abs(far_value) ** (p - 1.0) * far_geom
         worst = max(worst, total)
-    return (rho ** sp * worst) ** (1.0 / (p - 1.0))
+    return (rho ** (s * p) * worst) ** (1.0 / (p - 1.0))

@@ -33,7 +33,7 @@ from ._linalg import newton_cg
 from .analysis import cylinder_samples
 from .enthalpy import RegularizedEnthalpy
 from .errors import DegenerateCutoffError, InvalidParamsError, NewtonDivergenceError
-from .lattice import Grid, OperatorWorkspace, PairSums, check_exponents
+from .lattice import Grid, OperatorWorkspace, PairSums, check_exponents, pair_geometry
 
 
 @dataclass
@@ -592,10 +592,11 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
     hn = grid.spacing ** grid.dimension
     ball_idx = np.nonzero(in_ball)[0]
     out_box_idx = np.nonzero(~in_ball)[0]
-    # the geometry alone, cached per grid: the estimate carries no kernel scale
+    # the geometry alone: the estimate carries no kernel scale
     ws = OperatorWorkspace(grid, problem.s, p)
-    pair_w = hn * ws.w_box[np.ix_(ball_idx, ball_idx)]
-    w_out = ws.w_box[np.ix_(ball_idx, out_box_idx)]
+    x = grid.coordinates()
+    pair_w = hn * pair_geometry(grid, problem.s, p, x[ball_idx], x[ball_idx])[1]
+    w_out = pair_geometry(grid, problem.s, p, x[ball_idx], x[out_box_idx])[1]
     # (u - level)_+ for sign '+', (level - u)_+ = (-(u - level))_+ for '-'
     side = 1.0 if sign == "+" else -1.0
 

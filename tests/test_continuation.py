@@ -58,7 +58,7 @@ def test_a_threaded_family_builds_each_lattice_cache_once():
     # the members miss every per-grid cache together on a grid no other test
     # uses; more threads than cores and a short switch interval widen the race
     caches = (lattice._box_coordinates, lattice._exterior_coordinates,
-              lattice._box_displacement_weights, lattice._closure)
+              lattice._displacement_table, lattice._closure)
     before = [cache.cache_info().misses for cache in caches]
     pre = load_preset("melt1d", n_nodes=251, horizon=0.005, eps=0.2, n_steps=2)
     interval = sys.getswitchinterval()

@@ -88,6 +88,23 @@ def test_grid_validation():
         Grid(spacing=1.0, shape=(5,), origin=(0.0,), r_infinity=2.0)
 
 
+@pytest.mark.parametrize("shape", [(21.0,), (21.5,), ("21",)])
+def test_grid_rejects_a_non_integer_node_count(shape):
+    # a float count used to pass and then fail in np.indices with a TypeError
+    with pytest.raises(InvalidParamsError, match="integer node counts"):
+        Grid(spacing=0.1, shape=shape, origin=(0.0,), r_infinity=3.0)
+
+
+def test_grid_stores_lists_as_hashable_tuples():
+    # lists used to reach the lattice caches and fail there as unhashable
+    grid = Grid(spacing=0.1, shape=[np.int64(21)], origin=[np.float32(0.5)], r_infinity=3.0)
+    assert grid.shape == (21,) and type(grid.shape[0]) is int
+    assert grid.origin == (0.5,) and type(grid.origin[0]) is float
+    assert grid == Grid(spacing=0.1, shape=(21,), origin=(0.5,), r_infinity=3.0)
+    ws = OperatorWorkspace(grid, 0.5, 3.0)
+    assert ws.apply(np.zeros(21), None, None).shape == (21,)
+
+
 @pytest.mark.parametrize("field,value", [
     ("spacing", np.inf), ("origin", (np.nan,)), ("origin", (-np.inf,)),
     ("r_infinity", np.nan), ("r_infinity", np.inf)])
@@ -486,14 +503,55 @@ def test_evaluate_allocates_no_box_by_box_array():
 
 
 def test_the_workspace_holds_one_box_by_box_buffer():
-    # k is the only box x box array an evaluation writes; d is never stored
+    # k is the only box x box array an evaluation writes; d is never stored.
+    # The box weights are a view of the table, whose size reads N_box^2
     grid = SQUARE_21
     ws = OperatorWorkspace(grid, 0.5, 3.0)
     v = np.random.default_rng(3).uniform(-1.0, 1.0, grid.n_nodes)
     ws.evaluate(v, ws.exterior(np.full(grid.exterior_coordinates().shape[0], 0.4), 0.4))
-    square = [a for a in reachable_arrays(ws)
-              if a.size == grid.n_nodes ** 2 and a is not ws.w_box]
-    assert len(square) == 1
+    owned = [a for a in reachable_arrays(ws) if a.flags.owndata]
+    assert sum(a.size >= grid.n_nodes ** 2 for a in owned) == 1
+    assert ws.table.size < grid.n_nodes ** 2
+
+
+def test_the_first_workspace_and_evaluation_hold_one_box_by_box_array():
+    # a grid no other test uses: the table, the closure, the k buffer and the
+    # box weights' view are all built under the trace
+    grid = Grid(spacing=0.1, shape=(19, 23), origin=(-0.9, -1.1), r_infinity=3.0)
+    v = np.random.default_rng(4).uniform(-1.0, 1.0, grid.n_nodes)
+    ext = np.full(grid.exterior_coordinates().shape[0], 0.4)  # an empty band
+    tracemalloc.start()
+    try:
+        ws = OperatorWorkspace(grid, 0.5, 3.0)
+        ws.evaluate(v, ws.exterior(ext, 0.4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * grid.n_nodes ** 2 * 8
+
+
+BOX_WEIGHT_GRIDS = {
+    # the catalog's 1D boxes: dyadic spacing, so |k| h is every coordinate difference
+    "1d-257": Grid(spacing=2.0 / 256, shape=(257,), origin=(-1.0,), r_infinity=4.0),
+    "1d-257-shifted": Grid(spacing=2.0 / 256, shape=(257,), origin=(-0.5,), r_infinity=4.0),
+    "1d-65": Grid(spacing=2.0 / 64, shape=(65,), origin=(-1.0,), r_infinity=4.0),
+    "21x21": SQUARE_21,
+    "21x21-shifted": CLOSURE_GRIDS["21x21-shifted"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOX_WEIGHT_GRIDS))
+def test_the_table_view_is_the_dense_box_geometry(name):
+    grid, s, p = BOX_WEIGHT_GRIDS[name], 0.45, 3.2
+    view = lattice._box_weights(lattice._displacement_table(grid, s, p), grid.shape)
+    assert view.shape == grid.shape * 2 and not view.flags.writeable
+    x = grid.coordinates()
+    dense = pair_geometry(grid, s, p, x, x)[1]
+    weights = view.reshape(dense.shape)
+    if grid.dimension == 1:
+        assert np.array_equal(weights, dense)
+    else:  # k h and a difference of coordinates round differently
+        np.testing.assert_allclose(weights, dense, rtol=1e-14, atol=0.0)
 
 
 ACCURACY_GRIDS = {
@@ -522,7 +580,9 @@ def test_centred_flux_and_energy_match_a_correctly_rounded_pair_sum(name, field)
     sums = ws.evaluate(v, exterior)
     w_ends, ends = exterior
     d, e = v[:, None] - v[None, :], v[:, None] - ends[None, :]
-    box, ext = ws.w_box * np.abs(d) * d, w_ends * np.abs(e) * e
+    x = grid.coordinates()
+    box = pair_geometry(grid, 0.5, p, x, x)[1] * np.abs(d) * d
+    ext = w_ends * np.abs(e) * e
     flux = np.array([math.fsum(np.concatenate(row)) for row in zip(box, ext)])
     energy = math.fsum(np.concatenate(((0.5 * box * d).ravel(), (ext * e).ravel()))) / p
     assert np.max(np.abs(sums.flux - flux)) <= 1e-13 * np.max(np.abs(flux))
@@ -566,7 +626,7 @@ def test_cached_lattice_arrays_are_read_only():
     grid = line_grid(n=7)
     ws = OperatorWorkspace(grid, 0.5, 3.0)
     cached = [grid.coordinates(), grid.exterior_coordinates(),
-              lattice._box_displacement_weights(grid, 0.5, 3.0), ws.closure]
+              lattice._displacement_table(grid, 0.5, 3.0), ws.closure]
     for array in cached:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
@@ -575,12 +635,12 @@ def test_cached_lattice_arrays_are_read_only():
 def test_scale_one_workspace_holds_the_cached_box_geometry():
     # and so does every other scale, which multiplies the operator's sums
     grid = line_grid(n=7)
-    geom = lattice._box_displacement_weights(grid, 0.5, 3.0)
+    geom = lattice._displacement_table(grid, 0.5, 3.0)
     v = np.random.default_rng(2).uniform(-1.0, 1.0, grid.n_nodes)
     ext = np.cos(grid.exterior_coordinates()[:, 0])
     unit = OperatorWorkspace(grid, 0.5, 3.0)
     for scale in (1.0, 2.0, 1.3):
-        assert OperatorWorkspace(grid, 0.5, 3.0, scale).w_box is geom
+        assert OperatorWorkspace(grid, 0.5, 3.0, scale).table is geom
     doubled = OperatorWorkspace(grid, 0.5, 3.0, 2.0)
     assert np.array_equal(doubled.apply(v, ext, 0.3), 2.0 * unit.apply(v, ext, 0.3))
 
@@ -643,7 +703,7 @@ def test_structural_audit_after_a_solve_builds_no_geometry():
     # normalize(problem, 2) doubles the kernel scale, which shares the solve's geometry
     preset = load_preset("melt1d", n_nodes=39, n_steps=2, horizon=0.01)
     traj = solve(preset.problem, preset.solver)
-    caches = (lattice._box_displacement_weights, lattice._closure)
+    caches = (lattice._displacement_table, lattice._closure)
     before = [cache.cache_info().misses for cache in caches]
     checks = structural_audit(traj, preset.solver)
     assert [cache.cache_info().misses for cache in caches] == before
