@@ -2,9 +2,11 @@
 
 The oscillation machinery works on backward cylinders
 
-    Q_rho^(theta)(z0) = closed ball B_rho(x0)  x  (t0 - theta rho^{sp}, t0]
+    Q_rho^(theta)(z0) = closed ball B_rho(x0)  x  [t0 - theta rho^{sp}, t0]
 
-whose time depth is matched to the running oscillation omega through
+read on the stored levels of the closed window (for a continuous solution
+the sup and inf equal those over the half-open window of the paper), whose
+time depth is matched to the running oscillation omega through
 theta = (omega/4)^{2-p} in the interior and (omega/4)^{1-p} at the
 lateral boundary.  The shrinking ladders of radii and oscillation bounds
 follow the reduction-of-oscillation recursions, the algebraic engine
@@ -23,15 +25,15 @@ from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import (EmptyCylinderError, InsufficientSamplesError,
+from .errors import (EmptyCylinderError, EmptyWindowError, InsufficientSamplesError,
                      InvalidParamsError, NonpositiveExcessError)
-from .lattice import Grid, tail
+from .lattice import Grid, in_window, tail
 
 
 @dataclass(frozen=True)
 class Cylinder:
-    """Backward space-time cylinder; the ball is closed, the window is
-    half open: (t0 - theta rho^{sp}, t0].  x0 None is the origin of the
+    """Backward space-time cylinder; the ball and the window
+    [t0 - theta rho^{sp}, t0] are closed.  x0 None is the origin of the
     grid the cylinder is read on."""
 
     x0: tuple
@@ -68,34 +70,36 @@ def _ball(coords: np.ndarray, x0: np.ndarray, rho: float):
 
 class CylinderSamples(NamedTuple):
     """A cylinder read on the lattice: the distance of every box node to
-    x0, the closed ball mask and the stored levels (t, state) in the
-    window."""
+    x0, the closed ball mask, and the stored times in the window with
+    their states, one row per time."""
 
     dist: np.ndarray
     in_ball: np.ndarray
-    levels: list
+    times: list
+    states: np.ndarray
 
     def block(self) -> np.ndarray:
         """The ball values, one row per stored level."""
-        return np.stack([u[self.in_ball] for _, u in self.levels])
+        return self.states[:, self.in_ball]
 
 
 def cylinder_samples(traj, cyl: Cylinder) -> CylinderSamples:
-    """The lattice samples of a cylinder: the box nodes in the closed ball
-    and the stored times in the half-open window (t0 - theta rho^{sp}, t0],
-    each with slack 1e-12.  An EmptyCylinderError names the empty part."""
+    """The lattice samples of a cylinder: the box nodes in the closed ball,
+    with slack 1e-12, and the stored times in the closed window, chosen by
+    lattice.in_window as tail chooses them.  An EmptyCylinderError names
+    the empty part."""
     problem = traj.problem
     dist, in_ball = _ball(problem.grid.coordinates(), problem.grid.point(cyl.x0), cyl.rho)
     if not in_ball.any():
         raise EmptyCylinderError(
             f"cylinder ball of radius {cyl.rho:.4g} contains no lattice nodes")
     t_lo, t_hi = cyl.window(problem.s * problem.p)
-    levels = [(t, u) for t, u in zip(traj.times, traj.states)
-              if t_lo - 1e-12 < t <= t_hi + 1e-12]
-    if not levels:
+    try:
+        rows = [i for _, i in in_window([(t, i) for i, t in enumerate(traj.times)], (t_lo, t_hi))]
+    except EmptyWindowError:
         raise EmptyCylinderError(
-            f"cylinder window ({t_lo:.4g}, {t_hi:.4g}] contains no stored times")
-    return CylinderSamples(dist, in_ball, levels)
+            f"cylinder window [{t_lo:.4g}, {t_hi:.4g}] contains no stored times") from None
+    return CylinderSamples(dist, in_ball, [traj.times[i] for i in rows], traj.states[rows])
 
 
 def oscillation(traj, cyl: Cylinder) -> float:
@@ -216,14 +220,14 @@ def initial_sequences(params: IterationParams, osc_g: Callable[[Cylinder], float
                       z0=None, n_levels: int = 40) -> List[SequenceLevel]:
     """Initial-layer ladder rho_{i+1} = rho_i / n_init,
     omega_{i+1} = max(m omega_i, 2 osc_g(Q_i)) over forward windows
-    (0, theta_i rho_i^{sp}]."""
+    [0, theta_i rho_i^{sp}], closed as every cylinder window is."""
     sp = params.s * params.p
     x0, _ = _normalize_anchor(z0)
     rho, omega = params.rho0, params.omega0
     theta = intrinsic_theta(omega, params.p)
     out = [SequenceLevel(0, rho, omega, theta)]
     for i in range(1, n_levels):
-        # forward window (0, L] encoded as a backward cylinder anchored at L
+        # forward window [0, L] encoded as a backward cylinder anchored at L
         cyl = Cylinder(x0, theta * rho ** sp, rho, theta)
         omega = max(params.m * omega, 2.0 * float(osc_g(cyl)))
         rho = rho / params.n_init

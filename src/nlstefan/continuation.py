@@ -74,49 +74,39 @@ def run_family(problem: LatticeProblem, eps_values: Sequence[float],
         except NewtonDivergenceError as exc:
             return FamilyEntry(eps=eps, trajectory=None, error=str(exc))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(run_one, eps_values))
-    else:
-        entries = [run_one(e) for e in eps_values]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        entries = list(pool.map(run_one, eps_values))
 
     k = len(entries)
-    if k == 1:
-        distances = np.zeros((0, 0))
-    else:
-        distances = np.full((k, k), np.nan)
-        for i in range(k):
-            distances[i, i] = 0.0 if entries[i].ok else np.nan
-            for j in range(i + 1, k):
-                if entries[i].ok and entries[j].ok:
-                    d = max(float(np.max(np.abs(a - b))) for a, b in
-                            zip(entries[i].trajectory.states, entries[j].trajectory.states))
-                    distances[i, j] = distances[j, i] = d
+    states = [e.trajectory.states if e.ok else None for e in entries]
+    # members share one time grid: a distance is the sup over all levels
+    distances = np.full((k, k), np.nan) if k > 1 else np.zeros((0, 0))
+    for i in range(len(distances)):
+        for j in range(i, k):
+            if entries[i].ok and entries[j].ok:
+                distances[i, j] = distances[j, i] = float(np.max(np.abs(states[i] - states[j])))
     # per-entry unresolved band: where the mollified phase indicator is
     # strictly between the pure phases 0 and L, i.e. inside the latent layer
-    fractions = []
-    for entry in entries:
-        if not entry.ok:
-            fractions.append(float("nan"))
-            continue
-        enth = entry.trajectory.problem.enthalpy
-        total = 0
-        inside = 0
-        for state in entry.trajectory.states:
-            beta = enth.beta_eps(state)
-            inside += int(np.sum((beta > 0.0) & (beta < enth.latent_heat)))
-            total += state.size
-        fractions.append(inside / total)
+    fractions = [float("nan")] * k
+    for i, entry in enumerate(entries):
+        if entry.ok:
+            enth = entry.trajectory.problem.enthalpy
+            beta = enth.beta_eps(states[i])
+            inside = (beta > 0.0) & (beta < enth.latent_heat)
+            fractions[i] = int(np.count_nonzero(inside)) / inside.size
     return FamilyResult(entries=entries, distances=distances,
                         band_fractions=fractions)
 
 
 @dataclass
 class LimitPair:
+    """The limit fields u, w = the resolved latent term and v = u + w, each
+    one row per stored time of the finest member."""
+
     times: List[float]
-    u_states: List[np.ndarray]
-    w_states: List[np.ndarray]
-    v_states: List[np.ndarray]
+    u_states: np.ndarray
+    w_states: np.ndarray
+    v_states: np.ndarray
     band_fraction: float
     delta: float
     eps: float
@@ -139,25 +129,16 @@ def limit_pair(family: FamilyResult, delta_resolve: float = 0.05,
     traj = finest.trajectory
     enth = traj.problem.enthalpy
     heat = enth.latent_heat
-    w_states, v_states = [], []
-    band_hits = 0
-    total = 0
-    for u in traj.states:
-        w = np.clip(enth.beta_eps(u), 0.0, heat)
-        w = np.where(u > delta_resolve, heat, w)
-        w = np.where(u < -delta_resolve, 0.0, w)
-        band = np.abs(u) <= delta_resolve
-        band_hits += int(band.sum())
-        total += u.size
-        w_states.append(w)
-        v_states.append(u + w)
-    band_fraction = band_hits / total
+    u = traj.states.copy()
+    w = np.clip(enth.beta_eps(u), 0.0, heat)
+    w = np.where(u > delta_resolve, heat, w)
+    w = np.where(u < -delta_resolve, 0.0, w)
+    band_fraction = int(np.count_nonzero(np.abs(u) <= delta_resolve)) / u.size
     if band_fraction > max_band_fraction:
         raise UnresolvedBandError(
             f"sign unresolved on {band_fraction:.1%} of samples "
             f"(limit {max_band_fraction:.1%})")
-    return LimitPair(times=list(traj.times), u_states=[u.copy() for u in traj.states],
-                     w_states=w_states, v_states=v_states,
+    return LimitPair(times=list(traj.times), u_states=u, w_states=w, v_states=u + w,
                      band_fraction=band_fraction, delta=delta_resolve, eps=finest.eps)
 
 

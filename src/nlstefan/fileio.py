@@ -1,9 +1,9 @@
-"""CSV, binary and manifest persistence.
+"""CSV and manifest persistence.
 
-CSV floats are written with 17 significant digits and binary dumps are
-little-endian float64 in C order, so both representations round trip
-exactly.  Manifests are plain JSON whose float repr is the shortest
-lossless one.
+A trajectory is one CSV per stored level, fields/step_NNNNN.csv, plus
+manifest.json.  CSV floats are written with 17 significant digits, so
+the fields round trip exactly.  Manifests are plain JSON whose float repr
+is the shortest lossless one.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,29 +31,9 @@ def write_field_csv(path, grid: Grid, values: np.ndarray) -> None:
 
 
 def read_field_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        dim = len(header) - 2
-        idx, coords, vals = [], [], []
-        for line in fh:
-            bits = line.strip().split(",")
-            if not bits or bits == [""]:
-                continue
-            idx.append(int(bits[0]))
-            coords.append([float(b) for b in bits[1:1 + dim]])
-            vals.append(float(bits[-1]))
-    return np.asarray(idx), np.asarray(coords), np.asarray(vals)
-
-
-def write_field_bin(path, values: np.ndarray) -> None:
-    arr = np.ascontiguousarray(np.asarray(values, dtype=float))
-    with open(path, "wb") as fh:
-        fh.write(arr.astype("<f8").tobytes(order="C"))
-
-
-def read_field_bin(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return np.frombuffer(fh.read(), dtype="<f8").copy()
+    """(index, coordinates, values) of a field written by write_field_csv."""
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return table[:, 0].astype(int), table[:, 1:-1], table[:, -1]
 
 
 def write_json(path, payload) -> None:
@@ -76,15 +56,13 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> Non
 
 
 def write_trajectory(out_dir, traj, config_echo=None) -> dict:
-    """Dump every stored level as CSV + binary and a JSON manifest."""
+    """Dump every stored level as CSV and a JSON manifest."""
     fields_dir = os.path.join(out_dir, "fields")
     os.makedirs(fields_dir, exist_ok=True)
     for i, values in enumerate(traj.states):
-        stem = os.path.join(fields_dir, f"step_{i:05d}")
-        write_field_csv(stem + ".csv", traj.problem.grid, values)
-        write_field_bin(stem + ".bin", values)
+        write_field_csv(os.path.join(fields_dir, f"step_{i:05d}.csv"), traj.problem.grid, values)
     manifest = {
-        "format": "nlstefan-trajectory-1",
+        "format": "nlstefan-trajectory-2",
         "times": list(traj.times),
         "n_stored": len(traj.states),
         "n_steps": len(traj.diagnostics),
@@ -97,10 +75,9 @@ def write_trajectory(out_dir, traj, config_echo=None) -> dict:
 
 
 def load_trajectory_states(out_dir):
-    """Times and stored fields of a dumped trajectory (binary payloads)."""
+    """(manifest, times, states) of a dumped trajectory, states one float64
+    array with one row per stored level, read from the CSVs."""
     manifest = read_json(os.path.join(out_dir, "manifest.json"))
-    states: List[np.ndarray] = []
-    for i in range(manifest["n_stored"]):
-        stem = os.path.join(out_dir, "fields", f"step_{i:05d}")
-        states.append(read_field_bin(stem + ".bin"))
+    states = np.array([read_field_csv(os.path.join(out_dir, "fields", f"step_{i:05d}.csv"))[2]
+                       for i in range(manifest["n_stored"])])
     return manifest, manifest["times"], states

@@ -39,6 +39,7 @@ the quadrature converges at first order or better in h.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import threading
 from dataclasses import dataclass, replace
@@ -66,6 +67,13 @@ def check_exponents(s: float, p: float) -> None:
         raise InvalidExponentError("p must exceed 2")
 
 
+def check_reals(**values) -> None:
+    """An InvalidParamsError naming every value that is not a real number."""
+    bad = [name for name, value in values.items() if not isinstance(value, numbers.Real)]
+    if bad:
+        raise InvalidParamsError(f"{', '.join(bad)} must be real numbers")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform lattice over a box, with a truncation radius for the
@@ -88,6 +96,7 @@ class Grid:
             object.__setattr__(self, "origin", tuple(map(float, self.origin)))
         except (TypeError, ValueError):
             raise InvalidParamsError("shape needs integer node counts, origin numbers") from None
+        check_reals(spacing=self.spacing, r_infinity=self.r_infinity)
         if len(self.shape) not in (1, 2):
             raise InvalidParamsError("only dimensions 1 and 2 are supported")
         if len(self.origin) != len(self.shape):
@@ -390,10 +399,10 @@ def _ball_weights(grid: Grid, s: float, p: float, x0: np.ndarray, rho: float,
 
 
 def in_window(samples: Sequence, window) -> list:
-    """The samples (t, ...) whose time lies in the closed window; an
-    EmptyWindowError if none does."""
+    """The samples (t, ...) whose time lies in the closed window, with
+    slack 1e-12 at both ends; an EmptyWindowError if none does."""
     t_lo, t_hi = window
-    chosen = [sample for sample in samples if t_lo <= sample[0] <= t_hi]
+    chosen = [sample for sample in samples if t_lo - 1e-12 <= sample[0] <= t_hi + 1e-12]
     if not chosen:
         raise EmptyWindowError(f"no stored samples in window [{t_lo}, {t_hi}]")
     return chosen

@@ -24,6 +24,7 @@ thread count.  The outer test on max |r| is unchanged.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional
 
@@ -33,7 +34,8 @@ from ._linalg import newton_cg
 from .analysis import cylinder_samples
 from .enthalpy import RegularizedEnthalpy
 from .errors import DegenerateCutoffError, InvalidParamsError, NewtonDivergenceError
-from .lattice import Grid, OperatorWorkspace, PairSums, check_exponents, pair_geometry
+from .lattice import (Grid, OperatorWorkspace, PairSums, check_exponents, check_reals,
+                      pair_geometry)
 
 
 @dataclass
@@ -82,6 +84,8 @@ class LatticeProblem:
     enthalpy: RegularizedEnthalpy = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_reals(s=self.s, p=self.p, horizon=self.horizon, eps=self.eps,
+                    kernel_scale=self.kernel_scale, latent_heat=self.latent_heat)
         check_exponents(self.s, self.p)
         self.unknown_mask = np.asarray(self.unknown_mask, dtype=bool)
         self.initial = np.asarray(self.initial, dtype=float)
@@ -155,6 +159,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.dt_policy not in ("fixed", "intrinsic"):
             raise InvalidParamsError("dt_policy must be 'fixed' or 'intrinsic'")
+        check_reals(dt_factor=self.dt_factor, newton_tol=self.newton_tol, damping=self.damping,
+                    **({} if self.dt is None else {"dt": self.dt}))
+        try:  # a float count would store or iterate on a fractional schedule
+            for name in ("newton_max", "store_every"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+        except TypeError:
+            raise InvalidParamsError("newton_max and store_every must be integers") from None
         if self.dt_policy == "fixed" and (self.dt is None or not self.dt > 0.0):
             raise InvalidParamsError("fixed policy needs a positive dt")
         if self.dt_policy == "intrinsic" and not self.dt_factor > 0.0:
@@ -181,12 +192,16 @@ class StepDiagnostics:
 
 @dataclass
 class Trajectory:
-    """Stored time levels of one solve (t = 0 first)."""
+    """Stored time levels of one solve (t = 0 first): states is one float64
+    array with one row per stored time; a list of fields is stacked."""
 
     problem: LatticeProblem
     times: List[float]
-    states: List[np.ndarray]
+    states: np.ndarray
     diagnostics: List[StepDiagnostics]
+
+    def __post_init__(self):
+        self.states = np.asarray(self.states, dtype=float)
 
     def samples(self):
         """(t, values, ext_values, far_value) at every stored level, the
@@ -353,9 +368,9 @@ def solve(problem: LatticeProblem, config: SolverConfig) -> Trajectory:
     is shortened to land exactly on the horizon.
     """
     stepper = _Stepper(problem, config)
-    state = problem.initial.copy()
+    state = problem.initial
     times = [0.0]
-    states = [state.copy()]
+    states = [state]
     diags: List[StepDiagnostics] = []
     level_times = _step_times(problem.horizon, config)
     t = 0.0
@@ -372,7 +387,7 @@ def solve(problem: LatticeProblem, config: SolverConfig) -> Trajectory:
         t = t_next
         if step_count % config.store_every == 0 or _reached(t, problem.horizon):
             times.append(t)
-            states.append(state.copy())
+            states.append(state)  # each step returns a new field
     return Trajectory(problem=problem, times=times, states=states, diagnostics=diags)
 
 
@@ -424,14 +439,10 @@ def max_principle_check(traj: Trajectory, tol: float = 1e-9) -> MaxPrincipleRepo
     for t in traj.times:
         for values in problem.datum(t):
             bound = max(bound, float(np.max(np.abs(values))))
-    defect = 0.0
-    worst_time = traj.times[0]
-    for t, state in zip(traj.times, traj.states):
-        d = float(np.max(np.abs(state)) - bound)
-        if d > defect:
-            defect = d
-            worst_time = t
-    defect = max(defect, 0.0)
+    sup = np.max(np.abs(traj.states), axis=1)
+    worst = int(np.argmax(sup))  # the first level at the largest sup
+    defect = max(float(sup[worst] - bound), 0.0)
+    worst_time = traj.times[worst if defect > 0.0 else 0]
     return MaxPrincipleReport(bound=bound, defect=defect, worst_time=worst_time,
                               passed=defect <= tol)
 
@@ -445,8 +456,13 @@ def structural_audit(traj: Trajectory, config: SolverConfig) -> dict:
     solution to stay above traj at every stored level; the normalization
     check requires twice the solution of normalize(problem, 2) to
     reproduce traj.  Each check passes within 1e-9.  Returns the figures
-    and verdict of each check, keyed by check name.
+    and verdict of each check, keyed by check name.  The checks compare
+    the three solves level by level, so config must be the fixed step
+    policy.
     """
+    if config.dt_policy != "fixed":
+        raise InvalidParamsError("the structural audit requires the fixed step policy "
+                                 "so its three solves share one time grid")
     tol = 1e-9
     problem = traj.problem
     mp = max_principle_check(traj, tol=tol)
@@ -456,10 +472,9 @@ def structural_audit(traj: Trajectory, config: SolverConfig) -> dict:
     r2 = np.sum((x - center[None, :]) ** 2, axis=1)
     raised = np.where(mask, problem.initial + 0.5 * np.exp(-r2 / 0.09), problem.initial)
     upper = solve(replace(problem, initial=raised), config)
-    margin = min(float(np.min(b - a)) for a, b in zip(traj.states, upper.states))
+    margin = float(np.min(upper.states - traj.states))
     half = solve(normalize(problem, 2.0), config)
-    defect = max(float(np.max(np.abs(2.0 * b - a)))
-                 for a, b in zip(traj.states, half.states))
+    defect = float(np.max(np.abs(2.0 * half.states - traj.states)))
     return {
         "max_principle": {"bound": mp.bound, "defect": mp.defect, "passed": mp.passed},
         "comparison": {"min_margin": margin, "passed": margin >= -tol},
@@ -508,12 +523,11 @@ def weak_residual(traj: Trajectory, test_fn: Callable) -> float:
     enth = problem.enthalpy
     times = traj.times
     phi_vals = [np.asarray(test_fn(coords, t), dtype=float) for t in times]
+    w = traj.states + enth.beta_eps(traj.states)
     total = 0.0
     for m in range(len(times) - 1):
         dt = times[m + 1] - times[m]
-        u = traj.states[m]
-        w = u + enth.beta_eps(u)
-        total -= float(np.sum(w * (phi_vals[m + 1] - phi_vals[m]))) * hn
+        total -= float(np.sum(w[m] * (phi_vals[m + 1] - phi_vals[m]))) * hn
         ext_vals = problem.exterior_values(times[m + 1])
         phi_mid = 0.5 * (phi_vals[m] + phi_vals[m + 1])
         total += dt * ws.test_pairing(traj.states[m + 1], ext_vals, problem.far_value,
@@ -527,10 +541,8 @@ def energy_history(traj: Trajectory) -> np.ndarray:
     flow)."""
     problem = traj.problem
     ws = OperatorWorkspace(problem.grid, problem.s, problem.p, problem.kernel_scale)
-    out = []
-    for t, state in zip(traj.times, traj.states):
-        out.append(ws.pair_energy(state, problem.exterior_values(t), problem.far_value))
-    return np.asarray(out)
+    return np.asarray([ws.pair_energy(state, problem.exterior_values(t), problem.far_value)
+                       for t, state in zip(traj.times, traj.states)])
 
 
 @dataclass(frozen=True)
@@ -579,7 +591,7 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
     if sign not in ("+", "-"):
         raise InvalidParamsError("sign must be '+' or '-'")
     problem = traj.problem
-    dist, in_ball, levels = cylinder_samples(traj, cylinder)
+    dist, in_ball, times, states = cylinder_samples(traj, cylinder)
     if cutoff is None:
         cutoff = RadialCutoff(radius=0.8 * cylinder.rho)
     phi_b = cutoff.values(dist[in_ball])
@@ -608,7 +620,7 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
     support = phi_b > 0.0
     far_w = truncate(np.asarray([problem.far_value]))[0]
 
-    for pos, (t, u) in enumerate(levels):
+    for pos, (t, u) in enumerate(zip(times, states)):
         u_ball = u[ball_idx]
         w_ball = truncate(u_ball)
         w_opp = truncate(u_ball, -side)

@@ -113,6 +113,23 @@ def test_oscillation_empty_cylinder():
         oscillation(traj, Cylinder((0.0,), -5.0, 0.5, 1.0))
 
 
+@pytest.mark.parametrize("offset,read", [(0.0, True), (-5e-13, True), (-1e-9, False)])
+def test_oscillation_and_tail_read_the_same_window(offset, read):
+    # a level of ones at t_lo + offset among zero levels: the cylinder's
+    # oscillation and its tail both read it, or neither does; tail used to
+    # read the window without the 1e-12 slack of the oscillation
+    zero = lambda x, t: np.zeros(np.atleast_2d(x).shape[0])
+    traj = static_traj(np.zeros(17), zero)
+    cyl = Cylinder((0.0,), 0.5, 0.25, 1.0)
+    problem = traj.problem
+    window = cyl.window(problem.s * problem.p)
+    traj = Trajectory(problem=problem, times=[0.0, window[0] + offset, 0.5],
+                      states=[np.zeros(17), np.ones(17), np.zeros(17)], diagnostics=[])
+    osc = oscillation(traj, cyl)
+    tl = tail(problem.grid, traj.samples(), cyl.x0, cyl.rho, window, problem.s, problem.p)
+    assert (osc == 1.0, tl > 0.0) == (read, read)
+
+
 def test_level_set_fractions():
     vals = np.concatenate([np.full(4, -1.0), np.full(4, 1.0)])
     traj = static_traj(vals, lambda x, t: np.where(np.atleast_2d(x)[:, 0] > -0.05, 1.0, -1.0),

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from nlstefan import SchemaViolationError, cli, load_preset
+from nlstefan import SchemaViolationError, cli, load_preset, solve
 from nlstefan.config import (
     RunConfig,
     emit_run_config,
@@ -325,11 +325,17 @@ def test_cli_solve_writes_a_reloadable_trajectory(tmp_path, capsys):
     assert rc == 0
     assert "worst residual" in capsys.readouterr().out
     manifest, times, states = load_trajectory_states(out)
-    assert manifest["format"] == "nlstefan-trajectory-1"
+    assert manifest["format"] == "nlstefan-trajectory-2"
     assert manifest["config"]["problem"] == "const1d"
-    assert len(states) == manifest["n_stored"] == len(times)
+    assert states.dtype == np.float64 and states.shape == (manifest["n_stored"], 65)
+    assert len(times) == manifest["n_stored"]
+    # one CSV per stored level and the manifest, nothing else
+    assert sorted(tree_bytes(out)) == ["fields/" + f"step_{i:05d}.csv"
+                                       for i in range(len(times))] + ["manifest.json"]
     idx, coords, csv_vals = read_field_csv(os.path.join(out, "fields", "step_00000.csv"))
     assert np.array_equal(csv_vals, states[0])
+    pre = load_preset("const1d")
+    assert np.array_equal(states, solve(pre.problem, pre.solver).states)
 
 
 def test_cli_solve_is_deterministic(tmp_path):
@@ -553,6 +559,21 @@ def test_cli_continuation_rejects_the_intrinsic_policy_before_making_out(tmp_pat
     cfg = write_cfg(tmp_path, {"problem": "const1d",
                                "solver": {"dt_policy": "intrinsic", "dt_factor": 1.0}})
     rc = cli.main(["continuation", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "InvalidParamsError"
+    assert "fixed step policy" in err["error"]["message"]
+    assert not os.path.exists(tmp_path / "x")
+
+
+def test_cli_verify_rejects_the_intrinsic_policy_before_making_out(tmp_path, capsys):
+    # the audit's comparison and normalized solves take their own steps
+    # under this policy (39, 44 and 21 stored levels here), so a level by
+    # level comparison reported a spurious normalization failure
+    cfg = write_cfg(tmp_path, {"problem": "twophase1d",
+                               "overrides": {"n_nodes": 33, "horizon": 0.2},
+                               "solver": {"dt_policy": "intrinsic", "dt_factor": 0.1}})
+    rc = cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "x")])
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "InvalidParamsError"

@@ -176,6 +176,30 @@ def test_limit_pair_contract(melt_family):
         assert np.all(w[u < -0.05] == 0.0)
 
 
+def test_family_and_limit_pair_equal_their_per_level_loops(melt_family):
+    # the distances, bands and limit fields index the level arrays; the per
+    # level loops they replaced are the reference, bit for bit
+    _, fam = melt_family
+    states = [e.trajectory.states for e in fam.entries]
+    for i, a in enumerate(states):
+        for j, b in enumerate(states):
+            assert fam.distances[i, j] == max(float(np.max(np.abs(x - y))) for x, y in zip(a, b))
+    for entry, band in zip(fam.entries, fam.band_fractions):
+        enth = entry.trajectory.problem.enthalpy
+        inside = sum(int(np.sum((enth.beta_eps(u) > 0.0) & (enth.beta_eps(u) < 1.0)))
+                     for u in entry.trajectory.states)
+        assert band == inside / entry.trajectory.states.size
+    lp = limit_pair(fam, delta_resolve=0.05)
+    for field in (lp.u_states, lp.w_states, lp.v_states):
+        assert field.dtype == np.float64 and field.shape == states[-1].shape
+    enth = fam.entries[-1].trajectory.problem.enthalpy
+    for u, w in zip(states[-1], lp.w_states):
+        ref = np.where(u > 0.05, 1.0, np.clip(enth.beta_eps(u), 0.0, 1.0))
+        assert np.array_equal(w, np.where(u < -0.05, 0.0, ref))
+    assert lp.band_fraction == sum(int(np.sum(np.abs(u) <= 0.05)) for u in states[-1]) / (
+        states[-1].size)
+
+
 def test_limit_pair_band_overflow():
     pre = load_preset("const1d", value=0.0)
     fam = run_family(pre.problem, (0.2, 0.1), pre.solver)

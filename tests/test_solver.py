@@ -68,6 +68,34 @@ def test_solver_config_rejects_unusable_newton_controls(controls):
         SolverConfig(dt=0.1, **controls)
 
 
+@pytest.mark.parametrize("controls,match", [
+    ({"dt": "0.1"}, "dt must be real numbers"),
+    ({"dt": 0.1, "damping": None}, "damping must be real numbers"),
+    ({"dt": 0.1, "newton_max": 2.5}, "newton_max and store_every must be integers"),
+    ({"dt": 0.1, "store_every": 1.5}, "newton_max and store_every must be integers"),
+    ({"dt": 0.1, "store_every": "2"}, "newton_max and store_every must be integers")])
+def test_solver_config_rejects_controls_of_the_wrong_type(controls, match):
+    # a string dt used to fail with a raw TypeError; newton_max=2.5 was
+    # accepted and failed in the solve, and store_every=1.5 silently stored
+    # every third level
+    with pytest.raises(InvalidParamsError, match=match):
+        SolverConfig(**controls)
+
+
+def test_solver_config_keeps_integer_controls_as_ints():
+    cfg = SolverConfig(dt=0.005, newton_max=np.int64(7), store_every=np.int32(2))
+    assert type(cfg.newton_max) is int and type(cfg.store_every) is int
+    assert stored_times(0.03, cfg) == [0.0, 0.01, 0.02, 0.03]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("horizon", "1"), ("eps", None), ("kernel_scale", "2"), ("latent_heat", "1")])
+def test_problem_rejects_parameters_that_are_not_numbers(field, value):
+    # these used to fail in a comparison with a raw TypeError
+    with pytest.raises(InvalidParamsError, match=f"{field} must be real numbers"):
+        replace(tiny_melt().problem, **{field: value})
+
+
 @pytest.mark.parametrize("policy", [{"dt": 0.01}, {"dt_policy": "intrinsic"}])
 def test_problem_rejects_an_infinite_horizon(policy):
     # it used to raise OverflowError under the fixed policy and return only
@@ -183,7 +211,11 @@ def test_trajectory_layout():
     assert len(traj.diagnostics) == 5
     samples = traj.samples()
     t, values, ext_values, far_value = samples[0]
-    assert t == 0.0 and values is traj.states[0]
+    assert isinstance(traj.states, np.ndarray) and traj.states.dtype == np.float64
+    assert traj.states.shape == (len(traj.times), pre.problem.grid.n_nodes)
+    # a sample's values are the stored row itself, not a copy
+    assert t == 0.0 and np.shares_memory(values, traj.states[0])
+    assert np.array_equal(values, traj.states[0])
     assert np.array_equal(ext_values, np.ones(pre.problem.grid.exterior_coordinates().shape[0]))
     assert far_value == pre.problem.far_value
 
