@@ -51,8 +51,8 @@ def main(argv=None) -> int:
         span = 3.0 * rho
         n_nodes = int(round(2.0 * span / h)) + 1
         g = Grid(spacing=h, shape=(n_nodes,), origin=(-span,), r_infinity=1000.0 * rho)
-        sample = (0.0, np.ones(n_nodes), np.ones(g.exterior_coordinates().shape[0]), 1.0)
-        val = tail(g, [sample], (0.0,), rho, (0.0, 0.0), s, p)
+        ones, ext_ones = np.ones(n_nodes), np.ones(g.exterior_coordinates().shape[0])
+        val = tail(g, ones, ext_ones, 1.0, (0.0,), rho, s, p)
         print(f"  h=rho/{div:<3} tail={val:.12f} rel err={abs(val - exact) / exact:.3e}")
     return 0
 

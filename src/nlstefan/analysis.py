@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (EmptyCylinderError, EmptyWindowError, InsufficientSamplesError,
                      InvalidParamsError, NonpositiveExcessError)
-from .lattice import Grid, in_window, tail
+from .lattice import Grid, tail
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,22 @@ class CylinderSamples(NamedTuple):
         return self.states[:, self.in_ball]
 
 
+def window_rows(times, window) -> np.ndarray:
+    """Indices of the times that lie in the closed window, with slack 1e-12
+    at both ends; an EmptyWindowError if none does."""
+    t_lo, t_hi = window
+    times = np.asarray(times, dtype=float)
+    rows = np.flatnonzero((t_lo - 1e-12 <= times) & (times <= t_hi + 1e-12))
+    if not rows.size:
+        raise EmptyWindowError(f"no stored samples in window [{t_lo}, {t_hi}]")
+    return rows
+
+
 def cylinder_samples(traj, cyl: Cylinder) -> CylinderSamples:
     """The lattice samples of a cylinder: the box nodes in the closed ball,
     with slack 1e-12, and the stored times in the closed window, chosen by
-    lattice.in_window as tail chooses them.  An EmptyCylinderError names
-    the empty part."""
+    window_rows.  An EmptyCylinderError names the empty part; the tail of
+    a cylinder reads its rows with traj.exterior_states(times)."""
     problem = traj.problem
     dist, in_ball = _ball(problem.grid.coordinates(), problem.grid.point(cyl.x0), cyl.rho)
     if not in_ball.any():
@@ -95,7 +106,7 @@ def cylinder_samples(traj, cyl: Cylinder) -> CylinderSamples:
             f"cylinder ball of radius {cyl.rho:.4g} contains no lattice nodes")
     t_lo, t_hi = cyl.window(problem.s * problem.p)
     try:
-        rows = [i for _, i in in_window([(t, i) for i, t in enumerate(traj.times)], (t_lo, t_hi))]
+        rows = window_rows(traj.times, (t_lo, t_hi))
     except EmptyWindowError:
         raise EmptyCylinderError(
             f"cylinder window [{t_lo:.4g}, {t_hi:.4g}] contains no stored times") from None
@@ -482,10 +493,10 @@ def modulus_ladder(traj, z0, rho0: float, n_levels: int = 8,
 def oscillation_scale(traj, cyl: Cylinder) -> float:
     """Global scale 2 sup |u| + tail over the cylinder, floored at 1."""
     problem = traj.problem
-    sp = problem.s * problem.p
-    sup = float(np.max(np.abs(cylinder_samples(traj, cyl).block())))
-    tl = tail(problem.grid, traj.samples(), cyl.x0, cyl.rho, cyl.window(sp),
-              problem.s, problem.p)
+    read = cylinder_samples(traj, cyl)
+    sup = float(np.max(np.abs(read.block())))
+    tl = tail(problem.grid, read.states, traj.exterior_states(read.times), problem.far_value,
+              cyl.x0, cyl.rho, problem.s, problem.p)
     return max(2.0 * sup + tl, 1.0)
 
 
@@ -510,20 +521,18 @@ def sequence_tail_report(traj, levels: Sequence[SequenceLevel], z0) -> List[Leve
     anchored at the origin at t = 0.
     """
     problem = traj.problem
-    sp = problem.s * problem.p
     x0, t0 = _normalize_anchor(z0)
-    samples = traj.samples()
     out = []
     for lev in levels:
-        cyl = Cylinder(x0, t0, lev.rho, lev.theta)
-        block = cylinder_samples(traj, cyl).block()
+        read = cylinder_samples(traj, Cylinder(x0, t0, lev.rho, lev.theta))
+        block = read.block()
         mu_plus = float(np.max(block))
         mu_minus = mu_plus - lev.omega
         osc = mu_plus - float(np.min(block))
-        window = cyl.window(sp)
+        ext = traj.exterior_states(read.times)
         t_plus, t_minus = (
-            tail(problem.grid, _truncated(samples, cut), x0, lev.rho, window,
-                 problem.s, problem.p)
+            tail(problem.grid, cut(read.states), cut(ext), float(cut(problem.far_value)),
+                 x0, lev.rho, problem.s, problem.p)
             for cut in (lambda v: np.clip(v - mu_plus, 0.0, None),
                         lambda v: np.clip(mu_minus - v, 0.0, None)))
         out.append(LevelTailRecord(index=lev.index, rho=lev.rho, omega=lev.omega,
@@ -532,8 +541,3 @@ def sequence_tail_report(traj, levels: Sequence[SequenceLevel], z0) -> List[Leve
                                    ratio=max(t_plus, t_minus) / lev.omega))
     return out
 
-
-def _truncated(samples, cut: Callable):
-    """Tail samples with cut applied to the box, exterior and far values."""
-    return [(t, cut(values), cut(ext_values), float(cut(far_value)))
-            for t, values, ext_values, far_value in samples]

@@ -26,7 +26,7 @@ from . import analysis, continuation as continuation_mod, fileio
 from .config import RunConfig, emit_run_config, parse_run_config, realize
 from .errors import (InsufficientSamplesError, NlstefanError, NonpositiveExcessError,
                      SchemaViolationError)
-from .lattice import in_window, tail as tail_fn
+from .lattice import tail as tail_fn
 from .solver import caccioppoli_audit, solve, stored_times, structural_audit
 
 F = "%.17g"
@@ -66,9 +66,12 @@ def cmd_tail(args, cfg, preset, problem, solver_cfg):
     window = tuple(cfg.tail.get("window", (0.0, problem.horizon)))
     times = stored_times(problem.horizon, solver_cfg)
     if times is not None:
-        in_window([(t,) for t in times], window)    # an empty window fails before the solve
+        analysis.window_rows(times, window)    # an empty window fails before the solve
     traj = solve(problem, solver_cfg)
-    value = tail_fn(problem.grid, traj.samples(), center, rho, window, problem.s, problem.p)
+    rows = analysis.window_rows(traj.times, window)
+    ext = traj.exterior_states(np.take(traj.times, rows))
+    value = tail_fn(problem.grid, traj.states[rows], ext, problem.far_value, center, rho,
+                    problem.s, problem.p)
     payload = {"center": center + [t_at], "rho": rho, "window": list(window),
                "tail": value, "config": _echo(cfg)}
     return (lambda out: fileio.write_json(os.path.join(out, "tail.json"), payload),

@@ -44,11 +44,11 @@ import operator
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache, wraps
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import EmptyWindowError, InvalidExponentError, InvalidParamsError
+from .errors import InvalidExponentError, InvalidParamsError
 
 # surface measure of the unit sphere for the supported dimensions
 SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi}
@@ -68,8 +68,9 @@ def check_exponents(s: float, p: float) -> None:
 
 
 def check_reals(**values) -> None:
-    """An InvalidParamsError naming every value that is not a real number."""
-    bad = [name for name, value in values.items() if not isinstance(value, numbers.Real)]
+    """An InvalidParamsError naming every value, or tuple, not of real numbers."""
+    bad = [name for name, value in values.items() if not all(
+        isinstance(v, numbers.Real) for v in (value if isinstance(value, tuple) else [value]))]
     if bad:
         raise InvalidParamsError(f"{', '.join(bad)} must be real numbers")
 
@@ -93,10 +94,11 @@ class Grid:
     def __post_init__(self):
         try:  # plain tuples: hashable cache keys, integer node counts
             object.__setattr__(self, "shape", tuple(map(operator.index, self.shape)))
-            object.__setattr__(self, "origin", tuple(map(float, self.origin)))
-        except (TypeError, ValueError):
+            object.__setattr__(self, "origin", tuple(self.origin))
+        except TypeError:
             raise InvalidParamsError("shape needs integer node counts, origin numbers") from None
-        check_reals(spacing=self.spacing, r_infinity=self.r_infinity)
+        check_reals(spacing=self.spacing, origin=self.origin, r_infinity=self.r_infinity)
+        object.__setattr__(self, "origin", tuple(map(float, self.origin)))
         if len(self.shape) not in (1, 2):
             raise InvalidParamsError("only dimensions 1 and 2 are supported")
         if len(self.origin) != len(self.shape):
@@ -398,47 +400,32 @@ def _ball_weights(grid: Grid, s: float, p: float, x0: np.ndarray, rho: float,
     return frac * weights[0], far
 
 
-def in_window(samples: Sequence, window) -> list:
-    """The samples (t, ...) whose time lies in the closed window, with
-    slack 1e-12 at both ends; an EmptyWindowError if none does."""
-    t_lo, t_hi = window
-    chosen = [sample for sample in samples if t_lo - 1e-12 <= sample[0] <= t_hi + 1e-12]
-    if not chosen:
-        raise EmptyWindowError(f"no stored samples in window [{t_lo}, {t_hi}]")
-    return chosen
+def tail(grid: Grid, values, ext_values, far_value: float, x0, rho: float,
+         s: float, p: float) -> float:
+    """Supremum over the levels of the nonlocal tail about the spatial
+    centre x0, outside the ball of radius rho.
 
-
-def tail(grid: Grid, samples: Sequence, x0, rho: float, window, s: float,
-         p: float) -> float:
-    """Supremum over the closed time window (t_lo, t_hi) of the nonlocal
-    tail about the spatial centre x0, outside the ball of radius rho.
-
-    samples are the stored slices (t, values, ext_values, far_value): the
-    box values, the values on grid.exterior_coordinates() and the constant
-    past r_infinity.  The integrand |f|^{p-1} |x0 - y|^{-n-sp} is summed
-    over lattice cells outside the ball (with fractional weights on
-    straddling cells) out to r_infinity, and closed with the analytic
-    radial integral of the far value past it.
+    values holds one row of box values per level, ext_values one row per
+    level on grid.exterior_coordinates() (a single level may be 1-D) and
+    far_value the constant past r_infinity.  The integrand |f|^{p-1}
+    |x0 - y|^{-n-sp} is summed over lattice cells outside the ball (with
+    fractional weights on straddling cells) out to r_infinity, and closed
+    with the analytic radial integral of the far value past it.
     """
     check_exponents(s, p)
     if not rho > 0.0:
         raise InvalidParamsError("tail radius must be positive")
     ext_coords = grid.exterior_coordinates()
-    shapes = ((grid.n_nodes,), ext_coords.shape[:1])
-    if any((np.shape(values), np.shape(ext_values)) != shapes
-           for _, values, ext_values, _ in samples):
-        raise InvalidParamsError("sample values must match the grid and its exterior")
-    chosen = in_window(samples, window)
+    values, ext_values = np.atleast_2d(values, ext_values)
+    shapes = ((grid.n_nodes,), (len(values), len(ext_coords)))
+    if not len(values) or (values.shape[1:], ext_values.shape) != shapes:
+        raise InvalidParamsError("tail levels, one or more, must match the grid and its exterior")
     if rho >= grid.r_infinity:
         raise InvalidParamsError("tail radius must stay below r_infinity")
     x0 = grid.point(x0)
     w_box, _ = _ball_weights(grid, s, p, x0, rho, grid.coordinates())
     w_ext, far_geom = _ball_weights(grid, s, p, x0, rho, ext_coords, exterior=True)
-
-    worst = 0.0
-    for _, values, ext_values, far_value in chosen:
-        total = float(np.sum(w_box * np.abs(values) ** (p - 1.0)))
-        total += float(np.sum(w_ext * np.abs(ext_values) ** (p - 1.0)))
-        total += abs(far_value) ** (p - 1.0) * far_geom
-        worst = max(worst, total)
-    return (rho ** (s * p) * worst) ** (1.0 / (p - 1.0))
+    total = np.sum(w_box * np.abs(values) ** (p - 1.0), axis=1)
+    total += np.sum(w_ext * np.abs(ext_values) ** (p - 1.0), axis=1)
+    total += abs(far_value) ** (p - 1.0) * far_geom
+    return (rho ** (s * p) * float(np.max(total))) ** (1.0 / (p - 1.0))

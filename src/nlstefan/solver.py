@@ -193,7 +193,7 @@ class StepDiagnostics:
 @dataclass
 class Trajectory:
     """Stored time levels of one solve (t = 0 first): states is one float64
-    array with one row per stored time; a list of fields is stacked."""
+    array of shape (len(times), grid.n_nodes); a list of fields is stacked."""
 
     problem: LatticeProblem
     times: List[float]
@@ -201,14 +201,17 @@ class Trajectory:
     diagnostics: List[StepDiagnostics]
 
     def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=float)
+        shape = (len(self.times), self.problem.grid.n_nodes)
+        try:  # ragged rows make no array
+            self.states = np.asarray(self.states, dtype=float)
+        except ValueError:
+            self.states = None
+        if np.shape(self.states) != shape:
+            raise InvalidParamsError(f"states must have shape {shape}, one row per time")
 
-    def samples(self):
-        """(t, values, ext_values, far_value) at every stored level, the
-        form tail accepts."""
-        problem = self.problem
-        return [(t, v, problem.exterior_values(t), problem.far_value)
-                for t, v in zip(self.times, self.states)]
+    def exterior_states(self, times) -> np.ndarray:
+        """The datum on grid.exterior_coordinates(), one row per entry of times."""
+        return np.asarray([self.problem.exterior_values(t) for t in times])
 
     @property
     def final(self) -> np.ndarray:

@@ -98,8 +98,8 @@ def test_03_tail_closed_form(report):
     span = 3.0 * rho
     n_nodes = int(round(2.0 * span / h)) + 1
     grid = Grid(spacing=h, shape=(n_nodes,), origin=(-span,), r_infinity=1000.0 * rho)
-    sample = (0.0, np.ones(n_nodes), np.ones(grid.exterior_coordinates().shape[0]), 1.0)
-    value = tail(grid, [sample], (0.0,), rho, (0.0, 0.0), 0.5, 3.0)
+    value = tail(grid, np.ones(n_nodes), np.ones(grid.exterior_coordinates().shape[0]), 1.0,
+                 (0.0,), rho, 0.5, 3.0)
     exact = math.sqrt(4.0 / 3.0)
     rel = abs(value - exact) / exact
     elapsed = time.perf_counter() - t0

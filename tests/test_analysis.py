@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from nlstefan import (
     Cylinder,
     EmptyCylinderError,
+    EmptyWindowError,
     InsufficientSamplesError,
     InvalidParamsError,
     IterationParams,
     LatticeProblem,
     NonpositiveExcessError,
+    SequenceLevel,
     Trajectory,
     boundary_sequences,
     caccioppoli_audit,
@@ -34,6 +36,7 @@ from nlstefan import (
     oscillation_scale,
     sequence_tail_report,
 )
+from nlstefan.analysis import window_rows
 from nlstefan.lattice import Grid, tail
 from nlstefan.solver import solve
 
@@ -116,8 +119,9 @@ def test_oscillation_empty_cylinder():
 @pytest.mark.parametrize("offset,read", [(0.0, True), (-5e-13, True), (-1e-9, False)])
 def test_oscillation_and_tail_read_the_same_window(offset, read):
     # a level of ones at t_lo + offset among zero levels: the cylinder's
-    # oscillation and its tail both read it, or neither does; tail used to
-    # read the window without the 1e-12 slack of the oscillation
+    # oscillation and the sup and tail of its scale all read it, or none
+    # does; the tail used to read the window without the 1e-12 slack of
+    # the oscillation
     zero = lambda x, t: np.zeros(np.atleast_2d(x).shape[0])
     traj = static_traj(np.zeros(17), zero)
     cyl = Cylinder((0.0,), 0.5, 0.25, 1.0)
@@ -126,8 +130,48 @@ def test_oscillation_and_tail_read_the_same_window(offset, read):
     traj = Trajectory(problem=problem, times=[0.0, window[0] + offset, 0.5],
                       states=[np.zeros(17), np.ones(17), np.zeros(17)], diagnostics=[])
     osc = oscillation(traj, cyl)
-    tl = tail(problem.grid, traj.samples(), cyl.x0, cyl.rho, window, problem.s, problem.p)
-    assert (osc == 1.0, tl > 0.0) == (read, read)
+    # 2 sup |u| + tail: above 2 only if the tail reads the ones too, and
+    # the floor 1 if nothing is read
+    scale = oscillation_scale(traj, cyl)
+    assert (osc == 1.0, scale > 2.0, scale == 1.0) == (read, read, not read)
+
+
+def test_window_rows_read_the_closed_window_with_slack():
+    times = [0.0, 0.5 - 5e-13, 1.0]
+    assert window_rows(times, (0.0, 0.0)).tolist() == [0]
+    assert window_rows(times, (0.0, 1.0)).tolist() == [0, 1, 2]
+    assert window_rows(times, (0.5, 1.0 - 5e-13)).tolist() == [1, 2]
+    assert window_rows(times, (0.5 + 1e-9, 2.0)).tolist() == [2]
+
+
+def test_window_rows_empty_window():
+    with pytest.raises(EmptyWindowError, match=r"no stored samples in window \[2.0, 3.0\]"):
+        window_rows([0.0, 1.0], (2.0, 3.0))
+
+
+def test_cylinder_readers_evaluate_the_datum_only_in_the_window():
+    # the datum records every time it is read at: the tail of a cylinder
+    # reads the exterior datum at the stored times in its window only
+    calls = []
+
+    def datum(x, t):
+        calls.append(t)
+        return np.zeros(np.atleast_2d(x).shape[0])
+
+    problem = static_traj(np.zeros(17), datum).problem
+    times = [0.0, 0.1, 0.2, 0.3, 0.4]
+    traj = Trajectory(problem=problem, times=times,
+                      states=[np.full(17, t) for t in times], diagnostics=[])
+    theta = 0.25 / 0.5 ** (problem.s * problem.p)
+    calls.clear()
+    oscillation_scale(traj, Cylinder((0.0,), 0.4, 0.5, theta))  # window [0.15, 0.4]
+    assert calls == [0.2, 0.3, 0.4]
+    # the second window is [0.4 - 0.25 * 0.5^{sp}, 0.4], about [0.31, 0.4]
+    levels = [SequenceLevel(0, 0.5, 1.0, theta), SequenceLevel(1, 0.25, 1.0, theta)]
+    calls.clear()
+    records = sequence_tail_report(traj, levels, ((0.0,), 0.4))
+    assert calls == [0.2, 0.3, 0.4, 0.4]
+    assert [r.osc for r in records] == [0.4 - 0.2, 0.0]
 
 
 def test_level_set_fractions():
@@ -168,7 +212,8 @@ def test_anchor_of_the_wrong_dimension_is_rejected(x0):
         with pytest.raises(InvalidParamsError, match="2 coordinates"):
             read(traj, cyl)
     with pytest.raises(InvalidParamsError, match="2 coordinates"):
-        tail(problem.grid, traj.samples(), x0, 0.5, (0.0, 0.0), problem.s, problem.p)
+        tail(problem.grid, traj.states, traj.exterior_states(traj.times), problem.far_value,
+             x0, 0.5, problem.s, problem.p)
     with pytest.raises(InvalidParamsError, match="2 coordinates"):
         measure_density(problem.grid, problem.unknown_mask, x0, [0.5])
     flat = static_traj(np.zeros(9), lambda x, t: np.zeros(np.atleast_2d(x).shape[0]))

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlstefan import (
-    EmptyWindowError,
     Grid,
     InvalidExponentError,
     InvalidParamsError,
@@ -112,9 +111,11 @@ def test_grid_rejects_non_finite_geometry(field, value):
         Grid(**params)
 
 
-@pytest.mark.parametrize("field,value", [("spacing", "0.1"), ("r_infinity", None)])
+@pytest.mark.parametrize("field,value", [("spacing", "0.1"), ("r_infinity", None),
+                                         ("origin", ("0.5",))])
 def test_grid_rejects_geometry_that_is_not_a_number(field, value):
-    # these used to fail in math.isfinite with a raw TypeError
+    # these used to fail in math.isfinite with a raw TypeError; a string
+    # origin used to pass through float() as a number
     params = dict(spacing=0.25, shape=(9,), origin=(0.0,), r_infinity=100.0)
     params[field] = value
     with pytest.raises(InvalidParamsError, match=f"{field} must be real numbers"):
@@ -801,9 +802,10 @@ def test_pairing_is_the_operator_tested_against_q(dim, n, seed, s, p, scale):
 # ---------------------------------------------------------------- tail
 
 
-def constant_sample(g, c, t=0.0):
-    """A tail sample of the constant field c, inside the box and out."""
-    return (t, np.full(g.n_nodes, c), np.full(g.exterior_coordinates().shape[0], c), c)
+def constant_level(g, c):
+    """The tail arguments (values, ext_values, far_value) of the constant
+    field c, inside the box and out."""
+    return np.full(g.n_nodes, c), np.full(g.exterior_coordinates().shape[0], c), c
 
 
 def tail_setup(div, c, rho=0.25, s=0.5, p=3.0):
@@ -811,59 +813,84 @@ def tail_setup(div, c, rho=0.25, s=0.5, p=3.0):
     span = 3 * rho
     n_nodes = int(round(2 * span / h)) + 1
     g = Grid(spacing=h, shape=(n_nodes,), origin=(-span,), r_infinity=1000 * rho)
-    return g, constant_sample(g, c)
+    return g, constant_level(g, c)
 
 
 def test_tail_of_zero_field_is_zero():
     g, f = tail_setup(16, 0.0)
-    assert tail(g, [f], (0.0,), 0.25, (0.0, 0.0), 0.5, 3.0) == 0.0
+    assert tail(g, *f, (0.0,), 0.25, 0.5, 3.0) == 0.0
 
 
 def test_tail_is_positively_homogeneous():
     rng = np.random.default_rng(5)
     g = line_grid(n=17, h=0.125, origin=-1.0, r_inf=50.0)
     v, ext = rng.uniform(-1.0, 1.0, g.n_nodes), np.cos(g.exterior_coordinates()[:, 0])
-    t1 = tail(g, [(0.0, v, ext, 0.7)], (0.0,), 0.3, (0.0, 0.0), 0.5, 3.0)
-    t2 = tail(g, [(0.0, 2.0 * v, 2.0 * ext, 1.4)], (0.0,), 0.3, (0.0, 0.0), 0.5, 3.0)
+    t1 = tail(g, v, ext, 0.7, (0.0,), 0.3, 0.5, 3.0)
+    t2 = tail(g, 2.0 * v, 2.0 * ext, 1.4, (0.0,), 0.3, 0.5, 3.0)
     assert t2 == pytest.approx(2.0 * t1, rel=1e-12)
 
 
 def test_tail_takes_the_supremum_over_the_window():
+    # the levels of a window are the rows of values and ext_values; which
+    # rows a window holds is window_rows' part (test_analysis)
     g = line_grid(n=9, h=0.25, origin=-1.0, r_inf=50.0)
-    samples = [constant_sample(g, 0.5, t=0.0), constant_sample(g, 2.0, t=1.0)]
-    t_small = tail(g, samples, (0.0,), 0.3, (0.0, 0.0), 0.5, 3.0)
-    t_both = tail(g, samples, (0.0,), 0.3, (0.0, 1.0), 0.5, 3.0)
+    (v_small, e_small, _), (v_big, e_big, _) = constant_level(g, 0.5), constant_level(g, 2.0)
+    t_small = tail(g, v_small, e_small, 0.0, (0.0,), 0.3, 0.5, 3.0)
+    t_both = tail(g, [v_small, v_big], [e_small, e_big], 0.0, (0.0,), 0.3, 0.5, 3.0)
     assert t_both > t_small
     assert t_both == pytest.approx(4.0 * t_small, rel=1e-12)
 
 
-def test_tail_empty_window():
-    g, f = tail_setup(16, 1.0)
-    with pytest.raises(EmptyWindowError):
-        tail(g, [f], (0.0,), 0.25, (2.0, 3.0), 0.5, 3.0)
+def test_tail_over_levels_equals_the_per_level_loop():
+    # the replaced loop, one np.sum per level, as a bit-for-bit reference
+    rng = np.random.default_rng(11)
+    g = Grid(spacing=0.25, shape=(9, 9), origin=(-1.0, -1.0), r_infinity=3.0)
+    s, p, rho, far = 0.5, 3.0, 0.3, -0.7
+    x0 = g.point((0.25, 0.0))
+    values = rng.uniform(-1.0, 1.0, (5, g.n_nodes))
+    ext = rng.uniform(-1.0, 1.0, (5, g.exterior_coordinates().shape[0]))
+    w_box, _ = lattice._ball_weights(g, s, p, x0, rho, g.coordinates())
+    w_ext, far_geom = lattice._ball_weights(g, s, p, x0, rho, g.exterior_coordinates(),
+                                            exterior=True)
+    worst = 0.0
+    for v, e in zip(values, ext):
+        total = float(np.sum(w_box * np.abs(v) ** (p - 1.0)))
+        total += float(np.sum(w_ext * np.abs(e) ** (p - 1.0)))
+        total += abs(far) ** (p - 1.0) * far_geom
+        worst = max(worst, total)
+    expected = (rho ** (s * p) * worst) ** (1.0 / (p - 1.0))
+    assert tail(g, values, ext, far, x0, rho, s, p) == expected
+
+
+def test_tail_rejects_zero_levels():
+    # not numpy's ValueError for the max of nothing
+    g, (_, ext_values, far) = tail_setup(16, 1.0)
+    with pytest.raises(InvalidParamsError, match="one or more"):
+        tail(g, np.empty((0, g.n_nodes)), np.empty((0, ext_values.size)), far,
+             (0.0,), 0.25, 0.5, 3.0)
 
 
 def test_tail_rejects_bad_radius():
     g, f = tail_setup(16, 1.0)
     with pytest.raises(InvalidParamsError, match="positive"):
-        tail(g, [f], (0.0,), 0.0, (0.0, 0.0), 0.5, 3.0)
+        tail(g, *f, (0.0,), 0.0, 0.5, 3.0)
     with pytest.raises(InvalidParamsError, match="r_infinity"):
-        tail(g, [f], (0.0,), 2000.0 * 0.25, (0.0, 0.0), 0.5, 3.0)
+        tail(g, *f, (0.0,), 2000.0 * 0.25, 0.5, 3.0)
 
 
 def test_tail_rejects_samples_that_do_not_match_the_grid():
-    g, (t, values, ext_values, far) = tail_setup(16, 1.0)
-    for bad in ((t, values[:-1], ext_values, far), (t, values, ext_values[:-1], far),
-                (t, values, None, far)):
-        with pytest.raises(InvalidParamsError, match="match the grid"):
-            tail(g, [bad], (0.0,), 0.25, (0.0, 0.0), 0.5, 3.0)
+    g, (values, ext_values, far) = tail_setup(16, 1.0)
+    for bad in ((values[:-1], ext_values), (values, ext_values[:-1]), (values, None),
+                ([values, values], ext_values)):
+        with pytest.raises(InvalidParamsError, match="must match the grid"):
+            tail(g, *bad, far, (0.0,), 0.25, 0.5, 3.0)
 
 
 def test_tail_closed_form_at_sp_equal_to_dimension():
     # constant field, sp = n = 1: exact value (2/(sp))^{1/(p-1)} |c| = sqrt(2) |c|
     s, p, rho, c = 1.0 / 3.0, 3.0, 0.25, 1.3
     g, f = tail_setup(64, c, rho=rho, s=s, p=p)
-    val = tail(g, [f], (0.0,), rho, (0.0, 0.0), s, p)
+    val = tail(g, *f, (0.0,), rho, s, p)
     assert val == pytest.approx(np.sqrt(2.0) * c, rel=5e-5)
 
 
@@ -874,7 +901,7 @@ def test_tail_quadrature_first_order_or_better():
     errs = []
     for div in (16, 32, 64):
         g, f = tail_setup(div, c, rho=rho, s=s, p=p)
-        val = tail(g, [f], (0.0,), rho, (0.0, 0.0), s, p)
+        val = tail(g, *f, (0.0,), rho, s, p)
         errs.append(abs(val - exact) / exact)
     assert errs[1] < 0.55 * errs[0]
     assert errs[2] < 0.55 * errs[1]

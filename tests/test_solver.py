@@ -18,6 +18,7 @@ from nlstefan import (
     OperatorWorkspace,
     RadialCutoff,
     SolverConfig,
+    Trajectory,
     caccioppoli_audit,
     cli,
     energy_history,
@@ -209,15 +210,22 @@ def test_trajectory_layout():
     assert traj.times[-1] == pre.problem.horizon
     assert np.array_equal(traj.final, traj.states[-1])
     assert len(traj.diagnostics) == 5
-    samples = traj.samples()
-    t, values, ext_values, far_value = samples[0]
     assert isinstance(traj.states, np.ndarray) and traj.states.dtype == np.float64
     assert traj.states.shape == (len(traj.times), pre.problem.grid.n_nodes)
-    # a sample's values are the stored row itself, not a copy
-    assert t == 0.0 and np.shares_memory(values, traj.states[0])
-    assert np.array_equal(values, traj.states[0])
-    assert np.array_equal(ext_values, np.ones(pre.problem.grid.exterior_coordinates().shape[0]))
-    assert far_value == pre.problem.far_value
+    # the exterior datum of the rows that tail reads, one row per given time
+    ext = traj.exterior_states(traj.times[1:3])
+    assert np.array_equal(ext, np.ones((2, pre.problem.grid.exterior_coordinates().shape[0])))
+
+
+@pytest.mark.parametrize("times,states", [
+    ([0.0, 0.1], [np.zeros(65)]),                    # fewer rows than times
+    ([0.0], [np.zeros(64)]),                         # a row short of the grid
+    ([0.0, 0.1], [np.zeros(65), np.zeros(64)])])     # ragged rows
+def test_trajectory_rejects_states_of_the_wrong_shape(times, states):
+    # all three used to be accepted or fail with numpy's raw ValueError
+    problem = load_preset("const1d", n_nodes=65).problem
+    with pytest.raises(InvalidParamsError, match="states must have shape"):
+        Trajectory(problem=problem, times=times, states=states, diagnostics=[])
 
 
 def test_store_every_keeps_final_level():
