@@ -136,11 +136,11 @@ def level_set_fraction(traj, cyl: Cylinder, side: str, level: float) -> float:
 class IterationParams:
     """Constants of the oscillation reduction recursions.
 
-    All named constants must be at least 4.  The interior ladder uses
-    (m1, n1) for the radius factor and (m2, n2) for the oscillation
-    factor; the lateral ladder adds the datum exponents (l1, l2) and the
-    extra factor n0; the initial ladder divides radii by n_init.  The
-    attrition floor of the time-direction decay is
+    All named constants must be finite and at least 4.  The interior
+    ladder uses (m1, n1) for the radius factor and (m2, n2) for the
+    oscillation factor; the lateral ladder adds the datum exponents
+    (l1, l2) and the extra factor n0; the initial ladder divides radii
+    by n_init.  The attrition floor of the time-direction decay is
     m = max(7/8, 2^{-s}).
     """
 
@@ -159,13 +159,13 @@ class IterationParams:
     n_init: float = 4.0
 
     def __post_init__(self):
-        if not 0.0 < self.s < 1.0 or not self.p > 2.0:
+        if not 0.0 < self.s < 1.0 or not 2.0 < self.p < math.inf:
             raise InvalidParamsError("exponents out of range")
-        if not self.eps > 0.0 or not self.omega0 > 0.0 or not self.rho0 > 0.0:
-            raise InvalidParamsError("eps, omega0 and rho0 must be positive")
+        if not all(0.0 < v < math.inf for v in (self.eps, self.omega0, self.rho0)):
+            raise InvalidParamsError("eps, omega0 and rho0 must be positive and finite")
         for name in ("m1", "n1", "m2", "n2", "l1", "l2", "n0", "n_init"):
-            if getattr(self, name) < 4.0:
-                raise InvalidParamsError(f"{name} must be at least 4")
+            if not 4.0 <= getattr(self, name) < math.inf:
+                raise InvalidParamsError(f"{name} must be at least 4 and finite")
 
     @property
     def m(self) -> float:
@@ -270,8 +270,8 @@ def lemma_iter_epsilon(m2: float, n2: float, l2: float) -> float:
 
 
 def _check_lemma_params(m2, n2, l2):
-    if m2 < 4.0 or n2 < 4.0 or l2 < 4.0:
-        raise InvalidParamsError("lemma constants must be at least 4")
+    if not all(4.0 <= v < math.inf for v in (m2, n2, l2)):
+        raise InvalidParamsError("lemma constants must be finite and at least 4")
     if l2 < m2:
         raise InvalidParamsError("l2 must dominate m2")
 
@@ -289,8 +289,8 @@ def lemma_iter_verify(m2: float, n2: float, l2: float, omega0: float,
     """Brute-force check of a_n >= a_{n-1} g(a_{n-1}) for the sequence
     a_n = omega0^{l2/m2} (1+n)^{-epsilon} and g(x) = 1 - x^{m2}/(n2 omega0^{l2})."""
     _check_lemma_params(m2, n2, l2)
-    if not omega0 > 0.0:
-        raise InvalidParamsError("omega0 must be positive")
+    if not 0.0 < omega0 < math.inf:
+        raise InvalidParamsError("omega0 must be positive and finite")
     if epsilon is None:
         epsilon = lemma_iter_epsilon(m2, n2, l2)
     amp = omega0 ** (l2 / m2)
@@ -325,10 +325,10 @@ def geometric_convergence(c: float, b: float, alpha: float, a0: float,
     the certificate holds; for b == 1 the threshold only guarantees
     boundedness, which is what gets checked then.
     """
-    if c < 1.0 or b < 1.0:
-        raise InvalidParamsError("lemma requires c >= 1 and b >= 1")
-    if not alpha > 0.0 or a0 < 0.0:
-        raise InvalidParamsError("alpha must be positive and a0 nonnegative")
+    if not (1.0 <= c < math.inf and 1.0 <= b < math.inf):
+        raise InvalidParamsError("lemma requires finite c >= 1 and b >= 1")
+    if not (0.0 < alpha < math.inf and 0.0 <= a0 < math.inf):
+        raise InvalidParamsError("alpha must be positive and a0 nonnegative, both finite")
     threshold = c ** (-1.0 / alpha) * b ** (-1.0 / alpha ** 2)
     slack = 1e-9
     boundedness_only = (b == 1.0)

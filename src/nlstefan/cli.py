@@ -64,11 +64,9 @@ def cmd_tail(args, cfg, preset, problem, solver_cfg):
     *center, t_at = cfg.tail.get("center", [*x0, t0])
     rho = cfg.tail.get("rho", preset.rho0)
     window = tuple(cfg.tail.get("window", (0.0, problem.horizon)))
-    times = stored_times(problem.horizon, solver_cfg)
-    if times is not None:
-        analysis.window_rows(times, window)    # an empty window fails before the solve
+    # the solve stores these times, so an empty window fails before it runs
+    rows = analysis.window_rows(stored_times(problem.horizon, solver_cfg), window)
     traj = solve(problem, solver_cfg)
-    rows = analysis.window_rows(traj.times, window)
     ext = traj.exterior_states(np.take(traj.times, rows))
     value = tail_fn(problem.grid, traj.states[rows], ext, problem.far_value, center, rho,
                     problem.s, problem.p)

@@ -211,12 +211,9 @@ def _check_inline(v: _Validator, prob: dict, analysis: dict, tail: dict) -> None
 # object.  An absent key takes its default, which is checked like a given
 # value; a default of None leaves the key out and _REQUIRED reports it.
 _SOLVER = {
-    "dt_policy": (partial(_Validator.choice, options=("fixed", "intrinsic")), None),
     "dt": (_POSITIVE, None),
-    "dt_factor": (_POSITIVE, None),
     "newton_tol": (_POSITIVE, None),
     "newton_max": (partial(_Validator.integer, minimum=1), None),
-    "damping": (_FRACTION, None),
     "store_every": (partial(_Validator.integer, minimum=1), None),
 }
 _ANALYSIS = {
@@ -435,7 +432,7 @@ def _build(name: str, prob: dict, n_steps: int, entry: dict) -> Preset:
         horizon=horizon, eps=prob["eps"])
     center = [o + 0.5 * (n - 1) * spacing for o, n in zip(box["lo"], box["nodes"])]
     return Preset(name=name, problem=problem,
-                  solver=SolverConfig(dt=horizon / n_steps, dt_policy="fixed"),
+                  solver=SolverConfig(dt=horizon / n_steps),
                   anchor=(tuple(entry.get("anchor", center)), horizon),
                   boundary_point=(tuple(prob["unknown"]["lo"]), 0.0),
                   boundary_modulus=modulus,

@@ -50,7 +50,7 @@ def run_family(problem: LatticeProblem, eps_values: Sequence[float],
                config: SolverConfig, threads: int = 1) -> FamilyResult:
     """Solve the problem for every eps in a strictly decreasing schedule.
 
-    Members share the fixed time grid, so fields are comparable sample by
+    Members share config's time grid, so fields are comparable sample by
     sample.  A family it would refuse raises InvalidParamsError before any
     solve.  Solver failures are recorded per entry instead of aborting the
     family; distances involving a failed entry are NaN.
@@ -64,9 +64,6 @@ def run_family(problem: LatticeProblem, eps_values: Sequence[float],
         raise InvalidParamsError("eps values must lie in (0, 1)")
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
         raise InvalidParamsError("eps schedule must be strictly decreasing")
-    if config.dt_policy != "fixed":
-        raise InvalidParamsError("family solves require the fixed step policy "
-                                 "so members share one time grid")
 
     def run_one(eps: float) -> FamilyEntry:
         try:

@@ -135,43 +135,33 @@ class LatticeProblem:
         return self._datum_at(self.grid.exterior_coordinates(), t)
 
 
-# line-search steps (each scales the trial by damping) one Newton step may take
+# line-search steps one Newton step may take, each scaling the trial by DAMPING
 MAX_BACKTRACKS = 40
+DAMPING = 0.5
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time stepping and Newton controls.
+    """Time step and Newton controls.
 
-    dt_policy "fixed" uses the given dt; "intrinsic" rescales the step to
-    the running oscillation, dt = dt_factor * h^{sp} * (osc/4)^{2-p},
-    which compensates the degeneracy of the operator for p > 2.
+    Every solve steps by dt, the last step shortened to land on the
+    horizon, so its time grid is known before it runs (stored_times).
     """
 
     dt: Optional[float] = None
-    dt_policy: str = "fixed"
-    dt_factor: float = 1.0
     newton_tol: float = 1e-10
     newton_max: int = 40
-    damping: float = 0.5
     store_every: int = 1
 
     def __post_init__(self):
-        if self.dt_policy not in ("fixed", "intrinsic"):
-            raise InvalidParamsError("dt_policy must be 'fixed' or 'intrinsic'")
-        check_reals(dt_factor=self.dt_factor, newton_tol=self.newton_tol, damping=self.damping,
-                    **({} if self.dt is None else {"dt": self.dt}))
+        check_reals(newton_tol=self.newton_tol, **({} if self.dt is None else {"dt": self.dt}))
         try:  # a float count would store or iterate on a fractional schedule
             for name in ("newton_max", "store_every"):
                 object.__setattr__(self, name, operator.index(getattr(self, name)))
         except TypeError:
             raise InvalidParamsError("newton_max and store_every must be integers") from None
-        if self.dt_policy == "fixed" and (self.dt is None or not self.dt > 0.0):
-            raise InvalidParamsError("fixed policy needs a positive dt")
-        if self.dt_policy == "intrinsic" and not self.dt_factor > 0.0:
-            raise InvalidParamsError("intrinsic policy needs a positive dt_factor")
-        if not 0.0 < self.damping < 1.0:
-            raise InvalidParamsError("damping must lie in (0, 1)")
+        if self.dt is None or not 0.0 < self.dt < math.inf:
+            raise InvalidParamsError("the solver needs a finite positive dt")
         if not 0.0 < self.newton_tol < math.inf:
             raise InvalidParamsError("newton_tol must be positive and finite")
         if self.newton_max < 1 or self.store_every < 1:
@@ -317,7 +307,7 @@ class _Stepper:
                 f_trial = self.objective(trial, b_prev, dt, sums_trial)
                 nb = 0
                 while f_trial > f0 + 1e-4 * alpha * slope and nb < MAX_BACKTRACKS:
-                    alpha *= cfg.damping
+                    alpha *= DAMPING
                     nb += 1
                     trial = self.compose(v + alpha * delta, pinned_vals)
                     r_trial, sums_trial = self.residual(trial, b_prev, dt, exterior)
@@ -332,36 +322,23 @@ class _Stepper:
             last_iterate=full, residuals=history)
 
 
-def _intrinsic_dt(problem: LatticeProblem, state: np.ndarray, factor: float) -> float:
-    osc = float(np.max(state[problem.unknown_mask]) - np.min(state[problem.unknown_mask]))
-    osc = max(osc, 4.0 * problem.eps)
-    sp = problem.s * problem.p
-    return factor * problem.grid.spacing ** sp * (osc / 4.0) ** (2.0 - problem.p)
-
-
 def _reached(t: float, horizon: float) -> bool:
     return t >= horizon - 1e-12 * horizon
 
 
-def _step_times(horizon: float, config: SolverConfig) -> Optional[List[float]]:
-    """The levels a fixed-step solve lands on, up to the first that reaches
-    the horizon; None under the intrinsic policy, whose steps follow the
-    solution."""
-    if config.dt_policy != "fixed":
-        return None
+def _step_times(horizon: float, config: SolverConfig) -> List[float]:
+    """The levels a solve lands on, up to the first that reaches the
+    horizon."""
     n_steps = max(1, int(math.ceil(horizon / config.dt - 1e-9)))
     levels = [min((k + 1) * config.dt, horizon) for k in range(n_steps)]
     levels[-1] = horizon
     return levels[:next(k for k, t in enumerate(levels, 1) if _reached(t, horizon))]
 
 
-def stored_times(horizon: float, config: SolverConfig) -> Optional[List[float]]:
-    """The times a fixed-step solve stores, t = 0 first, known before it
-    runs; None under the intrinsic policy."""
-    levels = _step_times(horizon, config)
-    return None if levels is None else [0.0] + [
-        t for count, t in enumerate(levels, 1)
-        if count % config.store_every == 0 or _reached(t, horizon)]
+def stored_times(horizon: float, config: SolverConfig) -> List[float]:
+    """The times a solve stores, t = 0 first, known before it runs."""
+    return [0.0] + [t for count, t in enumerate(_step_times(horizon, config), 1)
+                    if count % config.store_every == 0 or _reached(t, horizon)]
 
 
 def solve(problem: LatticeProblem, config: SolverConfig) -> Trajectory:
@@ -375,18 +352,10 @@ def solve(problem: LatticeProblem, config: SolverConfig) -> Trajectory:
     times = [0.0]
     states = [state]
     diags: List[StepDiagnostics] = []
-    level_times = _step_times(problem.horizon, config)
     t = 0.0
-    step_count = 0
-    while not _reached(t, problem.horizon):
-        if level_times is not None:
-            t_next = level_times[step_count]
-        else:
-            dt = _intrinsic_dt(problem, state, config.dt_factor)
-            t_next = min(t + dt, problem.horizon)
+    for step_count, t_next in enumerate(_step_times(problem.horizon, config), 1):
         state, diag = stepper.step(state, t_next, t_next - t)
         diags.append(diag)
-        step_count += 1
         t = t_next
         if step_count % config.store_every == 0 or _reached(t, problem.horizon):
             times.append(t)
@@ -459,13 +428,9 @@ def structural_audit(traj: Trajectory, config: SolverConfig) -> dict:
     solution to stay above traj at every stored level; the normalization
     check requires twice the solution of normalize(problem, 2) to
     reproduce traj.  Each check passes within 1e-9.  Returns the figures
-    and verdict of each check, keyed by check name.  The checks compare
-    the three solves level by level, so config must be the fixed step
-    policy.
+    and verdict of each check, keyed by check name.  The three solves
+    share config's time grid, so the checks compare them level by level.
     """
-    if config.dt_policy != "fixed":
-        raise InvalidParamsError("the structural audit requires the fixed step policy "
-                                 "so its three solves share one time grid")
     tol = 1e-9
     problem = traj.problem
     mp = max_principle_check(traj, tol=tol)

@@ -412,6 +412,30 @@ def test_geometric_decay_above_threshold_diverges():
     assert rep.diverged
 
 
+def _params(**changes):
+    return IterationParams(**{"s": 0.5, "p": 3.0, "eps": 0.01, "omega0": 1.0, "rho0": 1.0,
+                              **changes})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _params(n2=math.nan), lambda: _params(omega0=math.inf),
+    lambda: _params(p=math.inf), lambda: _params(m1=math.inf),
+    lambda: geometric_convergence(math.nan, 2.0, 1.0, 0.1),
+    lambda: geometric_convergence(2.0, math.inf, 1.0, 0.1),
+    lambda: geometric_convergence(2.0, 2.0, math.nan, 0.1),
+    lambda: geometric_convergence(2.0, 2.0, 1.0, math.inf),
+    lambda: lemma_iter_verify(4.0, math.nan, 4.0, 1.0),
+    lambda: lemma_iter_verify(4.0, 8.0, 4.0, math.inf)],
+    ids=["n2-nan", "omega0-inf", "p-inf", "m1-inf", "c-nan", "b-inf", "alpha-nan", "a0-inf",
+         "lemma-n2-nan", "lemma-omega0-inf"])
+def test_non_finite_lemma_constants_are_rejected(call):
+    # n2 = nan gave NaN ladder radii, c = nan a NaN threshold, b = inf a raw
+    # ZeroDivisionError, and a NaN n2 or an infinite omega0 passed the
+    # iteration lemma with a NaN margin
+    with pytest.raises(InvalidParamsError, match="finite|exponents"):
+        call()
+
+
 def test_geometric_decay_validation():
     with pytest.raises(InvalidParamsError, match="c >= 1 and b >= 1"):
         geometric_convergence(0.5, 2.0, 1.0, 0.1)

@@ -127,7 +127,7 @@ def test_top_level_must_be_an_object():
 def test_emit_parse_is_idempotent():
     for source in ('{"problem": "twophase1d"}', json.dumps(INLINE),
                    json.dumps({"problem": "melt1d",
-                               "solver": {"dt_policy": "intrinsic", "dt_factor": 2.0},
+                               "solver": {"dt": 0.02},
                                "analysis": {"anchor": [0.5, 0.5], "rho0": 0.3},
                                "tail": {"rho": 0.2, "window": [0.0, 0.5]}})):
         once = emit_run_config(parse_run_config(source))
@@ -138,12 +138,21 @@ def test_emit_parse_is_idempotent():
     assert exc.value.violations == ["seed: unknown key"]
 
 
+def test_removed_solver_keys_are_unknown():
+    # every solve runs on the time grid of its dt, and the line search
+    # damping is a solver constant
+    with pytest.raises(SchemaViolationError) as exc:
+        parse_run_config({"problem": "melt1d", "solver": {
+            "dt_policy": "fixed", "dt_factor": 1.0, "damping": 0.5}})
+    assert exc.value.violations == [f"solver.{key}: unknown key"
+                                    for key in ("dt_policy", "dt_factor", "damping")]
+
+
 FULL_PRESET = {
     "tail": {"window": [0, 0.5], "rho": 0.2, "center": [0.5, 0.25]},
     "continuation": {"delta_resolve": 0.01, "eps_values": [0.2, 0.1]},
     "analysis": {"shrink": 0.8, "levels": 6, "rho0": 0.3, "anchor": [0.5, 0.1]},
-    "solver": {"store_every": 2, "damping": 0.5, "newton_max": 30, "newton_tol": 1e-11,
-               "dt_factor": 2, "dt": 0.01, "dt_policy": "fixed"},
+    "solver": {"store_every": 2, "newton_max": 30, "newton_tol": 1e-11, "dt": 0.01},
     "overrides": {"n_steps": 5, "n_nodes": 33},
     "problem": "melt1d",
 }
@@ -172,9 +181,8 @@ GOLDEN_EMISSION = {
     "preset-every-section": (
         FULL_PRESET,
         '{\n  "problem": "melt1d",\n  "overrides": {\n    "n_steps": 5,\n'
-        '    "n_nodes": 33\n  },\n  "solver": {\n    "dt_policy": "fixed",\n'
-        '    "dt": 0.01,\n    "dt_factor": 2.0,\n    "newton_tol": 1e-11,\n'
-        '    "newton_max": 30,\n    "damping": 0.5,\n    "store_every": 2\n  },\n'
+        '    "n_nodes": 33\n  },\n  "solver": {\n    "dt": 0.01,\n'
+        '    "newton_tol": 1e-11,\n    "newton_max": 30,\n    "store_every": 2\n  },\n'
         '  "analysis": {\n    "anchor": [\n      0.5,\n      0.1\n    ],\n'
         '    "rho0": 0.3,\n    "levels": 6,\n    "shrink": 0.8\n  },\n'
         '  "continuation": {\n    "eps_values": [\n      0.2,\n      0.1\n    ],\n'
@@ -231,14 +239,14 @@ PIN_EXTRA = {"logbdy": {"c_g": 0.4, "delta": 0.7}, "const1d": {"value": -0.2}}
 # datum on the box and its exterior at t = 0, dt and the horizon, the
 # unknown mask and the initial value
 PRESET_DIGESTS = {
-    ("const1d", "default"): "0e89d17053526f22be15573e7a33e9579844528dd081b7fd35970ec1cf8ade1e",
-    ("const1d", "overridden"): "d9b325a33ff639892659bfa87e532011da41dfcb17c113083eae17f364097fb4",
-    ("logbdy", "default"): "e23bc4627df1e28c75a31c5154b3a2ec4246a27cae23eacbe7dc3f69ffcc4342",
-    ("logbdy", "overridden"): "b824e1674ca3bcabaf4ba95523ed5d32ea9aa07242b28caec665eb4457fcf832",
-    ("melt1d", "default"): "b7f8f2fa1b58a5639b25ea4ca3ce86a2eed064bc5169831f8d96bf3e06aec546",
-    ("melt1d", "overridden"): "ec948729cca4215c5119af544bb5de6fbf58f1febce5efcd87dfccb15e057cca",
-    ("twophase1d", "default"): "8da908fbce567a674e5c203325895bf46460997e5c377e427f6f99d6192ab8d8",
-    ("twophase1d", "overridden"): "3acbd8cc948df8891421a7c6cafa671cec21fa134e2e3d0731b3a15169a9e0b1",
+    ("const1d", "default"): "20869cdf934fa7246c615d1a85de106b8aa2252215f953ec51dbf6366f2325a3",
+    ("const1d", "overridden"): "3c1535c4fdeadc3222c662908f3c47715f73a6f7d19104308c9e2aa2d61d71a0",
+    ("logbdy", "default"): "2efefc5cb6a691eb6bfebbe68175e120f9b2aa9123f5f998bbb0ae74b2047df0",
+    ("logbdy", "overridden"): "cc5a213fe1a118c12a32dc09502a9f25f0d66ffdf4c4e96f5ecf24890f9df50a",
+    ("melt1d", "default"): "e156006c4994a696c7f01b9bf09c9d9d39fc4c02dd178d6b0bc947ca6ba46e36",
+    ("melt1d", "overridden"): "ce896452e71b5fdf87d9752d58bd7055fa5d1878a5b2ff2c8f2d9467ef8eb9a6",
+    ("twophase1d", "default"): "7a7d25a1ae4b1918ce87b709b8ab7d5e26842316daf070fea0e7f2fe81c586c3",
+    ("twophase1d", "overridden"): "9be46adf4722720b152a6586bdbdded98a88fc7c1fabb9a06ab025510e7b1a5c",
 }
 
 # (anchor x, rho0, shrink, boundary modulus at radii 1e-3, 0.1, 0.5, 2)
@@ -382,19 +390,6 @@ def test_cli_tail_rejects_an_empty_window_before_solving(tmp_path, capsys, monke
     assert cli.main(["tail", "--config", cfg, "--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == {
         "type": "EmptyWindowError", "message": "no stored samples in window [5.0, 6.0]"}
-    assert not out.exists()
-
-
-def test_cli_tail_with_an_empty_window_under_the_intrinsic_policy_makes_no_out(
-        tmp_path, capsys):
-    # the intrinsic policy's stored times are known only after the solve
-    cfg = write_cfg(tmp_path, {"problem": "melt1d",
-                               "overrides": {"n_nodes": 17, "horizon": 0.01},
-                               "solver": {"dt_policy": "intrinsic"},
-                               "tail": {"window": [0.5, 0.6]}})
-    out = tmp_path / "tail"
-    assert cli.main(["tail", "--config", cfg, "--out", str(out)]) == 2
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "EmptyWindowError"
     assert not out.exists()
 
 
@@ -552,32 +547,6 @@ def test_cli_continuation_rejects_zero_threads(tmp_path, capsys):
     assert err["error"] == {"type": "InvalidParamsError",
                             "message": "threads must be at least 1, got 0"}
     # refused before the output directory is made
-    assert not os.path.exists(tmp_path / "x")
-
-
-def test_cli_continuation_rejects_the_intrinsic_policy_before_making_out(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"problem": "const1d",
-                               "solver": {"dt_policy": "intrinsic", "dt_factor": 1.0}})
-    rc = cli.main(["continuation", "--config", cfg, "--out", str(tmp_path / "x")])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["type"] == "InvalidParamsError"
-    assert "fixed step policy" in err["error"]["message"]
-    assert not os.path.exists(tmp_path / "x")
-
-
-def test_cli_verify_rejects_the_intrinsic_policy_before_making_out(tmp_path, capsys):
-    # the audit's comparison and normalized solves take their own steps
-    # under this policy (39, 44 and 21 stored levels here), so a level by
-    # level comparison reported a spurious normalization failure
-    cfg = write_cfg(tmp_path, {"problem": "twophase1d",
-                               "overrides": {"n_nodes": 33, "horizon": 0.2},
-                               "solver": {"dt_policy": "intrinsic", "dt_factor": 0.1}})
-    rc = cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "x")])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["type"] == "InvalidParamsError"
-    assert "fixed step policy" in err["error"]["message"]
     assert not os.path.exists(tmp_path / "x")
 
 

@@ -42,9 +42,6 @@ def test_family_schedule_validation():
         run_family(pre.problem, (0.2, 0.2), pre.solver)
     with pytest.raises(InvalidParamsError, match="decreasing"):
         run_family(pre.problem, (0.1, 0.2), pre.solver)
-    intrinsic = SolverConfig(dt_policy="intrinsic", dt_factor=1.0)
-    with pytest.raises(InvalidParamsError, match="fixed step"):
-        run_family(pre.problem, (0.2, 0.1), intrinsic)
 
 
 @pytest.mark.parametrize("threads", [0, -1])

@@ -34,7 +34,7 @@ from nlstefan import (
     weak_residual,
 )
 from nlstefan import fileio
-from nlstefan.solver import _intrinsic_dt, _Stepper, stored_times
+from nlstefan.solver import _Stepper, stored_times
 
 
 def tiny_melt(n_nodes=33, horizon=0.05, eps=0.2, n_steps=10):
@@ -45,16 +45,14 @@ def tiny_melt(n_nodes=33, horizon=0.05, eps=0.2, n_steps=10):
 
 
 def test_solver_config_validation():
-    with pytest.raises(InvalidParamsError, match="dt_policy"):
-        SolverConfig(dt=0.1, dt_policy="adaptive")
     with pytest.raises(InvalidParamsError, match="positive dt"):
-        SolverConfig(dt_policy="fixed")
+        SolverConfig()
     with pytest.raises(InvalidParamsError, match="positive dt"):
         SolverConfig(dt=-0.1)
-    with pytest.raises(InvalidParamsError, match="dt_factor"):
-        SolverConfig(dt_policy="intrinsic", dt_factor=0.0)
-    with pytest.raises(InvalidParamsError, match="damping"):
-        SolverConfig(dt=0.1, damping=1.0)
+    # an infinite dt used to take one step straight to the horizon
+    for dt in (np.inf, np.nan):
+        with pytest.raises(InvalidParamsError, match="finite positive dt"):
+            SolverConfig(dt=dt)
     with pytest.raises(InvalidParamsError, match="newton_max"):
         SolverConfig(dt=0.1, newton_max=0)
 
@@ -71,7 +69,7 @@ def test_solver_config_rejects_unusable_newton_controls(controls):
 
 @pytest.mark.parametrize("controls,match", [
     ({"dt": "0.1"}, "dt must be real numbers"),
-    ({"dt": 0.1, "damping": None}, "damping must be real numbers"),
+    ({"dt": 0.1, "newton_tol": None}, "newton_tol must be real numbers"),
     ({"dt": 0.1, "newton_max": 2.5}, "newton_max and store_every must be integers"),
     ({"dt": 0.1, "store_every": 1.5}, "newton_max and store_every must be integers"),
     ({"dt": 0.1, "store_every": "2"}, "newton_max and store_every must be integers")])
@@ -97,10 +95,9 @@ def test_problem_rejects_parameters_that_are_not_numbers(field, value):
         replace(tiny_melt().problem, **{field: value})
 
 
-@pytest.mark.parametrize("policy", [{"dt": 0.01}, {"dt_policy": "intrinsic"}])
+@pytest.mark.parametrize("policy", [{"dt": 0.01}])
 def test_problem_rejects_an_infinite_horizon(policy):
-    # it used to raise OverflowError under the fixed policy and return only
-    # the t = 0 level under the intrinsic one
+    # it used to raise OverflowError
     prob = tiny_melt().problem
     with pytest.raises(InvalidParamsError, match="horizon"):
         solve(replace(prob, horizon=np.inf), SolverConfig(**policy))
@@ -416,22 +413,6 @@ def test_implicit_step_small_dt_expansion():
     assert errs[1e-6] < errs[1e-5] / 50.0
 
 
-def test_intrinsic_time_step_policy():
-    pre = tiny_melt(n_nodes=33, horizon=0.05, eps=0.2)
-    cfg = SolverConfig(dt_policy="intrinsic", dt_factor=0.5)
-    traj = solve(pre.problem, cfg)
-    d0 = _intrinsic_dt(pre.problem, pre.problem.initial, 0.5)
-    # dt = factor h^{sp} (osc/4)^{2-p}, capped by the horizon
-    osc = float(np.max(pre.problem.initial[pre.problem.unknown_mask])
-                - np.min(pre.problem.initial[pre.problem.unknown_mask]))
-    osc = max(osc, 4.0 * pre.problem.eps)
-    sp = pre.problem.s * pre.problem.p
-    assert d0 == 0.5 * pre.problem.grid.spacing ** sp * (osc / 4.0) ** (2.0 - pre.problem.p)
-    assert traj.diagnostics[0].dt == min(d0, pre.problem.horizon)
-    assert traj.times[-1] == pre.problem.horizon
-    assert all(np.diff(traj.times) > 0.0)
-
-
 # ---------------------------------------------------------------- order
 
 
@@ -690,4 +671,3 @@ def test_stored_times_are_the_times_a_fixed_step_solve_stores(horizon, dt, store
     pre = load_preset("melt1d", n_nodes=17, horizon=horizon, eps=0.2)
     config = SolverConfig(dt=dt, store_every=store_every)
     assert stored_times(horizon, config) == solve(pre.problem, config).times
-    assert stored_times(horizon, replace(config, dt_policy="intrinsic")) is None
