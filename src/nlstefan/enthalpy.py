@@ -103,12 +103,13 @@ def _knot_data(n_panels: int):
 
 
 def _build_tables(n_panels: int):
-    """Z, the tables of Phi and Phi1, and Phi1 at 0 and 1."""
+    """Z, the tables of Phi and Phi1, Phi1 at 0 and 1, and the knots with
+    the values of Phi there."""
     knots, values, slopes, z = _knot_data(n_panels)
     phi = _PiecewisePoly.hermite(knots, values, slopes)
     phi1 = phi.antiderivative()
     # Phi1(0) offsets int_0^xi beta_eps, Phi1(1) starts the linear extension
-    return z, phi, phi1, phi1(np.array([0.0, 1.0]))
+    return z, phi, phi1, phi1(np.array([0.0, 1.0])), (knots, values)
 
 
 @lru_cache(maxsize=None)
@@ -147,7 +148,7 @@ def _phi(eta) -> np.ndarray:
 
 def _phi1(eta) -> np.ndarray:
     """Antiderivative of Phi from -1, extended linearly where Phi == 1."""
-    _, _, phi1, (_, top) = _tables()
+    _, _, phi1, (_, top), _ = _tables()
     eta = np.asarray(eta, dtype=float)
     flat = np.atleast_1d(eta)
     out = np.where(flat >= 1.0, top + (flat - 1.0), 0.0)
@@ -215,31 +216,46 @@ class RegularizedEnthalpy:
         xi = np.asarray(xi, dtype=float)
         return 1.0 + self.beta_eps_prime(xi)
 
+    def b_inverse_chord(self, y) -> np.ndarray:
+        """Chord estimate of b^{-1}: exact off the transition band, on it
+        the piecewise linear interpolant through b at the knots of Phi's
+        table, so within about 1e-7 eps of the inverse."""
+        y = np.asarray(y, dtype=float)
+        knots, values = _tables()[4]
+        # b(eps eta) / eps = eta + (L / eps) Phi(eta): one table-sized temporary
+        chord = self.eps * np.interp(y / self.eps, knots + (self.latent_heat / self.eps) * values,
+                                     knots)
+        return np.where(y <= -self.eps, y,
+                        np.where(y >= self.latent_heat + self.eps, y - self.latent_heat, chord))
+
     def b_inverse(self, y) -> np.ndarray:
-        """Invert b.  Exact off the transition band, safeguarded Newton on it."""
+        """Invert b.  Exact off the transition band; on it, safeguarded
+        Newton from the chord estimate, each point until its own residual
+        meets the test."""
         y = np.asarray(y, dtype=float)
         flat = np.atleast_1d(y)
-        heat = self.latent_heat
-        out = np.where(flat <= -self.eps, flat,
-                       np.where(flat >= heat + self.eps, flat - heat, np.nan))
-        band = ~np.isfinite(out)
-        if np.any(band):
-            yb = flat[band]
-            lo = np.full(yb.shape, -self.eps)
-            hi = np.full(yb.shape, self.eps)
-            xi = np.clip(yb - 0.5 * heat, lo, hi)
-            for _ in range(60):
-                f = xi + self.beta_eps(xi) - yb
-                hi = np.where(f > 0.0, xi, hi)
-                lo = np.where(f < 0.0, xi, lo)
-                if np.max(np.abs(f)) <= 1e-15 * max(1.0, np.max(np.abs(yb))):
-                    break
-                cand = xi - f / self.b_prime(xi)
-                # fall back to bisection whenever Newton leaves the bracket
-                outside = (cand <= lo) | (cand >= hi)
-                cand[outside] = 0.5 * (lo[outside] + hi[outside])
-                xi = cand
-            out[band] = xi
+        out = self.b_inverse_chord(flat)
+        idx = np.flatnonzero((flat > -self.eps) & (flat < self.latent_heat + self.eps))
+        yb, xi = flat[idx], out[idx]
+        lo = np.full(idx.shape, -self.eps)
+        hi = np.full(idx.shape, self.eps)
+        tol = 1e-15 * np.maximum(1.0, np.abs(yb))
+        for _ in range(60):
+            if idx.size == 0:
+                break
+            f = xi + self.beta_eps(xi) - yb
+            done = np.abs(f) <= tol
+            out[idx[done]] = xi[done]
+            going = ~done
+            idx, yb, xi, f, lo, hi, tol = (a[going] for a in (idx, yb, xi, f, lo, hi, tol))
+            hi = np.where(f > 0.0, xi, hi)
+            lo = np.where(f < 0.0, xi, lo)
+            cand = xi - f / self.b_prime(xi)
+            # fall back to bisection whenever Newton leaves the bracket
+            outside = (cand <= lo) | (cand >= hi)
+            cand[outside] = 0.5 * (lo[outside] + hi[outside])
+            xi = cand
+        out[idx] = xi
         return out.reshape(y.shape)
 
     def potential(self, xi) -> np.ndarray:

@@ -19,6 +19,17 @@ CG to an Eisenstat-Walker forcing term, eta_k = min(1e-3, 0.9 (|r_k| /
 |r_{k-1}|)^2) and eta_0 = 1e-3, floored at 0.01 newton_tol / |r_k|
 (2-norms), never through BLAS, so trajectories do not depend on the BLAS
 thread count.  The outer test on max |r| is unchanged.
+
+Newton starts the first step from u^0.  Every later step starts from the
+enthalpy extrapolated over the last two levels,
+
+    v_start = b^{-1}( b(u^m) + (dt_{m+1} / dt_m) (b(u^m) - b(u^{m-1})) ),
+
+b^{-1} being the chord estimate RegularizedEnthalpy.b_inverse_chord, and
+from u^m itself wherever b did not move over the last step.  Across the
+latent layer u stalls while b(u) keeps moving smoothly, so b predicts
+the front where u cannot.  Only the start is evaluated, so a step makes
+1 + Newton iterations + backtracks pair evaluations.
 """
 
 from __future__ import annotations
@@ -178,6 +189,7 @@ class StepDiagnostics:
     backtracks: int
     linear_iterations: int
     evaluations: int
+    residual_history: List[float]
 
 
 @dataclass
@@ -250,13 +262,13 @@ class _Stepper:
         bulk = np.sum(enth.potential(vm) - b_prev * vm) * self.hn
         return float(bulk) + dt * (self.ws.scale * self.hn * sums.energy)
 
-    def step(self, u_prev: np.ndarray, t_next: float, dt: float):
+    def step(self, b_prev: np.ndarray, start: np.ndarray, t_next: float, dt: float):
+        """(full, diagnostics): the level at t_next, Newton started from start
+        on the unknown set, b_prev the enthalpy of the last level there."""
         cfg = self.config
-        enth = self.problem.enthalpy
         pinned_vals, ext_vals = self.datum(t_next)
         exterior = self.ws.exterior(ext_vals, self.problem.far_value)
-        b_prev = enth.b(u_prev[self.mask])
-        v = u_prev[self.mask].copy()
+        v = start
         full = self.compose(v, pinned_vals)
         history = []
         f_start = None
@@ -277,7 +289,8 @@ class _Stepper:
                 diag = StepDiagnostics(
                     t=t_next, dt=dt, newton_iterations=iteration,
                     residual_norm=r_norm, objective_drop=drop, backtracks=backtracks,
-                    linear_iterations=linear_iterations, evaluations=evaluations)
+                    linear_iterations=linear_iterations, evaluations=evaluations,
+                    residual_history=history)
                 return full, diag
             if iteration == cfg.newton_max:
                 break
@@ -345,18 +358,28 @@ def solve(problem: LatticeProblem, config: SolverConfig) -> Trajectory:
     """March the implicit scheme from t = 0 to the horizon.
 
     Stores every store_every-th level plus the final one.  The last step
-    is shortened to land exactly on the horizon.
+    is shortened to land exactly on the horizon.  Every step after the
+    first starts Newton from the extrapolated enthalpy (module docstring).
     """
     stepper = _Stepper(problem, config)
+    enth, mask = problem.enthalpy, problem.unknown_mask
     state = problem.initial
     times = [0.0]
     states = [state]
     diags: List[StepDiagnostics] = []
-    t = 0.0
+    t, dt_last = 0.0, None
+    b_now = enth.b(state[mask])
     for step_count, t_next in enumerate(_step_times(problem.horizon, config), 1):
-        state, diag = stepper.step(state, t_next, t_next - t)
+        dt = t_next - t
+        start = state[mask]
+        if dt_last is not None:
+            # u^m bit for bit where b did not move: b^{-1}(b(u)) may be an ulp off
+            start = np.where(b_now != b_last, enth.b_inverse_chord(
+                b_now + dt / dt_last * (b_now - b_last)), start)
+        state, diag = stepper.step(b_now, start, t_next, dt)
         diags.append(diag)
-        t = t_next
+        b_now, b_last = enth.b(state[mask]), b_now
+        t, dt_last = t_next, dt
         if step_count % config.store_every == 0 or _reached(t, problem.horizon):
             times.append(t)
             states.append(state)  # each step returns a new field

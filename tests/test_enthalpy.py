@@ -101,6 +101,33 @@ def test_b_round_trip(xi):
     assert abs(enth.b_inverse(enth.b(xi)) - xi) < 1e-10
 
 
+@pytest.mark.parametrize("eps", [0.2, 0.05, 0.001])
+def test_b_inverse_polishes_the_chord_point_by_point(eps, monkeypatch):
+    # 2000 band points: a stop test over all of them at once kept perturbing
+    # the converged ones and ran to the iteration cap (57 beta_eps calls)
+    enth = RegularizedEnthalpy(eps)
+    y = np.linspace(-eps, 1.0 + eps, 2002)[1:-1]
+    chord = enth.b_inverse_chord(y)
+    calls = []
+    beta_eps = RegularizedEnthalpy.beta_eps
+
+    def counted(self, xi):
+        calls.append(np.size(xi))
+        return beta_eps(self, xi)
+
+    monkeypatch.setattr(RegularizedEnthalpy, "beta_eps", counted)
+    xi = enth.b_inverse(y)
+    monkeypatch.undo()
+    assert len(calls) <= 5 and calls[0] == y.size
+    assert np.max(np.abs(enth.b(xi) - y)) <= 2e-15
+    # the chord is the polished point's start, within 1e-6 eps of it
+    assert np.max(np.abs(chord - xi)) <= 1e-6 * eps
+    # and exact off the band, as b_inverse is
+    off = np.array([-3.0 * eps, -eps, 1.0 + eps, 2.0])
+    assert np.array_equal(enth.b_inverse_chord(off), off - np.where(off > 0.0, 1.0, 0.0))
+    assert np.array_equal(enth.b_inverse(off), enth.b_inverse_chord(off))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(min_value=1e-3, max_value=0.99),
        st.floats(min_value=-2.0, max_value=2.0))
@@ -174,7 +201,7 @@ def test_tables_match_scipy_hermite_spline_bit_for_bit(n_panels):
 
     knots, values, slopes, _ = _knot_data(n_panels)
     spline = CubicHermiteSpline(knots, values, slopes)
-    _, phi, phi1, _ = _build_tables(n_panels)
+    _, phi, phi1, _, _ = _build_tables(n_panels)
     rng = np.random.default_rng(0)
     pts = np.concatenate((rng.uniform(-1.0, 1.0, 200_000), knots,
                           np.nextafter(knots, -2.0), np.nextafter(knots, 2.0),
