@@ -57,6 +57,8 @@ class Cylinder:
 
 def intrinsic_theta(omega: float, p: float, boundary: bool = False) -> float:
     """Intrinsic time scaling (omega/4)^{2-p}, one power less at the boundary."""
+    if not 0.0 < omega < math.inf:
+        raise InvalidParamsError("omega must be positive and finite")
     expo = (1.0 - p) if boundary else (2.0 - p)
     return (omega / 4.0) ** expo
 
@@ -397,8 +399,8 @@ def measure_density(grid: Grid, omega_mask: np.ndarray, x0,
         raise InvalidParamsError("omega_mask must match the grid size")
     x0 = grid.point(x0)
     radii = list(radii)
-    if not radii or not all(r > 0.0 for r in radii):
-        raise InvalidParamsError("radii must be positive")
+    if not radii or not all(0.0 < r < math.inf for r in radii):
+        raise InvalidParamsError("radii must be positive and finite")
     # the lattice cube about x0 that holds the largest ball
     h = grid.spacing
     reach = int(math.ceil(max(radii) / h)) + 1

@@ -60,8 +60,7 @@ def cmd_solve(args, cfg, preset, problem, solver_cfg):
 
 
 def cmd_tail(args, cfg, preset, problem, solver_cfg):
-    x0, t0 = preset.anchor
-    *center, t_at = cfg.tail.get("center", [*x0, t0])
+    center = cfg.tail.get("center", list(preset.anchor[0]))
     rho = cfg.tail.get("rho", preset.rho0)
     window = tuple(cfg.tail.get("window", (0.0, problem.horizon)))
     # the solve stores these times, so an empty window fails before it runs
@@ -70,7 +69,7 @@ def cmd_tail(args, cfg, preset, problem, solver_cfg):
     ext = traj.exterior_states(np.take(traj.times, rows))
     value = tail_fn(problem.grid, traj.states[rows], ext, problem.far_value, center, rho,
                     problem.s, problem.p)
-    payload = {"center": center + [t_at], "rho": rho, "window": list(window),
+    payload = {"center": center, "rho": rho, "window": list(window),
                "tail": value, "config": _echo(cfg)}
     return (lambda out: fileio.write_json(os.path.join(out, "tail.json"), payload),
             f"tail: {F % value}", 0)

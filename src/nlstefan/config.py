@@ -196,10 +196,10 @@ def _check_inline(v: _Validator, prob: dict, analysis: dict, tail: dict) -> None
             for key, values in prob.get("unknown", {}).items():
                 if len(values) != dim:
                     v.fail(f"problem.unknown.{key}", f"expected length {dim}")
-            for path, point in (("analysis.anchor", analysis.get("anchor")),
-                                ("tail.center", tail.get("center"))):
+            for path, point, length in (("analysis.anchor", analysis.get("anchor"), dim + 1),
+                                        ("tail.center", tail.get("center"), dim)):
                 if point is not None:
-                    v.number_list(path, point, length=dim + 1)
+                    v.number_list(path, point, length=length)
     if not v.violations and "value" not in prob["initial"] and "value" in prob["datum"]:
         # a constant datum's value, second in emission order
         prob["initial"] = {"type": prob["initial"]["type"],
@@ -214,7 +214,6 @@ _SOLVER = {
     "dt": (_POSITIVE, None),
     "newton_tol": (_POSITIVE, None),
     "newton_max": (partial(_Validator.integer, minimum=1), None),
-    "store_every": (partial(_Validator.integer, minimum=1), None),
 }
 _ANALYSIS = {
     "anchor": (_Validator.number_list, None),      # [x..., t]
@@ -227,7 +226,7 @@ _CONTINUATION = {
     "delta_resolve": (_POSITIVE, Preset.delta_resolve),
 }
 _TAIL = {
-    "center": (_Validator.number_list, None),      # [x..., t]
+    "center": (_Validator.number_list, None),      # [x...]
     "rho": (_POSITIVE, None),
     "window": (_rule(lambda w: w[0] <= w[1], "start must not exceed end",
                      partial(_Validator.number_list, length=2)), None),

@@ -109,14 +109,17 @@ class LimitPair:
     eps: float
 
 
-def limit_pair(family: FamilyResult, delta_resolve: float = 0.05,
-               max_band_fraction: float = 0.5) -> LimitPair:
+# the largest share of samples the unresolved band may hold in a limit
+MAX_BAND_FRACTION = 0.5
+
+
+def limit_pair(family: FamilyResult, delta_resolve: float = 0.05) -> LimitPair:
     """Surrogate limit from the finest member.
 
     w is the latent heat L where u > delta_resolve, 0 where u <
     -delta_resolve, and the clipped mollified value on the band between;
     v = u + w.  L is 1 unless the problem was normalized.  Fails if the
-    band swallows more than max_band_fraction of the samples.
+    band swallows more than MAX_BAND_FRACTION of the samples.
     """
     finest = family.entries[-1]
     if not finest.ok:
@@ -131,10 +134,10 @@ def limit_pair(family: FamilyResult, delta_resolve: float = 0.05,
     w = np.where(u > delta_resolve, heat, w)
     w = np.where(u < -delta_resolve, 0.0, w)
     band_fraction = int(np.count_nonzero(np.abs(u) <= delta_resolve)) / u.size
-    if band_fraction > max_band_fraction:
+    if band_fraction > MAX_BAND_FRACTION:
         raise UnresolvedBandError(
             f"sign unresolved on {band_fraction:.1%} of samples "
-            f"(limit {max_band_fraction:.1%})")
+            f"(limit {MAX_BAND_FRACTION:.1%})")
     return LimitPair(times=list(traj.times), u_states=u, w_states=w, v_states=u + w,
                      band_fraction=band_fraction, delta=delta_resolve, eps=finest.eps)
 
@@ -146,15 +149,11 @@ class ConvergenceReport:
     monotone: bool
     consistent: bool
     message: str
-    varsigma_values: Optional[List[float]]
-    varsigma_spread: Optional[float]
-    stable: Optional[bool]
 
 
-def convergence_report(family: FamilyResult, fits=None,
-                       max_spread: float = 0.5) -> ConvergenceReport:
-    """Tabulate successive distances and, when per-entry modulus fits are
-    given, the spread of the fitted decay exponents."""
+def convergence_report(family: FamilyResult) -> ConvergenceReport:
+    """Tabulate successive distances, whether they shrink, and whether the
+    successful members share one grid and one time sampling."""
     ok_entries = [e for e in family.entries if e.ok]
     if len(ok_entries) < 2:
         raise InconsistentFamilyError("fewer than two family members succeeded")
@@ -165,16 +164,6 @@ def convergence_report(family: FamilyResult, fits=None,
     dists = family.successive_distances()
     finite = [d for d in dists if np.isfinite(d)]
     monotone = all(b <= a * (1.0 + 1e-12) for a, b in zip(finite, finite[1:]))
-    varsigma_values = None
-    spread = None
-    stable = None
-    if fits is not None:
-        varsigma_values = [float(f.varsigma) for f in fits]
-        mean = float(np.mean(varsigma_values))
-        spread = float(np.max(varsigma_values) - np.min(varsigma_values))
-        stable = spread <= max_spread * max(abs(mean), 1e-12)
     return ConvergenceReport(eps_values=family.eps_values,
                              successive_distances=dists, monotone=monotone,
-                             consistent=consistent, message=message,
-                             varsigma_values=varsigma_values,
-                             varsigma_spread=spread, stable=stable)
+                             consistent=consistent, message=message)

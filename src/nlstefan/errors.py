@@ -52,8 +52,8 @@ class UnresolvedBandError(NlstefanError):
 
 
 class InconsistentFamilyError(NlstefanError):
-    """Raised when members of a regularization family disagree on grid or
-    time sampling."""
+    """Raised when fewer than two members of a regularization family
+    succeed, leaving no distance to report."""
 
 
 class SchemaViolationError(NlstefanError):

@@ -96,7 +96,8 @@ class LatticeProblem:
 
     def __post_init__(self):
         check_reals(s=self.s, p=self.p, horizon=self.horizon, eps=self.eps,
-                    kernel_scale=self.kernel_scale, latent_heat=self.latent_heat)
+                    kernel_scale=self.kernel_scale, latent_heat=self.latent_heat,
+                    far_value=self.far_value)
         check_exponents(self.s, self.p)
         self.unknown_mask = np.asarray(self.unknown_mask, dtype=bool)
         self.initial = np.asarray(self.initial, dtype=float)
@@ -156,27 +157,26 @@ class SolverConfig:
     """Time step and Newton controls.
 
     Every solve steps by dt, the last step shortened to land on the
-    horizon, so its time grid is known before it runs (stored_times).
+    horizon, and stores every level, so its time grid is known before it
+    runs (stored_times).
     """
 
     dt: Optional[float] = None
     newton_tol: float = 1e-10
     newton_max: int = 40
-    store_every: int = 1
 
     def __post_init__(self):
         check_reals(newton_tol=self.newton_tol, **({} if self.dt is None else {"dt": self.dt}))
-        try:  # a float count would store or iterate on a fractional schedule
-            for name in ("newton_max", "store_every"):
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
+        try:  # a float count would iterate a fractional number of times
+            object.__setattr__(self, "newton_max", operator.index(self.newton_max))
         except TypeError:
-            raise InvalidParamsError("newton_max and store_every must be integers") from None
+            raise InvalidParamsError("newton_max must be an integer") from None
         if self.dt is None or not 0.0 < self.dt < math.inf:
             raise InvalidParamsError("the solver needs a finite positive dt")
         if not 0.0 < self.newton_tol < math.inf:
             raise InvalidParamsError("newton_tol must be positive and finite")
-        if self.newton_max < 1 or self.store_every < 1:
-            raise InvalidParamsError("newton_max and store_every must be >= 1")
+        if self.newton_max < 1:
+            raise InvalidParamsError("newton_max must be >= 1")
 
 
 @dataclass
@@ -335,41 +335,32 @@ class _Stepper:
             last_iterate=full, residuals=history)
 
 
-def _reached(t: float, horizon: float) -> bool:
-    return t >= horizon - 1e-12 * horizon
-
-
-def _step_times(horizon: float, config: SolverConfig) -> List[float]:
-    """The levels a solve lands on, up to the first that reaches the
-    horizon."""
-    n_steps = max(1, int(math.ceil(horizon / config.dt - 1e-9)))
-    levels = [min((k + 1) * config.dt, horizon) for k in range(n_steps)]
-    levels[-1] = horizon
-    return levels[:next(k for k, t in enumerate(levels, 1) if _reached(t, horizon))]
-
-
 def stored_times(horizon: float, config: SolverConfig) -> List[float]:
-    """The times a solve stores, t = 0 first, known before it runs."""
-    return [0.0] + [t for count, t in enumerate(_step_times(horizon, config), 1)
-                    if count % config.store_every == 0 or _reached(t, horizon)]
+    """The times a solve stores, t = 0 first, known before it runs: one
+    level per step, up to the first that reaches the horizon."""
+    n_steps = max(1, int(math.ceil(horizon / config.dt - 1e-9)))
+    levels = [0.0] + [min(k * config.dt, horizon) for k in range(1, n_steps + 1)]
+    levels[-1] = horizon
+    return levels[:next(k for k, t in enumerate(levels, 1) if t >= horizon - 1e-12 * horizon)]
 
 
 def solve(problem: LatticeProblem, config: SolverConfig) -> Trajectory:
-    """March the implicit scheme from t = 0 to the horizon.
+    """March the implicit scheme from t = 0 to the horizon, storing every
+    level.
 
-    Stores every store_every-th level plus the final one.  The last step
-    is shortened to land exactly on the horizon.  Every step after the
-    first starts Newton from the extrapolated enthalpy (module docstring).
+    The last step is shortened to land exactly on the horizon.  Every step
+    after the first starts Newton from the extrapolated enthalpy (module
+    docstring).
     """
     stepper = _Stepper(problem, config)
     enth, mask = problem.enthalpy, problem.unknown_mask
     state = problem.initial
-    times = [0.0]
+    times = stored_times(problem.horizon, config)
     states = [state]
     diags: List[StepDiagnostics] = []
     t, dt_last = 0.0, None
     b_now = enth.b(state[mask])
-    for step_count, t_next in enumerate(_step_times(problem.horizon, config), 1):
+    for t_next in times[1:]:
         dt = t_next - t
         start = state[mask]
         if dt_last is not None:
@@ -378,11 +369,9 @@ def solve(problem: LatticeProblem, config: SolverConfig) -> Trajectory:
                 b_now + dt / dt_last * (b_now - b_last)), start)
         state, diag = stepper.step(b_now, start, t_next, dt)
         diags.append(diag)
+        states.append(state)  # each step returns a new field
         b_now, b_last = enth.b(state[mask]), b_now
         t, dt_last = t_next, dt
-        if step_count % config.store_every == 0 or _reached(t, problem.horizon):
-            times.append(t)
-            states.append(state)  # each step returns a new field
     return Trajectory(problem=problem, times=times, states=states, diagnostics=diags)
 
 
@@ -425,9 +414,14 @@ class MaxPrincipleReport:
     passed: bool
 
 
-def max_principle_check(traj: Trajectory, tol: float = 1e-9) -> MaxPrincipleReport:
+# the slack of every structural check
+AUDIT_TOL = 1e-9
+
+
+def max_principle_check(traj: Trajectory) -> MaxPrincipleReport:
     """Compare sup |u| against the sup of |datum| over exterior and
-    initial values; reports the positive part of the excess."""
+    initial values; reports the positive part of the excess, which passes
+    within AUDIT_TOL."""
     problem = traj.problem
     bound = float(np.max(np.abs(problem.initial)))
     bound = max(bound, abs(problem.far_value))
@@ -439,7 +433,7 @@ def max_principle_check(traj: Trajectory, tol: float = 1e-9) -> MaxPrincipleRepo
     defect = max(float(sup[worst] - bound), 0.0)
     worst_time = traj.times[worst if defect > 0.0 else 0]
     return MaxPrincipleReport(bound=bound, defect=defect, worst_time=worst_time,
-                              passed=defect <= tol)
+                              passed=defect <= AUDIT_TOL)
 
 
 def structural_audit(traj: Trajectory, config: SolverConfig) -> dict:
@@ -450,13 +444,13 @@ def structural_audit(traj: Trajectory, config: SolverConfig) -> dict:
     0.09), c the centroid of the unknown set, and requires the new
     solution to stay above traj at every stored level; the normalization
     check requires twice the solution of normalize(problem, 2) to
-    reproduce traj.  Each check passes within 1e-9.  Returns the figures
-    and verdict of each check, keyed by check name.  The three solves
-    share config's time grid, so the checks compare them level by level.
+    reproduce traj.  Each check passes within AUDIT_TOL.  Returns the
+    figures and verdict of each check, keyed by check name.  The three
+    solves share config's time grid, so the checks compare them level by
+    level.
     """
-    tol = 1e-9
     problem = traj.problem
-    mp = max_principle_check(traj, tol=tol)
+    mp = max_principle_check(traj)
     x = problem.grid.coordinates()
     mask = problem.unknown_mask
     center = x[mask].mean(axis=0)
@@ -468,8 +462,8 @@ def structural_audit(traj: Trajectory, config: SolverConfig) -> dict:
     defect = float(np.max(np.abs(2.0 * half.states - traj.states)))
     return {
         "max_principle": {"bound": mp.bound, "defect": mp.defect, "passed": mp.passed},
-        "comparison": {"min_margin": margin, "passed": margin >= -tol},
-        "normalization": {"defect": defect, "passed": defect <= tol},
+        "comparison": {"min_margin": margin, "passed": margin >= -AUDIT_TOL},
+        "normalization": {"defect": defect, "passed": defect <= AUDIT_TOL},
     }
 
 
@@ -564,12 +558,10 @@ class CaccioppoliReport:
     lhs: float
     rhs: float
     ratio: float
-    passed: Optional[bool]
 
 
 def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
-                      cutoff: RadialCutoff = None,
-                      c_audit: Optional[float] = None) -> CaccioppoliReport:
+                      cutoff: RadialCutoff = None) -> CaccioppoliReport:
     """Evaluate both sides of the truncated energy estimate on stored data.
 
     The left side collects the sup-in-time truncated energy (including
@@ -646,6 +638,5 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
     return CaccioppoliReport(
         level=level, sign=sign, sup_term=sup_term, seminorm_term=seminorm,
         mixed_term=mixed, gradient_term=rs * grad_term, tail_term=tail_term,
-        initial_term=initial_term, lhs=lhs, rhs=rhs, ratio=ratio,
-        passed=None if c_audit is None else ratio <= c_audit)
+        initial_term=initial_term, lhs=lhs, rhs=rhs, ratio=ratio)
 

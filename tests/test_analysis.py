@@ -425,13 +425,15 @@ def _params(**changes):
     lambda: geometric_convergence(2.0, 2.0, math.nan, 0.1),
     lambda: geometric_convergence(2.0, 2.0, 1.0, math.inf),
     lambda: lemma_iter_verify(4.0, math.nan, 4.0, 1.0),
-    lambda: lemma_iter_verify(4.0, 8.0, 4.0, math.inf)],
+    lambda: lemma_iter_verify(4.0, 8.0, 4.0, math.inf),
+    lambda: intrinsic_theta(0.0, 3.0)],
     ids=["n2-nan", "omega0-inf", "p-inf", "m1-inf", "c-nan", "b-inf", "alpha-nan", "a0-inf",
-         "lemma-n2-nan", "lemma-omega0-inf"])
+         "lemma-n2-nan", "lemma-omega0-inf", "theta-omega-zero"])
 def test_non_finite_lemma_constants_are_rejected(call):
     # n2 = nan gave NaN ladder radii, c = nan a NaN threshold, b = inf a raw
     # ZeroDivisionError, and a NaN n2 or an infinite omega0 passed the
-    # iteration lemma with a NaN margin
+    # iteration lemma with a NaN margin; intrinsic_theta at omega = 0 raised
+    # a raw ZeroDivisionError
     with pytest.raises(InvalidParamsError, match="finite|exponents"):
         call()
 
@@ -528,6 +530,9 @@ def test_measure_density_validation():
         measure_density(grid, omega[:-1], (0.0,), [0.1])
     with pytest.raises(InvalidParamsError, match="radii"):
         measure_density(grid, omega, (0.0,), [0.0])
+    # an infinite radius used to raise OverflowError
+    with pytest.raises(InvalidParamsError, match="radii must be positive and finite"):
+        measure_density(grid, omega, (0.0,), [math.inf])
 
 
 # ---------------------------------------------------------------- modulus fit

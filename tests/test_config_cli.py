@@ -139,20 +139,21 @@ def test_emit_parse_is_idempotent():
 
 
 def test_removed_solver_keys_are_unknown():
-    # every solve runs on the time grid of its dt, and the line search
-    # damping is a solver constant
+    # every solve runs on the time grid of its dt and stores every level,
+    # and the line search damping is a solver constant
     with pytest.raises(SchemaViolationError) as exc:
         parse_run_config({"problem": "melt1d", "solver": {
-            "dt_policy": "fixed", "dt_factor": 1.0, "damping": 0.5}})
-    assert exc.value.violations == [f"solver.{key}: unknown key"
-                                    for key in ("dt_policy", "dt_factor", "damping")]
+            "dt_policy": "fixed", "dt_factor": 1.0, "damping": 0.5, "store_every": 1}})
+    assert exc.value.violations == [
+        f"solver.{key}: unknown key" for key in ("dt_policy", "dt_factor", "damping",
+                                                 "store_every")]
 
 
 FULL_PRESET = {
-    "tail": {"window": [0, 0.5], "rho": 0.2, "center": [0.5, 0.25]},
+    "tail": {"window": [0, 0.5], "rho": 0.2, "center": [0.5]},
     "continuation": {"delta_resolve": 0.01, "eps_values": [0.2, 0.1]},
     "analysis": {"shrink": 0.8, "levels": 6, "rho0": 0.3, "anchor": [0.5, 0.1]},
-    "solver": {"store_every": 2, "newton_max": 30, "newton_tol": 1e-11, "dt": 0.01},
+    "solver": {"newton_max": 30, "newton_tol": 1e-11, "dt": 0.01},
     "overrides": {"n_steps": 5, "n_nodes": 33},
     "problem": "melt1d",
 }
@@ -182,12 +183,12 @@ GOLDEN_EMISSION = {
         FULL_PRESET,
         '{\n  "problem": "melt1d",\n  "overrides": {\n    "n_steps": 5,\n'
         '    "n_nodes": 33\n  },\n  "solver": {\n    "dt": 0.01,\n'
-        '    "newton_tol": 1e-11,\n    "newton_max": 30,\n    "store_every": 2\n  },\n'
+        '    "newton_tol": 1e-11,\n    "newton_max": 30\n  },\n'
         '  "analysis": {\n    "anchor": [\n      0.5,\n      0.1\n    ],\n'
         '    "rho0": 0.3,\n    "levels": 6,\n    "shrink": 0.8\n  },\n'
         '  "continuation": {\n    "eps_values": [\n      0.2,\n      0.1\n    ],\n'
-        '    "delta_resolve": 0.01\n  },\n  "tail": {\n    "center": [\n      0.5,\n'
-        '      0.25\n    ],\n    "rho": 0.2,\n    "window": [\n      0.0,\n'
+        '    "delta_resolve": 0.01\n  },\n  "tail": {\n    "center": [\n      0.5\n'
+        '    ],\n    "rho": 0.2,\n    "window": [\n      0.0,\n'
         '      0.5\n    ]\n  }\n}\n'),
 }
 
@@ -212,14 +213,13 @@ def test_realize_applies_overrides_and_solver_section():
     cfg = parse_run_config(json.dumps({
         "problem": "melt1d",
         "overrides": {"n_nodes": 33, "horizon": 0.1, "eps": 0.2, "n_steps": 5},
-        "solver": {"newton_max": 7, "store_every": 2},
+        "solver": {"newton_max": 7},
     }))
     preset, problem, solver_cfg = realize(cfg)
     assert problem.grid.shape == (33,)
     assert problem.horizon == 0.1
     assert problem.eps == 0.2
     assert solver_cfg.newton_max == 7
-    assert solver_cfg.store_every == 2
     assert solver_cfg.dt == pytest.approx(0.1 / 5)
 
 
@@ -239,14 +239,14 @@ PIN_EXTRA = {"logbdy": {"c_g": 0.4, "delta": 0.7}, "const1d": {"value": -0.2}}
 # datum on the box and its exterior at t = 0, dt and the horizon, the
 # unknown mask and the initial value
 PRESET_DIGESTS = {
-    ("const1d", "default"): "20869cdf934fa7246c615d1a85de106b8aa2252215f953ec51dbf6366f2325a3",
-    ("const1d", "overridden"): "3c1535c4fdeadc3222c662908f3c47715f73a6f7d19104308c9e2aa2d61d71a0",
-    ("logbdy", "default"): "2efefc5cb6a691eb6bfebbe68175e120f9b2aa9123f5f998bbb0ae74b2047df0",
-    ("logbdy", "overridden"): "cc5a213fe1a118c12a32dc09502a9f25f0d66ffdf4c4e96f5ecf24890f9df50a",
-    ("melt1d", "default"): "e156006c4994a696c7f01b9bf09c9d9d39fc4c02dd178d6b0bc947ca6ba46e36",
-    ("melt1d", "overridden"): "ce896452e71b5fdf87d9752d58bd7055fa5d1878a5b2ff2c8f2d9467ef8eb9a6",
-    ("twophase1d", "default"): "7a7d25a1ae4b1918ce87b709b8ab7d5e26842316daf070fea0e7f2fe81c586c3",
-    ("twophase1d", "overridden"): "9be46adf4722720b152a6586bdbdded98a88fc7c1fabb9a06ab025510e7b1a5c",
+    ("const1d", "default"): "33f719a09b680b3b3abec1418bc9c29ce47529219c2146b86f6be1a999769841",
+    ("const1d", "overridden"): "d6ae84d40f8279856eafff1dc24ae7a976d1416422a523486eb04a72e5eabbce",
+    ("logbdy", "default"): "9baaf0f3a159c0c0b685840c6a8f489f041096ca84fb3d8e7cbf3384e3cdb074",
+    ("logbdy", "overridden"): "b592732d8851a49d85feb96490c8a1d0651dd4f35ef884c50e435642d14cd110",
+    ("melt1d", "default"): "edbde8a6f5e8127e11fe780de2a1d461217de541905ea6465cb9d70d8c2dfa1f",
+    ("melt1d", "overridden"): "350d620328236c24f0250aed87b40381f6a22bd76186853830ff02a6f6fd3a31",
+    ("twophase1d", "default"): "9f8db2991bd30c983f2e173a601fd3b84a36d36b193e62df89b06db5d49f31e5",
+    ("twophase1d", "overridden"): "e411ce5ea260e7fd7a3d2273f1381daa4e5e69867daa0c6da00e56b3783dca73",
 }
 
 # (anchor x, rho0, shrink, boundary modulus at radii 1e-3, 0.1, 0.5, 2)
@@ -361,6 +361,7 @@ def test_cli_tail(tmp_path, capsys):
     rc = cli.main(["tail", "--config", cfg, "--out", out])
     assert rc == 0
     payload = read_json(os.path.join(out, "tail.json"))
+    assert payload["center"] == [0.0]  # the anchor's x
     assert payload["rho"] == 0.3
     assert payload["tail"] > 0.0
     assert f"{payload['tail']:.17g}" in capsys.readouterr().out
@@ -594,7 +595,7 @@ MALFORMED = {
         ["analyze-modulus"], {"problem": "const1d", "analysis": {"anchor": [0.1]}},
         "analysis.anchor"),
     "tail-center-wrong-length": (
-        ["tail"], {"problem": "const1d", "tail": {"center": [0.1]}}, "tail.center"),
+        ["tail"], {"problem": "const1d", "tail": {"center": [0.1, 0.2]}}, "tail.center"),
     # json.dumps writes NaN and -Infinity, which json.loads reads back
     "nan-number": (["solve"], inline_with(s=float("nan")), "problem.s"),
     # the kernel is one scale, and the schema has no key for it
@@ -662,7 +663,7 @@ def test_verify_density_is_measured_at_the_unknown_sets_lower_corner(tmp_path, c
 @pytest.mark.parametrize("payload", [
     INLINE,
     {"problem": "melt1d", "overrides": {"n_nodes": 33, "horizon": 0.05, "n_steps": 5},
-     "solver": {"newton_tol": 1e-11, "store_every": 2}},
+     "solver": {"newton_tol": 1e-11}},
 ], ids=["inline", "preset-partial-solver"])
 def test_manifest_config_echo_reproduces_the_run(tmp_path, payload):
     first, second = str(tmp_path / "first"), str(tmp_path / "second")
@@ -722,7 +723,7 @@ def test_continuation_without_a_limit_writes_no_member(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, compute, rerun", [
     # a rerun that stores fewer levels would leave the earlier levels behind
-    ("solve", "solve", {"problem": "const1d", "solver": {"store_every": 5}}),
+    ("solve", "solve", {"problem": "const1d", "overrides": {"n_steps": 4}}),
     # a rerun with other members would leave the earlier members behind
     ("continuation", "continuation_mod.run_family",
      {"problem": "const1d", "continuation": {"eps_values": [0.3, 0.15]}}),

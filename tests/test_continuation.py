@@ -1,7 +1,6 @@
 """Vanishing-regularization families, the two-field limit, convergence reports."""
 
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -201,7 +200,7 @@ def test_limit_pair_band_overflow():
     pre = load_preset("const1d", value=0.0)
     fam = run_family(pre.problem, (0.2, 0.1), pre.solver)
     with pytest.raises(UnresolvedBandError, match="unresolved"):
-        limit_pair(fam, delta_resolve=0.05, max_band_fraction=0.5)
+        limit_pair(fam, delta_resolve=0.05)
 
 
 def test_limit_pair_validation(melt_family):
@@ -225,20 +224,6 @@ def test_convergence_report_on_the_melt(melt_family):
     assert rep.monotone
     assert rep.message == ""
     assert rep.eps_values == [0.4, 0.2, 0.1]
-    assert rep.varsigma_values is None and rep.stable is None
-
-
-def test_convergence_report_with_fits(melt_family):
-    _, fam = melt_family
-    fits = [SimpleNamespace(varsigma=1.0), SimpleNamespace(varsigma=1.1),
-            SimpleNamespace(varsigma=0.95)]
-    rep = convergence_report(fam, fits=fits)
-    assert rep.varsigma_values == [1.0, 1.1, 0.95]
-    assert rep.varsigma_spread == pytest.approx(0.15000000000000002)
-    assert rep.stable is True
-    wild = [SimpleNamespace(varsigma=1.0), SimpleNamespace(varsigma=3.0),
-            SimpleNamespace(varsigma=0.5)]
-    assert convergence_report(fam, fits=wild).stable is False
 
 
 def test_convergence_report_needs_two_members():

@@ -70,25 +70,25 @@ def test_solver_config_rejects_unusable_newton_controls(controls):
 @pytest.mark.parametrize("controls,match", [
     ({"dt": "0.1"}, "dt must be real numbers"),
     ({"dt": 0.1, "newton_tol": None}, "newton_tol must be real numbers"),
-    ({"dt": 0.1, "newton_max": 2.5}, "newton_max and store_every must be integers"),
-    ({"dt": 0.1, "store_every": 1.5}, "newton_max and store_every must be integers"),
-    ({"dt": 0.1, "store_every": "2"}, "newton_max and store_every must be integers")])
+    ({"dt": 0.1, "newton_max": 2.5}, "newton_max must be an integer"),
+    ({"dt": 0.1, "newton_max": 3.0}, "newton_max must be an integer"),
+    ({"dt": 0.1, "newton_max": "2"}, "newton_max must be an integer")])
 def test_solver_config_rejects_controls_of_the_wrong_type(controls, match):
     # a string dt used to fail with a raw TypeError; newton_max=2.5 was
-    # accepted and failed in the solve, and store_every=1.5 silently stored
-    # every third level
+    # accepted and failed in the solve, and a whole float is no count either
     with pytest.raises(InvalidParamsError, match=match):
         SolverConfig(**controls)
 
 
 def test_solver_config_keeps_integer_controls_as_ints():
-    cfg = SolverConfig(dt=0.005, newton_max=np.int64(7), store_every=np.int32(2))
-    assert type(cfg.newton_max) is int and type(cfg.store_every) is int
+    cfg = SolverConfig(dt=0.01, newton_max=np.int64(7))
+    assert type(cfg.newton_max) is int
     assert stored_times(0.03, cfg) == [0.0, 0.01, 0.02, 0.03]
 
 
 @pytest.mark.parametrize("field,value", [
-    ("horizon", "1"), ("eps", None), ("kernel_scale", "2"), ("latent_heat", "1")])
+    ("horizon", "1"), ("eps", None), ("kernel_scale", "2"), ("latent_heat", "1"),
+    ("far_value", "1")])
 def test_problem_rejects_parameters_that_are_not_numbers(field, value):
     # these used to fail in a comparison with a raw TypeError
     with pytest.raises(InvalidParamsError, match=f"{field} must be real numbers"):
@@ -234,15 +234,6 @@ def test_trajectory_rejects_states_of_the_wrong_shape(times, states):
     problem = load_preset("const1d", n_nodes=65).problem
     with pytest.raises(InvalidParamsError, match="states must have shape"):
         Trajectory(problem=problem, times=times, states=states, diagnostics=[])
-
-
-def test_store_every_keeps_final_level():
-    pre = load_preset("melt1d", n_nodes=33, horizon=0.07, eps=0.2, n_steps=7)
-    cfg = SolverConfig(dt=0.01, store_every=3)
-    traj = solve(pre.problem, cfg)
-    assert traj.times == [0.0, 0.03, 0.06, 0.07]
-    assert len(traj.states) == 4
-    assert len(traj.diagnostics) == 7
 
 
 def test_pinned_nodes_follow_the_datum():
@@ -677,9 +668,6 @@ def test_caccioppoli_melt_ratio_is_finite(small_melt_traj):
     rep = caccioppoli_audit(traj, -prob.eps, "-", cyl)
     assert np.isfinite(rep.ratio) and rep.ratio > 0.0
     assert rep.lhs > 0.0 and rep.rhs > 0.0
-    assert rep.passed is None
-    capped = caccioppoli_audit(traj, -prob.eps, "-", cyl, c_audit=rep.ratio * 1.1)
-    assert capped.passed is True
 
 
 def dense_tail_term(traj, level, sign, cyl):
@@ -761,9 +749,8 @@ def test_caccioppoli_rejects_bad_sign(small_melt_traj):
         caccioppoli_audit(traj, 0.1, "x", cyl)
 
 
-@pytest.mark.parametrize("horizon, dt, store_every", [
-    (0.05, 0.005, 1), (0.05, 0.005, 3), (0.047, 0.01, 2), (0.01, 0.02, 4)])
-def test_stored_times_are_the_times_a_fixed_step_solve_stores(horizon, dt, store_every):
+@pytest.mark.parametrize("horizon, dt", [(0.05, 0.005), (0.047, 0.01), (0.01, 0.02)])
+def test_stored_times_are_the_times_a_fixed_step_solve_stores(horizon, dt):
     pre = load_preset("melt1d", n_nodes=17, horizon=horizon, eps=0.2)
-    config = SolverConfig(dt=dt, store_every=store_every)
+    config = SolverConfig(dt=dt)
     assert stored_times(horizon, config) == solve(pre.problem, config).times
