@@ -235,8 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--config", type=str, default=None, help="run config JSON")
             sp.add_argument("--preset", type=str, default=None, help="preset name")
         if name == "continuation":
-            sp.add_argument("--threads", type=int, default=1,
-                            help="worker threads for family solves")
+            sp.add_argument("--threads", type=int, default=1, metavar="N",
+                            help="run at most N family members at once; members "
+                                 "whose box has fewer than %d nodes run on one "
+                                 "worker, since below that size a second worker "
+                                 "only waits for the GIL"
+                                 % continuation_mod.MIN_WORKER_NODES)
         sp.set_defaults(handler=fn)
     return parser
 

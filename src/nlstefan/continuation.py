@@ -10,6 +10,7 @@ the mollified value on the unresolved band in between.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
@@ -46,15 +47,33 @@ class FamilyResult:
         return [float(self.distances[i, i + 1]) for i in range(len(self.entries) - 1)]
 
 
+# Members whose box has fewer nodes run on one worker whatever the thread
+# count: their Newton iterations are mostly Python that holds the GIL, and
+# numpy releases it only inside the N_box^2 pair kernels, so below this size
+# a second worker waits for the GIL instead of overlapping (two workers ran
+# a 129-node family about 35% slower than one).  321 is the smallest melt1d
+# family size at which two workers beat one in at least 9 of 10 alternating
+# pairs on 2 cores; README's continuation bullet has the table.
+MIN_WORKER_NODES = 321
+
+
 def run_family(problem: LatticeProblem, eps_values: Sequence[float],
                config: SolverConfig, threads: int = 1) -> FamilyResult:
     """Solve the problem for every eps in a strictly decreasing schedule.
 
     Members share config's time grid, so fields are comparable sample by
-    sample.  A family it would refuse raises InvalidParamsError before any
-    solve.  Solver failures are recorded per entry instead of aborting the
-    family; distances involving a failed entry are NaN.
+    sample.  At most threads members run at once: members whose box has
+    fewer than MIN_WORKER_NODES nodes run in order on one worker, because
+    below that size a second worker only waits for the GIL.  Either way
+    every member is the same solve, bit for bit.  A family it would refuse
+    raises InvalidParamsError before any solve.  Solver failures are
+    recorded per entry instead of aborting the family; distances involving
+    a failed entry are NaN.
     """
+    try:  # a float or a string is no worker count
+        threads = operator.index(threads)
+    except TypeError:
+        raise InvalidParamsError("threads must be an integer") from None
     if threads < 1:
         raise InvalidParamsError(f"threads must be at least 1, got {threads}")
     eps_values = [float(e) for e in eps_values]
@@ -64,6 +83,7 @@ def run_family(problem: LatticeProblem, eps_values: Sequence[float],
         raise InvalidParamsError("eps values must lie in (0, 1)")
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
         raise InvalidParamsError("eps schedule must be strictly decreasing")
+    workers = threads if problem.grid.n_nodes >= MIN_WORKER_NODES else 1
 
     def run_one(eps: float) -> FamilyEntry:
         try:
@@ -71,7 +91,7 @@ def run_family(problem: LatticeProblem, eps_values: Sequence[float],
         except NewtonDivergenceError as exc:
             return FamilyEntry(eps=eps, trajectory=None, error=str(exc))
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         entries = list(pool.map(run_one, eps_values))
 
     k = len(entries)

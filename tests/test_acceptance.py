@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nlstefan import analysis, cli, load_preset
+from nlstefan import analysis, cli, continuation, load_preset
 from nlstefan.config import parse_run_config
 from nlstefan.continuation import limit_pair, run_family
 from nlstefan.enthalpy import RegularizedEnthalpy
@@ -306,7 +306,7 @@ def _tree_bytes(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_10_threaded_rerun_determinism(tmp_path, report):
+def test_10_threaded_rerun_determinism(tmp_path, report, monkeypatch):
     t0 = time.perf_counter()
     # the canonical solve with one and with two BLAS/OpenMP threads, run
     # side by side in fresh interpreters so the variables take effect
@@ -332,7 +332,9 @@ def test_10_threaded_rerun_determinism(tmp_path, report):
                 proc.wait()
     solves = [_tree_bytes(out) for out, _ in procs]
 
-    # the eps family with one and with two worker threads
+    # the eps family with one and with two worker threads; the lowered cut
+    # gives the 65-node members their two workers
+    monkeypatch.setattr(continuation, "MIN_WORKER_NODES", 2)
     cfg = tmp_path / "family.json"
     cfg.write_text(json.dumps({
         "problem": "melt1d",

@@ -1,6 +1,8 @@
 """Vanishing-regularization families, the two-field limit, convergence reports."""
 
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from nlstefan import (
     run_family,
     solve,
 )
-from nlstefan import lattice
+from nlstefan import continuation, lattice
 
 
 @pytest.fixture(scope="module")
@@ -43,16 +45,43 @@ def test_family_schedule_validation():
         run_family(pre.problem, (0.1, 0.2), pre.solver)
 
 
-@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize("threads", [0, -1, 2.5, "2", None])
 def test_family_rejects_fewer_than_one_thread(threads):
     pre = load_preset("const1d")
-    with pytest.raises(InvalidParamsError, match="threads must be at least 1"):
+    match = ("threads must be at least 1" if isinstance(threads, int)
+             else "threads must be an integer")
+    with pytest.raises(InvalidParamsError, match=match):
         run_family(pre.problem, (0.2, 0.1), pre.solver, threads=threads)
 
 
-def test_a_threaded_family_builds_each_lattice_cache_once():
+def _member_threads(monkeypatch, n_nodes, threads):
+    """The threads that run the members of a two-member family."""
+    seen = set()
+
+    def recording_solve(problem, config):
+        seen.add(threading.get_ident())
+        time.sleep(0.05)  # releases the GIL, so an idle second worker takes the next member
+        return solve(problem, config)
+
+    monkeypatch.setattr(continuation, "solve", recording_solve)
+    pre = load_preset("melt1d", n_nodes=n_nodes, horizon=0.0025, n_steps=1)
+    fam = run_family(pre.problem, (0.2, 0.1), pre.solver, threads=threads)
+    assert all(entry.ok for entry in fam.entries)
+    return seen
+
+
+def test_family_workers_start_at_the_node_cut(monkeypatch):
+    cut = continuation.MIN_WORKER_NODES
+    assert len(_member_threads(monkeypatch, cut - 1, threads=2)) == 1
+    assert len(_member_threads(monkeypatch, cut, threads=2)) == 2
+    assert len(_member_threads(monkeypatch, cut, threads=1)) == 1
+
+
+def test_a_threaded_family_builds_each_lattice_cache_once(monkeypatch):
     # the members miss every per-grid cache together on a grid no other test
-    # uses; more threads than cores and a short switch interval widen the race
+    # uses; more threads than cores and a short switch interval widen the race,
+    # and the lowered cut gives this small grid its four workers
+    monkeypatch.setattr(continuation, "MIN_WORKER_NODES", 2)
     caches = (lattice._box_coordinates, lattice._exterior_coordinates,
               lattice._displacement_table, lattice._closure)
     before = [cache.cache_info().misses for cache in caches]
@@ -136,7 +165,9 @@ def test_family_band_fractions_shrink_with_eps(melt_family):
     assert all(b < a for a, b in zip(bands, bands[1:]))
 
 
-def test_family_is_thread_count_invariant(melt_family):
+def test_family_is_thread_count_invariant(melt_family, monkeypatch):
+    # the lowered cut gives the 33-node members their two workers
+    monkeypatch.setattr(continuation, "MIN_WORKER_NODES", 2)
     pre, fam = melt_family
     fam2 = run_family(pre.problem, (0.4, 0.2, 0.1), pre.solver, threads=2)
     assert np.array_equal(fam.distances, fam2.distances)
