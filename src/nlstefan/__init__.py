@@ -28,11 +28,10 @@ from .errors import (DegenerateCutoffError, EmptyCylinderError,
                      NonpositiveExcessError, SchemaViolationError,
                      UnresolvedBandError)
 from .lattice import Grid, OperatorWorkspace, check_exponents, phi_p, tail
-from .solver import (CaccioppoliReport, LatticeProblem, MaxPrincipleReport,
-                     RadialCutoff, SolverConfig, StepDiagnostics, Trajectory,
-                     caccioppoli_audit, energy_history, max_principle_check,
-                     normalize, solve, space_time_bump, structural_audit,
-                     weak_residual)
+from .solver import (CaccioppoliReport, LatticeProblem, MaxPrincipleReport, SolverConfig,
+                     StepDiagnostics, Trajectory, caccioppoli_audit, energy_history,
+                     max_principle_check, normalize, solve, space_time_bump,
+                     structural_audit, weak_residual)
 
 __version__ = "0.1.0"
 
@@ -46,7 +45,7 @@ __all__ = [
     "LatticeProblem", "LevelTailRecord", "LimitPair", "MaxPrincipleReport",
     "MeasureDensityReport", "ModulusReport",
     "NewtonDivergenceError", "NlstefanError", "NonpositiveExcessError",
-    "OperatorWorkspace", "Preset", "RadialCutoff", "RegularizedEnthalpy",
+    "OperatorWorkspace", "Preset", "RegularizedEnthalpy",
     "RunConfig", "SchemaViolationError", "SequenceLevel", "SolverConfig",
     "StepDiagnostics", "Trajectory", "UnresolvedBandError",
     "beta_graph", "boundary_sequences", "caccioppoli_audit",

@@ -320,8 +320,8 @@ class GeometricDecayReport:
 
 def geometric_convergence(c: float, b: float, alpha: float, a0: float,
                           n_max: int = 1000) -> GeometricDecayReport:
-    """Iterate A_{i+1} = c b^i A_i^{1+alpha} in log space and compare with
-    the decay certificate A_0 b^{-i/alpha}.
+    """Solve A_{i+1} = c b^i A_i^{1+alpha} in closed form in log space and
+    compare with the decay certificate A_0 b^{-i/alpha}.
 
     For b > 1 and A_0 at or below the threshold c^{-1/alpha} b^{-1/alpha^2}
     the certificate holds; for b == 1 the threshold only guarantees
@@ -334,34 +334,20 @@ def geometric_convergence(c: float, b: float, alpha: float, a0: float,
     threshold = c ** (-1.0 / alpha) * b ** (-1.0 / alpha ** 2)
     slack = 1e-9
     boundedness_only = (b == 1.0)
-    if a0 == 0.0:
-        values = np.zeros(n_max + 1)
-        return GeometricDecayReport(threshold=threshold, at_threshold=True,
-                                    values=values,
-                                    within_certificate=None if boundedness_only else True,
-                                    bounded=True, diverged=False,
-                                    boundedness_only=boundedness_only)
-    lb = math.log(b)
     # the threshold start A_i = T b^{-i/alpha} solves the recursion exactly;
-    # splitting log A_i = (log T - i lb/alpha) + e_i reduces the update to
-    # e_{i+1} = (1+alpha) e_i, so the repulsive fixed point does not amplify
-    # rounding: a0 == threshold gives e identically zero
-    e0 = math.log(a0 / threshold)
-    log_t = math.log(threshold)
-    dev = np.empty(n_max + 1)
-    dev[0] = e0
-    n_kept = n_max + 1
-    for i in range(n_max):
-        e_next = (1.0 + alpha) * dev[i]
-        if e_next < -1e12:
-            e_next = -1e12
-        dev[i + 1] = e_next
-        if log_t - (i + 1) * lb / alpha + e_next > 300.0:
-            n_kept = i + 2
-            break
-    dev = dev[:n_kept]
-    idx = np.arange(dev.size)
-    log_a = log_t - idx * (lb / alpha) + dev
+    # splitting log A_i = (log T - i log(b)/alpha) + e_i reduces it to
+    # e_i = (1+alpha)^i e_0, so the repulsive fixed point does not amplify
+    # rounding: a0 == threshold gives e identically zero.  a0 == 0 is e_0 =
+    # -inf, floored at -1e12; the capped growth keeps e_0 = 0 at 0 past overflow
+    with np.errstate(divide="ignore", over="ignore"):
+        e0 = max(float(np.log(a0 / threshold)), -1e12)
+        growth = np.minimum((1.0 + alpha) ** np.arange(n_max + 1), 1e300)
+        dev = np.maximum(growth * e0, -1e12)
+        log_a = math.log(threshold) - np.arange(n_max + 1) * (math.log(b) / alpha) + dev
+        values = np.exp(log_a)
+    # kept up to the first A_i, i >= 1, past e^300 (all of them if none is)
+    kept = 2 + int(np.argmax(np.append(log_a[1:], np.inf) > 300.0))
+    dev, log_a, values = dev[:kept], log_a[:kept], values[:kept]
     at_threshold = a0 <= threshold * (1.0 + 1e-12)
     diverged = bool(log_a[-1] > 230.0)
     bounded = bool(np.all(log_a <= log_a[0] + slack)) and not diverged
@@ -369,8 +355,6 @@ def geometric_convergence(c: float, b: float, alpha: float, a0: float,
         within = bool(np.all(dev <= e0 + slack)) and dev.size == n_max + 1
     else:
         within = None
-    with np.errstate(over="ignore"):
-        values = np.exp(log_a)
     return GeometricDecayReport(threshold=threshold, at_threshold=at_threshold,
                                 values=values, within_certificate=within,
                                 bounded=bounded, diverged=diverged,

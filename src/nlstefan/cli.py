@@ -214,6 +214,13 @@ def cmd_verify(args, cfg, preset, problem, solver_cfg):
                       for name, c in checks.items()), 0 if passed else 1)
 
 
+def _seed(text: str) -> int:
+    """A --seed value; numpy seeds are non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}: not a non-negative integer")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error is a schema violation, reported like every other failure."""
 
@@ -230,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--out", type=str, default=None, help="output directory")
         if name == "lemma-check":
-            sp.add_argument("--seed", type=int, default=0, help="sampling seed")
+            sp.add_argument("--seed", type=_seed, default=0, help="sampling seed")
         else:
             sp.add_argument("--config", type=str, default=None, help="run config JSON")
             sp.add_argument("--preset", type=str, default=None, help="preset name")

@@ -181,10 +181,10 @@ class RegularizedEnthalpy:
     """
 
     def __init__(self, eps: float, latent_heat: float = 1.0):
-        if not eps > 0.0:
-            raise InvalidParamsError("eps must be positive")
-        if not latent_heat > 0.0:
-            raise InvalidParamsError("latent_heat must be positive")
+        if not 0.0 < eps < np.inf:
+            raise InvalidParamsError("eps must be positive and finite")
+        if not 0.0 < latent_heat < np.inf:
+            raise InvalidParamsError("latent heat must be positive and finite")
         self.eps = float(eps)
         self.latent_heat = float(latent_heat)
 

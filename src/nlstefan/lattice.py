@@ -42,7 +42,7 @@ import math
 import numbers
 import operator
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import NamedTuple, Optional
 
@@ -140,9 +140,6 @@ class Grid:
             raise InvalidParamsError(f"a point of a {self.dimension}D grid needs "
                                      f"{self.dimension} coordinates, got shape {x.shape}")
         return x
-
-    def translate(self, shift) -> "Grid":
-        return replace(self, origin=tuple(o - sh for o, sh in zip(self.origin, shift)))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -114,12 +114,8 @@ class LatticeProblem:
             raise InvalidParamsError("pinned complement inside the box is empty")
         if not 0.0 < self.horizon < math.inf:
             raise InvalidParamsError("horizon must be positive and finite")
-        if not 0.0 < self.eps < math.inf:
-            raise InvalidParamsError("eps must be positive and finite")
-        if not self.kernel_scale > 0.0:
-            raise InvalidParamsError("kernel scale must be positive")
-        if not 0.0 < self.latent_heat < math.inf:
-            raise InvalidParamsError("latent heat must be positive and finite")
+        if not 0.0 < self.kernel_scale < math.inf:
+            raise InvalidParamsError("kernel scale must be positive and finite")
         self.enthalpy = RegularizedEnthalpy(self.eps, self.latent_heat)
         datum0, ext0 = self.datum(0.0)
         if not all(np.all(np.isfinite(a)) for a in (datum0, ext0, self.far_value)):
@@ -375,32 +371,22 @@ def solve(problem: LatticeProblem, config: SolverConfig) -> Trajectory:
     return Trajectory(problem=problem, times=times, states=states, diagnostics=diags)
 
 
-def normalize(problem: LatticeProblem, m: float, z0=None) -> LatticeProblem:
-    """Rescale by 1/m and recenter at z0 = (x0, 0).
+def normalize(problem: LatticeProblem, m: float) -> LatticeProblem:
+    """Rescale by 1/m.
 
     The transformed problem has data and initial values divided by m, the
     kernel multiplied by m^{p-2} and the enthalpy replaced by
     beta_eps(m xi)/m, the layer of width eps/m and latent heat L/m, so m
-    times its solution reproduces the original one.  Only t0 = 0 is
-    meaningful for an initial value problem.
+    times its solution reproduces the original one.  Grid, unknown set
+    and horizon are unchanged.
     """
     if not m > 0.0:
         raise InvalidParamsError("normalization scale must be positive")
-    x0 = problem.grid.point(None if z0 is None else z0[0])
-    t0 = 0.0 if z0 is None else float(z0[1])
-    if t0 != 0.0:
-        raise InvalidParamsError("time recentering of an initial value problem "
-                                 "requires t0 = 0")
-    g_old = problem.dirichlet
-    new_dirichlet = lambda x, t, _g=g_old, _x0=x0, _m=m: np.asarray(_g(x + _x0, t), dtype=float) / _m
-    return LatticeProblem(
-        s=problem.s, p=problem.p,
-        grid=problem.grid.translate(x0),
-        unknown_mask=problem.unknown_mask.copy(),
-        dirichlet=new_dirichlet,
+    return replace(
+        problem,
+        dirichlet=lambda x, t, g=problem.dirichlet: np.asarray(g(x, t), dtype=float) / m,
         far_value=problem.far_value / m,
         initial=problem.initial / m,
-        horizon=problem.horizon,
         eps=problem.eps / m,
         kernel_scale=problem.kernel_scale * m ** (problem.p - 2.0),
         latent_heat=problem.latent_heat / m)
@@ -530,21 +516,6 @@ def energy_history(traj: Trajectory) -> np.ndarray:
                        for t, state in zip(traj.times, traj.states)])
 
 
-@dataclass(frozen=True)
-class RadialCutoff:
-    """Radial cutoff (1 - (dist/radius)^2)_+^2 for localization."""
-
-    radius: float
-
-    def values(self, dist: np.ndarray):
-        r = dist / self.radius
-        return np.clip(1.0 - r * r, 0.0, None) ** 2
-
-    def gradient_magnitude(self, dist: np.ndarray):
-        r = dist / self.radius
-        return 4.0 * r * np.clip(1.0 - r * r, 0.0, None) / self.radius
-
-
 @dataclass
 class CaccioppoliReport:
     level: float
@@ -560,14 +531,14 @@ class CaccioppoliReport:
     ratio: float
 
 
-def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
-                      cutoff: RadialCutoff = None) -> CaccioppoliReport:
+def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder) -> CaccioppoliReport:
     """Evaluate both sides of the truncated energy estimate on stored data.
 
     The left side collects the sup-in-time truncated energy (including
     the latent part), the p-seminorm of the cut truncation and the mixed
     positive term; the right side the gradient-of-cutoff bulk term, the
-    exterior tail term and the initial slice.  The reported ratio
+    exterior tail term and the initial slice, all under the cutoff
+    (1 - (d/0.8 rho)^2)_+^2, d the distance to x0.  The reported ratio
     lhs/rhs is the empirical constant of the estimate; with |level| >=
     eps the latent contributions vanish identically.
     """
@@ -575,9 +546,9 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
         raise InvalidParamsError("sign must be '+' or '-'")
     problem = traj.problem
     dist, in_ball, times, states = cylinder_samples(traj, cylinder)
-    if cutoff is None:
-        cutoff = RadialCutoff(radius=0.8 * cylinder.rho)
-    phi_b = cutoff.values(dist[in_ball])
+    q = dist[in_ball] / (0.8 * cylinder.rho)
+    phi_b = np.clip(1.0 - q * q, 0.0, None) ** 2
+    grad_phi = 4.0 * q * np.clip(1.0 - q * q, 0.0, None) / (0.8 * cylinder.rho)
     if float(np.max(phi_b)) <= 0.0:
         raise DegenerateCutoffError("cutoff vanishes at every node of the ball")
 
@@ -599,7 +570,6 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder,
         return np.clip(side * (vals - level), 0.0, None)
 
     sup_term = seminorm = mixed = grad_term = tail_term = 0.0
-    grad_phi = cutoff.gradient_magnitude(dist[in_ball])
     support = phi_b > 0.0
     far_w = truncate(np.asarray([problem.far_value]))[0]
 

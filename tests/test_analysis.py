@@ -412,6 +412,24 @@ def test_geometric_decay_above_threshold_diverges():
     assert rep.diverged
 
 
+@pytest.mark.parametrize("c, b, alpha, a0", [
+    # the threshold is 2^-2 2^-4 = 1/64 for the first four, 3^-2 for b = 1
+    (2.0, 2.0, 0.5, 0.005), (2.0, 2.0, 0.5, 1.0 / 64.0), (2.0, 2.0, 0.5, 0.03),
+    (2.0, 2.0, 0.5, 0.0), (3.0, 1.0, 0.5, 0.1)],
+    ids=["below", "at", "above", "zero", "b-one"])
+def test_geometric_decay_values_follow_the_recursion(c, b, alpha, a0):
+    # log A_{i+1} = log c + i log b + (1 + alpha) log A_i, iterated directly;
+    # 20 steps amplify its rounding by at most 1.5^20
+    n_max = 20
+    rep = geometric_convergence(c, b, alpha, a0, n_max=n_max)
+    log_a = [math.log(a0) if a0 > 0.0 else -math.inf]
+    for i in range(n_max):
+        log_a.append(math.log(c) + i * math.log(b) + (1.0 + alpha) * log_a[-1])
+    kept = rep.values.size
+    assert kept == n_max + 1 or (log_a[kept - 1] > 300.0 and max(log_a[1:kept - 1]) <= 300.0)
+    np.testing.assert_allclose(rep.values, np.exp(log_a[:kept]), rtol=1e-10, atol=0.0)
+
+
 def _params(**changes):
     return IterationParams(**{"s": 0.5, "p": 3.0, "eps": 0.01, "omega0": 1.0, "rho0": 1.0,
                               **changes})

@@ -778,7 +778,9 @@ def test_out_that_cannot_be_a_directory_exits_2_without_a_traceback(tmp_path, be
     (["continuation", "--threads", "two", "--out", "o"],
      "argument --threads: invalid int value: 'two'"),
     ([], "the following arguments are required: command"),
-], ids=["non-integer-threads", "no-subcommand"])
+    (["lemma-check", "--seed", "-1", "--out", "o"],
+     "argument --seed: invalid seed '-1': not a non-negative integer"),
+], ids=["non-integer-threads", "no-subcommand", "negative-seed"])
 def test_usage_errors_exit_2_with_a_json_error(tmp_path, monkeypatch, capsys, argv, text):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2

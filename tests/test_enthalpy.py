@@ -214,9 +214,10 @@ def test_tables_match_scipy_hermite_spline_bit_for_bit(n_panels):
 
 
 @pytest.mark.parametrize("kwargs", [{"eps": 0.0}, {"eps": float("nan")},
-                                    {"eps": 0.1, "latent_heat": -1.0}])
+                                    {"eps": 0.1, "latent_heat": -1.0}, {"eps": float("inf")},
+                                    {"eps": 0.1, "latent_heat": float("inf")}])
 def test_enthalpy_rejects_nonpositive_parameters(kwargs):
-    with pytest.raises(InvalidParamsError, match="must be positive"):
+    with pytest.raises(InvalidParamsError, match="must be positive and finite"):
         RegularizedEnthalpy(**kwargs)
 
 

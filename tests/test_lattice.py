@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,8 +211,7 @@ def test_operator_is_odd(vals):
 
 def test_translation_equivariance():
     g = line_grid(n=9, h=0.25, origin=0.0, r_inf=10.0)
-    shift = (0.5,)
-    g2 = g.translate(shift)
+    g2 = replace(g, origin=(-0.5,))
     rng = np.random.default_rng(7)
     v = rng.uniform(-1.0, 1.0, g.n_nodes)
     out1 = OperatorWorkspace(g, 0.5, 3.0).apply(
@@ -460,7 +460,7 @@ CLOSURE_GRIDS = {
     # |k| = 30 holds 12 displacements on the sphere; each row keeps 2 to 10
     "21x21-ties": SQUARE_21,
     # the float cut keeps other tie nodes once the box leaves the lattice
-    "21x21-shifted": SQUARE_21.translate((0.0123, -0.0371)),
+    "21x21-shifted": replace(SQUARE_21, origin=(-1.0 - 0.0123, -1.0 + 0.0371)),
     "1d-off-lattice": line_grid(n=10, h=0.25, origin=0.3, r_inf=7.3),
     # the corner pairs (3, 4) lie on the sphere and inside the box, and two
     # of them lie past r_infinity in floating point
