@@ -32,9 +32,8 @@ from .lattice import Grid, tail
 
 @dataclass(frozen=True)
 class Cylinder:
-    """Backward space-time cylinder; the ball and the window
-    [t0 - theta rho^{sp}, t0] are closed.  x0 None is the origin of the
-    grid the cylinder is read on."""
+    """Backward space-time cylinder about z0 = (x0, t0); the ball and the
+    window [t0 - theta rho^{sp}, t0] are closed."""
 
     x0: tuple
     t0: float
@@ -50,9 +49,6 @@ class Cylinder:
 
     def window(self, sp: float):
         return (self.t0 - self.depth(sp), self.t0)
-
-    def shrink(self, factor: float) -> "Cylinder":
-        return Cylinder(self.x0, self.t0, self.rho * factor, self.theta)
 
 
 def intrinsic_theta(omega: float, p: float, boundary: bool = False) -> float:
@@ -189,21 +185,20 @@ def _check_nesting(levels: List[SequenceLevel], sp: float) -> None:
             raise InvalidParamsError("cylinder nesting failed; constants too small")
 
 
-def _reduction_ladder(params: IterationParams, n_levels: int, osc_g=None,
-                      z0=None) -> List[SequenceLevel]:
+def _reduction_ladder(params: IterationParams, n_levels: int,
+                      datum_osc=None) -> List[SequenceLevel]:
     """rho_{i+1} = f1(omega_i) rho_i,
     omega_{i+1} = max(omega_i f2(omega_i), omega_i 2^{-s}, 2 osc_g(Q_i), 4 eps),
-    truncated once the oscillation bound stabilizes at 4 eps.  With a
-    datum oscillation osc_g it is the lateral ladder; without one it is
-    the interior ladder, a flat datum with n0 = 1, (l1, l2) = (m1, m2) and
-    theta one power more of the oscillation."""
-    boundary = osc_g is not None
+    truncated once the oscillation bound stabilizes at 4 eps.  With
+    datum_osc(rho_i, theta_i) = osc_g(Q_i) it is the lateral ladder;
+    without it the interior ladder, a flat datum with n0 = 1,
+    (l1, l2) = (m1, m2) and theta one power more of the oscillation."""
+    boundary = datum_osc is not None
     n0, l1, l2 = (params.n0, params.l1, params.l2) if boundary else (1.0, params.m1, params.m2)
-    x0, t0 = _normalize_anchor(z0)
     rho, omega = params.rho0, params.omega0
     out = [SequenceLevel(0, rho, omega, intrinsic_theta(omega, params.p, boundary))]
     for i in range(1, n_levels):
-        datum = 2.0 * float(osc_g(Cylinder(x0, t0, rho, out[-1].theta))) if boundary else 0.0
+        datum = 2.0 * float(datum_osc(rho, out[-1].theta)) if boundary else 0.0
         f1 = omega ** params.m1 / (n0 * params.n1 * params.omega0 ** l1)
         f2 = 1.0 - omega ** params.m2 / (params.n2 * params.omega0 ** l2)
         rho = rho * f1
@@ -223,19 +218,21 @@ def interior_sequences(params: IterationParams, n_levels: int = 40) -> List[Sequ
 
 
 def boundary_sequences(params: IterationParams, osc_g: Callable[[Cylinder], float],
-                       z0=None, n_levels: int = 40) -> List[SequenceLevel]:
-    """Lateral ladder; the datum oscillation on each cylinder enters the
-    maximum and theta carries one power less of the oscillation."""
-    return _reduction_ladder(params, n_levels, osc_g, z0)
+                       z0, n_levels: int = 40) -> List[SequenceLevel]:
+    """Lateral ladder on cylinders about z0 = ((x...), t); the datum
+    oscillation on each cylinder enters the maximum and theta carries one
+    power less of the oscillation."""
+    return _reduction_ladder(params, n_levels, lambda r, th: osc_g(Cylinder(*z0, r, th)))
 
 
 def initial_sequences(params: IterationParams, osc_g: Callable[[Cylinder], float],
-                      z0=None, n_levels: int = 40) -> List[SequenceLevel]:
+                      z0, n_levels: int = 40) -> List[SequenceLevel]:
     """Initial-layer ladder rho_{i+1} = rho_i / n_init,
     omega_{i+1} = max(m omega_i, 2 osc_g(Q_i)) over forward windows
-    [0, theta_i rho_i^{sp}], closed as every cylinder window is."""
+    [0, theta_i rho_i^{sp}] about the x of z0 = ((x...), t), closed as
+    every cylinder window is; the windows start at t = 0, whatever t is."""
     sp = params.s * params.p
-    x0, _ = _normalize_anchor(z0)
+    x0 = z0[0]
     rho, omega = params.rho0, params.omega0
     theta = intrinsic_theta(omega, params.p)
     out = [SequenceLevel(0, rho, omega, theta)]
@@ -247,15 +244,6 @@ def initial_sequences(params: IterationParams, osc_g: Callable[[Cylinder], float
         theta = intrinsic_theta(omega, params.p)
         out.append(SequenceLevel(i, rho, omega, theta))
     return out
-
-
-def _normalize_anchor(z0):
-    if z0 is None:  # the origin, in the dimension of whatever grid reads it
-        return None, 0.0
-    x0, t0 = z0
-    if np.isscalar(x0):
-        x0 = (float(x0),)
-    return tuple(float(v) for v in x0), float(t0)
 
 
 # -- algebraic lemmas ----------------------------------------------------------
@@ -332,6 +320,8 @@ def geometric_convergence(c: float, b: float, alpha: float, a0: float,
     if not (0.0 < alpha < math.inf and 0.0 <= a0 < math.inf):
         raise InvalidParamsError("alpha must be positive and a0 nonnegative, both finite")
     threshold = c ** (-1.0 / alpha) * b ** (-1.0 / alpha ** 2)
+    if threshold == 0.0:
+        raise InvalidParamsError("the threshold c^{-1/alpha} b^{-1/alpha^2} underflows to 0")
     slack = 1e-9
     boundedness_only = (b == 1.0)
     # the threshold start A_i = T b^{-i/alpha} solves the recursion exactly;
@@ -460,11 +450,11 @@ def modulus_ladder(traj, z0, rho0: float, n_levels: int = 8,
 
     theta is frozen at (omega0/4)^{2-p} with omega0 estimated from the
     trajectory (2 sup |u| + tail over the base cylinder) unless given.
-    Without z0 the ladder is anchored at the origin at t = 0.
+    The cylinders are anchored at z0 = ((x...), t).
     Returns (levels, omega0) with levels a list of (radius, oscillation).
     """
     problem = traj.problem
-    x0, t0 = _normalize_anchor(z0)
+    x0, t0 = z0
     if omega0 is None:
         base = Cylinder(x0, t0, rho0, 1.0)
         omega0 = oscillation_scale(traj, base)
@@ -503,19 +493,22 @@ def sequence_tail_report(traj, levels: Sequence[SequenceLevel], z0) -> List[Leve
     a cylinder ladder; mu_i^+ is the running sup and mu_i^- = mu_i^+ - omega_i.
 
     The ratios estimate the constant c0 in the inductive tail bound
-    Tail((u - mu_i^±)_±; Q_i) <= c0 omega_i.  Without z0 the ladder is
-    anchored at the origin at t = 0.
+    Tail((u - mu_i^±)_±; Q_i) <= c0 omega_i.  The cylinders are anchored
+    at z0 = ((x...), t); the exterior datum is read once per stored time
+    that any of their windows holds.
     """
     problem = traj.problem
-    x0, t0 = _normalize_anchor(z0)
+    x0, t0 = z0
+    reads = [cylinder_samples(traj, Cylinder(x0, t0, lev.rho, lev.theta)) for lev in levels]
+    times = list(dict.fromkeys(t for read in reads for t in read.times))
+    ext_at = dict(zip(times, traj.exterior_states(times)))
     out = []
-    for lev in levels:
-        read = cylinder_samples(traj, Cylinder(x0, t0, lev.rho, lev.theta))
+    for lev, read in zip(levels, reads):
         block = read.block()
         mu_plus = float(np.max(block))
         mu_minus = mu_plus - lev.omega
         osc = mu_plus - float(np.min(block))
-        ext = traj.exterior_states(read.times)
+        ext = np.asarray([ext_at[t] for t in read.times])
         t_plus, t_minus = (
             tail(problem.grid, cut(read.states), cut(ext), float(cut(problem.far_value)),
                  x0, lev.rho, problem.s, problem.p)

@@ -125,14 +125,13 @@ def _rule(test, message, check=_Validator.number):
 
 _FRACTION = _rule(lambda x: x < 1.0, "must lie in (0, 1)", _POSITIVE)
 
-def _walk(v: _Validator, path: str, raw, table: dict, allowed=None) -> Optional[dict]:
+def _walk(v: _Validator, path: str, raw, table: dict) -> Optional[dict]:
     """The values of the object `raw` that `table` accepts, in table order
-    with defaults filled in.  Keys outside `allowed` (by default the
-    table's own) are unknown."""
+    with defaults filled in.  Keys outside the table are unknown."""
     if not isinstance(raw, dict):
         v.fail(path, "expected an object")
         return None
-    v.check_keys(path, raw, allowed or table)
+    v.check_keys(path, raw, table)
     values = {}
     for key, (check, default) in table.items():
         at = f"{path}.{key}" if path else key
@@ -166,11 +165,9 @@ def _overrides(v: _Validator, path: str, value):
 
 
 def _initial(v: _Validator, path: str, value):
-    # inside and radius are read only for a core: a constant initial value
-    # accepts them and leaves them out
+    # inside and radius belong to a core, as each datum type takes its own keys
     core = isinstance(value, dict) and value.get("type") == "core"
-    return _walk(v, path, value, _CORE_INITIAL if core else _CONSTANT_INITIAL,
-                 allowed=_CORE_INITIAL)
+    return _walk(v, path, value, _CORE_INITIAL if core else _CONSTANT_INITIAL)
 
 
 def _datum(v: _Validator, path: str, value):
@@ -222,7 +219,8 @@ _ANALYSIS = {
     "shrink": (_FRACTION, None),
 }
 _CONTINUATION = {
-    "eps_values": (_Validator.number_list, [0.2, 0.1, 0.05, 0.025]),
+    "eps_values": (_rule(lambda e: len(e) >= 2, "expected at least two values",
+                         _Validator.number_list), [0.2, 0.1, 0.05, 0.025]),
     "delta_resolve": (_POSITIVE, Preset.delta_resolve),
 }
 _TAIL = {

@@ -134,11 +134,11 @@ class Grid:
         return _exterior_coordinates(self)
 
     def point(self, x) -> np.ndarray:
-        """x as a float vector with one coordinate per axis; None is the origin."""
-        x = np.zeros(self.dimension) if x is None else np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dimension,):
+        """x as a float vector with one finite coordinate per axis."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))  # None reads as nan
+        if x.shape != (self.dimension,) or not np.all(np.isfinite(x)):
             raise InvalidParamsError(f"a point of a {self.dimension}D grid needs "
-                                     f"{self.dimension} coordinates, got shape {x.shape}")
+                                     f"{self.dimension} coordinates, each finite, got {x}")
         return x
 
 
@@ -183,22 +183,17 @@ def _exterior_coordinates(grid: Grid) -> np.ndarray:
     return _read_only(np.asarray(grid.origin) + grid.spacing * index)
 
 
-def pair_geometry(grid: Grid, s: float, p: float, points: np.ndarray,
-                  nodes: np.ndarray, exterior: bool = False):
+def pair_geometry(grid: Grid, s: float, p: float, points: np.ndarray, nodes: np.ndarray):
     """Distances and collocation weights from points to lattice nodes.
 
-    Returns (dist, weights, far): dist[i, j] = |points_i - nodes_j|, the
-    weights h^n / dist^{n+sp} with coincident pairs set to zero (the
-    principal-value rule), and far = None.  With exterior=True the nodes
-    are virtual exterior nodes: weights beyond r_infinity are cut, and far
-    is the constant sigma_n R_inf^{-sp} / (sp) that closes the medium past
-    r_infinity.
+    Returns (dist, weights): dist[i, j] = |points_i - nodes_j| and the
+    weights h^n / dist^{n+sp}, zero for coincident pairs (the
+    principal-value rule) and beyond r_infinity, where the far closure
+    sigma_n R_inf^{-sp} / (sp) stands for the medium.
     """
     dist, weights = _broadcast_geometry(grid, s, p, points[:, None, :], nodes[None, :, :])
-    if not exterior:
-        return dist, weights, None
     weights[dist > grid.r_infinity] = 0.0
-    return dist, weights, _far_weight(grid, s, p)
+    return dist, weights
 
 
 def _far_weight(grid: Grid, s: float, p: float) -> float:
@@ -329,7 +324,7 @@ class OperatorWorkspace:
             self._band = None  # free the old band before building the new one
             grid = self.grid
             w_band = pair_geometry(grid, self.s, self.p, grid.coordinates(),
-                                   grid.exterior_coordinates()[band], exterior=True)[1]
+                                   grid.exterior_coordinates()[band])[1]
             fold = self.closure - np.sum(w_band, axis=1)
             self._band = (key, _read_only(np.column_stack((w_band, fold))))
         return self._band[1], np.append(ext_values[band], far_value)
@@ -388,13 +383,12 @@ class OperatorWorkspace:
 
 
 def _ball_weights(grid: Grid, s: float, p: float, x0: np.ndarray, rho: float,
-                  nodes: np.ndarray, exterior: bool = False):
+                  nodes: np.ndarray) -> np.ndarray:
     """Tail weights from x0 to the nodes outside B_rho(x0), each scaled by
-    the fraction of its cell that lies outside the ball, plus the
-    far-field constant when the nodes are exterior ones."""
-    dist, weights, far = pair_geometry(grid, s, p, x0[None, :], nodes, exterior)
+    the fraction of its cell that lies outside the ball."""
+    dist, weights = pair_geometry(grid, s, p, x0[None, :], nodes)
     frac = np.clip(0.5 + (dist[0] - rho) / grid.spacing, 0.0, 1.0)
-    return frac * weights[0], far
+    return frac * weights[0]
 
 
 def tail(grid: Grid, values, ext_values, far_value: float, x0, rho: float,
@@ -420,9 +414,9 @@ def tail(grid: Grid, values, ext_values, far_value: float, x0, rho: float,
     if rho >= grid.r_infinity:
         raise InvalidParamsError("tail radius must stay below r_infinity")
     x0 = grid.point(x0)
-    w_box, _ = _ball_weights(grid, s, p, x0, rho, grid.coordinates())
-    w_ext, far_geom = _ball_weights(grid, s, p, x0, rho, ext_coords, exterior=True)
+    w_box = _ball_weights(grid, s, p, x0, rho, grid.coordinates())
+    w_ext = _ball_weights(grid, s, p, x0, rho, ext_coords)
     total = np.sum(w_box * np.abs(values) ** (p - 1.0), axis=1)
     total += np.sum(w_ext * np.abs(ext_values) ** (p - 1.0), axis=1)
-    total += abs(far_value) ** (p - 1.0) * far_geom
+    total += abs(far_value) ** (p - 1.0) * _far_weight(grid, s, p)
     return (rho ** (s * p) * float(np.max(total))) ** (1.0 / (p - 1.0))

@@ -84,8 +84,6 @@ def test_cylinder_geometry():
     assert cyl.depth(sp) == 4.0 * 0.5 ** 1.5
     lo, hi = cyl.window(sp)
     assert hi == 2.0 and lo == 2.0 - cyl.depth(sp)
-    half = cyl.shrink(0.5)
-    assert half.rho == 0.25 and half.theta == 4.0
     with pytest.raises(InvalidParamsError):
         Cylinder(x0=(0.0,), t0=0.0, rho=0.0, theta=1.0)
     with pytest.raises(InvalidParamsError):
@@ -170,7 +168,7 @@ def test_cylinder_readers_evaluate_the_datum_only_in_the_window():
     levels = [SequenceLevel(0, 0.5, 1.0, theta), SequenceLevel(1, 0.25, 1.0, theta)]
     calls.clear()
     records = sequence_tail_report(traj, levels, ((0.0,), 0.4))
-    assert calls == [0.2, 0.3, 0.4, 0.4]
+    assert calls == [0.2, 0.3, 0.4]  # once per stored time, not once per level
     assert [r.osc for r in records] == [0.4 - 0.2, 0.0]
 
 
@@ -221,28 +219,41 @@ def test_anchor_of_the_wrong_dimension_is_rejected(x0):
         oscillation(flat, Cylinder((0.0, 0.0), 0.0, 0.5, 1.0))
 
 
+def test_a_missing_anchor_is_rejected():
+    # None used to mean the origin of the grid; as a float it is nan
+    traj = static_traj(np.zeros(9), lambda x, t: np.zeros(np.atleast_2d(x).shape[0]))
+    problem = traj.problem
+    with pytest.raises(InvalidParamsError, match="each finite"):
+        oscillation(traj, Cylinder(None, 0.0, 0.5, 1.0))
+    with pytest.raises(InvalidParamsError, match="each finite"):
+        tail(problem.grid, traj.states, traj.exterior_states(traj.times), problem.far_value,
+             None, 0.5, problem.s, problem.p)
+
+
 def test_ladders_default_to_the_origin_of_the_grid_dimension():
-    # the default anchor used to be (0.0,) on every grid, an error in 2D
+    # the default anchor used to be (0.0,) on every grid, an error in 2D;
+    # every ladder now takes its anchor explicitly
     traj = plane_traj()
     origin = ((0.0, 0.0), 0.0)
-    levels, omega0 = modulus_ladder(traj, None, 0.5, n_levels=3, shrink=0.5)
-    assert (levels, omega0) == modulus_ladder(traj, origin, 0.5, n_levels=3, shrink=0.5)
+    levels, omega0 = modulus_ladder(traj, origin, 0.5, n_levels=3, shrink=0.5)
     # u = x + y on the ball of radius 0.5 about the origin: the nodes
     # (0.25, 0.25) and (-0.25, -0.25) give sup - inf = 1
     assert levels[0] == (0.5, 1.0)
     params = IterationParams(s=0.5, p=3.0, eps=0.05, omega0=omega0, rho0=0.5)
     seq = interior_sequences(params, n_levels=3)
-    assert sequence_tail_report(traj, seq, None) == sequence_tail_report(traj, seq, origin)
+    assert len(sequence_tail_report(traj, seq, origin)) == len(seq)
     # the lateral and initial ladders read the datum on cylinders about the
-    # same origin; their default anchor raised "needs 2 coordinates" in 2D
+    # same origin
     osc_g = lambda cyl: oscillation(traj, cyl)
     for ladder in (boundary_sequences, initial_sequences):
-        default = ladder(params, osc_g, n_levels=3)
-        assert default == ladder(params, osc_g, z0=origin, n_levels=3)
-        assert len(default) > 1
+        assert len(ladder(params, osc_g, z0=origin, n_levels=3)) > 1
 
 
 # ---------------------------------------------------------------- ladders
+
+
+# the datum oscillations of these ladders are constants, which read no anchor
+ANCHOR = ((0.0,), 0.0)
 
 
 def test_iteration_params_validation():
@@ -293,7 +304,7 @@ def test_interior_ladder_stabilizes_at_the_floor():
 def test_boundary_ladder_matches_interior_for_flat_datum():
     params = IterationParams(s=0.5, p=3.0, eps=0.01, omega0=1.0, rho0=1.0)
     inner = interior_sequences(params, n_levels=10)
-    outer = boundary_sequences(params, lambda cyl: 0.0, n_levels=10)
+    outer = boundary_sequences(params, lambda cyl: 0.0, ANCHOR, n_levels=10)
     assert outer[0].theta == 16.0
     # with omega0 = 1 and flat datum the oscillation recursions coincide
     for a, b in zip(inner, outer):
@@ -304,7 +315,7 @@ def test_boundary_ladder_matches_interior_for_flat_datum():
 
 def test_boundary_ladder_datum_dominant_branch():
     params = IterationParams(s=0.5, p=3.0, eps=0.01, omega0=1.0, rho0=1.0)
-    levels = boundary_sequences(params, lambda cyl: 0.45, n_levels=5)
+    levels = boundary_sequences(params, lambda cyl: 0.45, ANCHOR, n_levels=5)
     assert [l.omega for l in levels] == [1.0, 0.9, 0.9, 0.9, 0.9]
 
 
@@ -312,12 +323,12 @@ def test_boundary_ladder_rejects_expanding_radii():
     # datum oscillation above the initial bound would grow the cylinders
     params = IterationParams(s=0.5, p=3.0, eps=0.01, omega0=1.0, rho0=1.0)
     with pytest.raises(InvalidParamsError, match="nesting"):
-        boundary_sequences(params, lambda cyl: 10.0, n_levels=5)
+        boundary_sequences(params, lambda cyl: 10.0, ANCHOR, n_levels=5)
 
 
 def test_initial_ladder_attrition():
     params = IterationParams(s=0.5, p=3.0, eps=0.01, omega0=1.0, rho0=1.0)
-    levels = initial_sequences(params, lambda cyl: 0.0, n_levels=6)
+    levels = initial_sequences(params, lambda cyl: 0.0, ANCHOR, n_levels=6)
     for i, lev in enumerate(levels):
         assert lev.omega == 0.875 ** i
         assert lev.rho == 4.0 ** (-i)
@@ -325,7 +336,7 @@ def test_initial_ladder_attrition():
 
 def test_initial_ladder_datum_dominant():
     params = IterationParams(s=0.5, p=3.0, eps=0.01, omega0=1.0, rho0=1.0)
-    levels = initial_sequences(params, lambda cyl: 1.0, n_levels=6)
+    levels = initial_sequences(params, lambda cyl: 1.0, ANCHOR, n_levels=6)
     assert [l.omega for l in levels] == [1.0, 2.0, 2.0, 2.0, 2.0, 2.0]
 
 
@@ -463,6 +474,13 @@ def test_geometric_decay_validation():
         geometric_convergence(2.0, 2.0, 0.0, 0.1)
     with pytest.raises(InvalidParamsError, match="alpha"):
         geometric_convergence(2.0, 2.0, 1.0, -0.1)
+
+
+@pytest.mark.parametrize("c, b, alpha, a0", [(1.0, 2.0, 0.01, 0.5), (1e300, 1.0, 0.001, 0.5)])
+def test_geometric_decay_threshold_underflow_is_an_invalid_parameter(c, b, alpha, a0):
+    # 2^{-10^4} and 10^{-3 10^5} round to 0, and a0 / 0 raised a ZeroDivisionError
+    with pytest.raises(InvalidParamsError, match="underflows to 0"):
+        geometric_convergence(c, b, alpha, a0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -628,6 +646,28 @@ def test_sequence_tail_report_constant_solution():
         assert rec.osc == 0.0
         assert rec.tail_plus == 0.0 and rec.tail_minus == 0.0
         assert rec.ratio == 0.0
+
+
+def test_sequence_tail_report_reads_each_stored_time_once(small_melt_traj, monkeypatch):
+    # the nested windows all end at t0, so a read per level repeated the
+    # latest stored times once for every level that holds them
+    pre, traj = small_melt_traj
+    calls = []
+    read = LatticeProblem.exterior_values
+
+    def counted(problem, t):
+        calls.append(t)
+        return read(problem, t)
+
+    monkeypatch.setattr(LatticeProblem, "exterior_values", counted)
+    params = IterationParams(s=0.5, p=3.0, eps=pre.problem.eps, omega0=4.0, rho0=0.3)
+    levels = interior_sequences(params, n_levels=6)
+    z0 = ((0.0,), pre.problem.horizon)
+    windows = [Cylinder(z0[0], z0[1], lev.rho, lev.theta).window(0.5 * 3.0) for lev in levels]
+    held = [{t for t in traj.times if lo - 1e-12 <= t <= hi + 1e-12} for lo, hi in windows]
+    assert sum(map(len, held)) > len(set.union(*held))
+    sequence_tail_report(traj, levels, z0)
+    assert sorted(calls) == sorted(set.union(*held))
 
 
 def test_sequence_tail_report_bounded_ratios(small_melt_traj):

@@ -149,6 +149,16 @@ def test_removed_solver_keys_are_unknown():
                                                  "store_every")]
 
 
+def test_a_constant_initial_value_takes_no_core_keys():
+    # inside and radius shape a core; a constant start dropped them unread
+    payload = json.loads(json.dumps(INLINE))
+    payload["problem"]["initial"] = {"inside": 5.0, "radius": 0.5}
+    with pytest.raises(SchemaViolationError) as exc:
+        parse_run_config(payload)
+    assert exc.value.violations == [f"problem.initial.{key}: unknown key"
+                                    for key in ("inside", "radius")]
+
+
 FULL_PRESET = {
     "tail": {"window": [0, 0.5], "rho": 0.2, "center": [0.5]},
     "continuation": {"delta_resolve": 0.01, "eps_values": [0.2, 0.1]},
@@ -600,6 +610,10 @@ MALFORMED = {
     "nan-number": (["solve"], inline_with(s=float("nan")), "problem.s"),
     # the kernel is one scale, and the schema has no key for it
     "removed-lam-key": (["solve"], inline_with(lam=1.0), "problem.lam"),
+    # a family limit needs two members; one member used to solve, then fail
+    "one-eps-value": (
+        ["continuation"], {"problem": "const1d", "continuation": {"eps_values": [0.2]}},
+        "continuation.eps_values"),
     "infinite-list-entry": (
         ["tail"], {"problem": "const1d", "tail": {"window": [float("-inf"), 0.1]}},
         "tail.window"),

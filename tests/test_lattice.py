@@ -470,9 +470,8 @@ CLOSURE_GRIDS = {
 
 
 def dense_closure(grid, s, p):
-    _, geom, far = pair_geometry(grid, s, p, grid.coordinates(),
-                                 grid.exterior_coordinates(), exterior=True)
-    return np.sum(geom, axis=1) + far
+    _, geom = pair_geometry(grid, s, p, grid.coordinates(), grid.exterior_coordinates())
+    return np.sum(geom, axis=1) + lattice._far_weight(grid, s, p)
 
 
 @pytest.mark.parametrize("name", sorted(CLOSURE_GRIDS))
@@ -594,21 +593,20 @@ def test_centred_flux_and_energy_match_a_correctly_rounded_pair_sum(name, field)
     assert abs(sums.energy - energy) <= 1e-13 * energy
 
 
-def difference_tensor_geometry(grid, s, p, points, nodes, exterior):
+def difference_tensor_geometry(grid, s, p, points, nodes):
     """pair_geometry's distances and weights from the broadcast difference
-    tensor and a sum over its last axis."""
+    tensor and a sum over its last axis, cut at r_infinity."""
     n = grid.dimension
     diff = points[:, None, :] - nodes[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     with np.errstate(divide="ignore"):
         weights = grid.spacing ** n / dist ** (n + s * p)
     weights[dist == 0.0] = 0.0
-    if exterior:
-        weights[dist > grid.r_infinity] = 0.0
+    weights[dist > grid.r_infinity] = 0.0
     return dist, weights
 
 
-@pytest.mark.parametrize("exterior", [False, True])
+@pytest.mark.parametrize("exterior", [False, True])  # the node set: box or exterior
 @pytest.mark.parametrize("dim", [1, 2])
 def test_pair_geometry_matches_the_difference_tensor_bit_for_bit(dim, exterior):
     # r_infinity off the lattice: the outermost exterior nodes lie past it
@@ -617,8 +615,8 @@ def test_pair_geometry_matches_the_difference_tensor_bit_for_bit(dim, exterior):
     nodes = grid.exterior_coordinates() if exterior else x
     # box nodes and off-lattice points; in the box, every node meets itself
     points = np.concatenate([x, np.random.default_rng(5).uniform(-1.0, 1.0, (6, dim))])
-    dist, weights, _ = pair_geometry(grid, 0.45, 3.2, points, nodes, exterior=exterior)
-    ref_dist, ref_weights = difference_tensor_geometry(grid, 0.45, 3.2, points, nodes, exterior)
+    dist, weights = pair_geometry(grid, 0.45, 3.2, points, nodes)
+    ref_dist, ref_weights = difference_tensor_geometry(grid, 0.45, 3.2, points, nodes)
     assert np.array_equal(dist, ref_dist)
     assert np.array_equal(weights, ref_weights)
     if exterior:
@@ -849,9 +847,9 @@ def test_tail_over_levels_equals_the_per_level_loop():
     x0 = g.point((0.25, 0.0))
     values = rng.uniform(-1.0, 1.0, (5, g.n_nodes))
     ext = rng.uniform(-1.0, 1.0, (5, g.exterior_coordinates().shape[0]))
-    w_box, _ = lattice._ball_weights(g, s, p, x0, rho, g.coordinates())
-    w_ext, far_geom = lattice._ball_weights(g, s, p, x0, rho, g.exterior_coordinates(),
-                                            exterior=True)
+    w_box = lattice._ball_weights(g, s, p, x0, rho, g.coordinates())
+    w_ext = lattice._ball_weights(g, s, p, x0, rho, g.exterior_coordinates())
+    far_geom = lattice._far_weight(g, s, p)
     worst = 0.0
     for v, e in zip(values, ext):
         total = float(np.sum(w_box * np.abs(v) ** (p - 1.0)))
@@ -860,6 +858,26 @@ def test_tail_over_levels_equals_the_per_level_loop():
         worst = max(worst, total)
     expected = (rho ** (s * p) * worst) ** (1.0 / (p - 1.0))
     assert tail(g, values, ext, far, x0, rho, s, p) == expected
+
+
+def test_tail_about_a_centre_outside_the_box_cuts_every_node_at_r_infinity():
+    # w_far holds the medium past r_infinity, so a box node past it, seen
+    # from a centre outside the box, counted twice when box weights were uncut
+    g = line_grid(n=33, h=0.0625, origin=-1.0, r_inf=2.5)
+    s, p, rho, x0 = 0.5, 3.0, 0.25, 2.0
+    values, ext_values, far = constant_level(g, 1.0)
+    nodes = np.concatenate([g.coordinates(), g.exterior_coordinates()])[:, 0]
+    d = np.abs(nodes - x0)
+    assert np.any(d[:g.n_nodes] > g.r_infinity)
+    frac = np.clip(0.5 + (d - rho) / g.spacing, 0.0, 1.0)
+    near = (d > 0.0) & (d <= g.r_infinity)
+    dense = math.fsum(frac[near] * g.spacing / d[near] ** (1.0 + s * p))
+    dense += 2.0 * g.r_infinity ** (-s * p) / (s * p)
+    value = tail(g, values, ext_values, far, (x0,), rho, s, p)
+    assert value == pytest.approx((rho ** (s * p) * dense) ** (1.0 / (p - 1.0)), rel=1e-12)
+    # 1.158178 with the box nodes past r_infinity counted twice; the
+    # infinite medium's closed form is (2 / (sp))^{1/2} = 1.154701
+    assert value == pytest.approx(1.156059, abs=1e-6)
 
 
 def test_tail_rejects_zero_levels():
