@@ -130,40 +130,29 @@ def level_set_fraction(traj, cyl: Cylinder, side: str, level: float) -> float:
 # -- iteration parameter block -----------------------------------------------
 
 
+# The constants of the oscillation reduction recursions, fixed as the proofs
+# fix them: a ladder's radius factor is omega^M / (n0 N1 omega0^M) and its
+# oscillation factor 1 - omega^M / (N2 omega0^M), n0 = N0 at the lateral
+# boundary and 1 inside; the initial ladder divides radii by N_INIT.
+M, N1, N2, N0, N_INIT = 4.0, 4.0, 8.0, 4.0, 4.0
+
+
 @dataclass(frozen=True)
 class IterationParams:
-    """Constants of the oscillation reduction recursions.
-
-    All named constants must be finite and at least 4.  The interior
-    ladder uses (m1, n1) for the radius factor and (m2, n2) for the
-    oscillation factor; the lateral ladder adds the datum exponents
-    (l1, l2) and the extra factor n0; the initial ladder divides radii
-    by n_init.  The attrition floor of the time-direction decay is
-    m = max(7/8, 2^{-s}).
-    """
+    """Start of the oscillation reduction recursions.  The attrition floor
+    of the time-direction decay is m = max(7/8, 2^{-s})."""
 
     s: float
     p: float
     eps: float
     omega0: float
     rho0: float
-    m1: float = 4.0
-    n1: float = 4.0
-    m2: float = 4.0
-    n2: float = 8.0
-    l1: float = 4.0
-    l2: float = 4.0
-    n0: float = 4.0
-    n_init: float = 4.0
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0 or not 2.0 < self.p < math.inf:
             raise InvalidParamsError("exponents out of range")
         if not all(0.0 < v < math.inf for v in (self.eps, self.omega0, self.rho0)):
             raise InvalidParamsError("eps, omega0 and rho0 must be positive and finite")
-        for name in ("m1", "n1", "m2", "n2", "l1", "l2", "n0", "n_init"):
-            if not 4.0 <= getattr(self, name) < math.inf:
-                raise InvalidParamsError(f"{name} must be at least 4 and finite")
 
     @property
     def m(self) -> float:
@@ -190,17 +179,17 @@ def _reduction_ladder(params: IterationParams, n_levels: int,
     """rho_{i+1} = f1(omega_i) rho_i,
     omega_{i+1} = max(omega_i f2(omega_i), omega_i 2^{-s}, 2 osc_g(Q_i), 4 eps),
     truncated once the oscillation bound stabilizes at 4 eps.  With
-    datum_osc(rho_i, theta_i) = osc_g(Q_i) it is the lateral ladder;
-    without it the interior ladder, a flat datum with n0 = 1,
-    (l1, l2) = (m1, m2) and theta one power more of the oscillation."""
+    datum_osc(rho_i, theta_i) = osc_g(Q_i) it is the lateral ladder, n0 =
+    N0; without it the interior ladder, a flat datum with n0 = 1 and theta
+    one power more of the oscillation."""
     boundary = datum_osc is not None
-    n0, l1, l2 = (params.n0, params.l1, params.l2) if boundary else (1.0, params.m1, params.m2)
+    n0 = N0 if boundary else 1.0
     rho, omega = params.rho0, params.omega0
     out = [SequenceLevel(0, rho, omega, intrinsic_theta(omega, params.p, boundary))]
     for i in range(1, n_levels):
         datum = 2.0 * float(datum_osc(rho, out[-1].theta)) if boundary else 0.0
-        f1 = omega ** params.m1 / (n0 * params.n1 * params.omega0 ** l1)
-        f2 = 1.0 - omega ** params.m2 / (params.n2 * params.omega0 ** l2)
+        f1 = omega ** M / (n0 * N1 * params.omega0 ** M)
+        f2 = 1.0 - omega ** M / (N2 * params.omega0 ** M)
         rho = rho * f1
         omega = max(omega * f2, omega * 2.0 ** (-params.s), datum, 4.0 * params.eps)
         stab = omega <= 4.0 * params.eps
@@ -212,8 +201,8 @@ def _reduction_ladder(params: IterationParams, n_levels: int,
 
 
 def interior_sequences(params: IterationParams, n_levels: int = 40) -> List[SequenceLevel]:
-    """Interior ladder: the lateral recursion with a flat datum, n0 = 1,
-    (l1, l2) = (m1, m2) and theta = (omega/4)^{2-p}."""
+    """Interior ladder: the lateral recursion with a flat datum, n0 = 1
+    and theta = (omega/4)^{2-p}."""
     return _reduction_ladder(params, n_levels)
 
 
@@ -227,7 +216,7 @@ def boundary_sequences(params: IterationParams, osc_g: Callable[[Cylinder], floa
 
 def initial_sequences(params: IterationParams, osc_g: Callable[[Cylinder], float],
                       z0, n_levels: int = 40) -> List[SequenceLevel]:
-    """Initial-layer ladder rho_{i+1} = rho_i / n_init,
+    """Initial-layer ladder rho_{i+1} = rho_i / N_INIT,
     omega_{i+1} = max(m omega_i, 2 osc_g(Q_i)) over forward windows
     [0, theta_i rho_i^{sp}] about the x of z0 = ((x...), t), closed as
     every cylinder window is; the windows start at t = 0, whatever t is."""
@@ -240,7 +229,7 @@ def initial_sequences(params: IterationParams, osc_g: Callable[[Cylinder], float
         # forward window [0, L] encoded as a backward cylinder anchored at L
         cyl = Cylinder(x0, theta * rho ** sp, rho, theta)
         omega = max(params.m * omega, 2.0 * float(osc_g(cyl)))
-        rho = rho / params.n_init
+        rho = rho / N_INIT
         theta = intrinsic_theta(omega, params.p)
         out.append(SequenceLevel(i, rho, omega, theta))
     return out
@@ -444,20 +433,17 @@ def fit_log_modulus(samples: Sequence, eps: float, rho0: float) -> ModulusReport
                          radii=list(rs[usable]), oscillations=list(oscs[usable]))
 
 
-def modulus_ladder(traj, z0, rho0: float, n_levels: int = 8,
-                   shrink: float = 0.65, omega0: float = None):
+def modulus_ladder(traj, z0, rho0: float, n_levels: int = 8, shrink: float = 0.65):
     """Oscillation samples over a geometric ladder of intrinsic cylinders.
 
-    theta is frozen at (omega0/4)^{2-p} with omega0 estimated from the
-    trajectory (2 sup |u| + tail over the base cylinder) unless given.
-    The cylinders are anchored at z0 = ((x...), t).
+    theta is frozen at (omega0/4)^{2-p} with omega0 measured on the
+    trajectory: oscillation_scale over the base cylinder of radius rho0
+    and theta 1.  The cylinders are anchored at z0 = ((x...), t).
     Returns (levels, omega0) with levels a list of (radius, oscillation).
     """
     problem = traj.problem
     x0, t0 = z0
-    if omega0 is None:
-        base = Cylinder(x0, t0, rho0, 1.0)
-        omega0 = oscillation_scale(traj, base)
+    omega0 = oscillation_scale(traj, Cylinder(x0, t0, rho0, 1.0))
     theta = intrinsic_theta(omega0, problem.p)
     levels = []
     for i in range(n_levels):

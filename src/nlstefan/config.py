@@ -197,6 +197,10 @@ def _check_inline(v: _Validator, prob: dict, analysis: dict, tail: dict) -> None
                                         ("tail.center", tail.get("center"), dim)):
                 if point is not None:
                     v.number_list(path, point, length=length)
+            # the grid's box: lo plus (nodes - 1) times the first axis's spacing
+            hi = [l + spacings[0] * (n - 1) for l, n in zip(box["lo"], box["nodes"])]
+            if not all(l <= c <= h for l, c, h in zip(box["lo"], tail.get("center", hi), hi)):
+                v.fail("tail.center", f"must lie in the closed box from {box['lo']} to {hi}")
     if not v.violations and "value" not in prob["initial"] and "value" in prob["datum"]:
         # a constant datum's value, second in emission order
         prob["initial"] = {"type": prob["initial"]["type"],
@@ -333,11 +337,12 @@ CATALOG = {
                                initial={"value": -1.0}),
                "n_steps": 400, "anchor": [0.5], "rho0": 0.3, "ladder_shrink": 0.85},
     # a warm core inside a cold segment with a cold exterior: both phases
-    # are present from the start
+    # are present from the start; halfway to the core's edge every ladder
+    # level oscillates by more than 4 eps, at the centre only two do
     "twophase1d": {"problem": dict(_SEGMENT, datum={"type": "constant", "value": -1.0},
                                    initial={"type": "core", "value": -1.0,
                                             "inside": 1.0, "radius": 0.5}),
-                   "n_steps": 400, "anchor": [0.0], "rho0": 0.4},
+                   "n_steps": 400, "anchor": [0.25], "rho0": 0.4, "ladder_shrink": 0.85},
     # an exterior datum with a logarithmic modulus at the boundary point
     # x = 0 of the unknown interval (0, 1)
     "logbdy": {"problem": dict(_SEGMENT, eps=0.01,

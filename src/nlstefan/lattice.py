@@ -394,14 +394,15 @@ def _ball_weights(grid: Grid, s: float, p: float, x0: np.ndarray, rho: float,
 def tail(grid: Grid, values, ext_values, far_value: float, x0, rho: float,
          s: float, p: float) -> float:
     """Supremum over the levels of the nonlocal tail about the spatial
-    centre x0, outside the ball of radius rho.
+    centre x0 in the closed box, outside the ball of radius rho.
 
     values holds one row of box values per level, ext_values one row per
     level on grid.exterior_coordinates() (a single level may be 1-D) and
     far_value the constant past r_infinity.  The integrand |f|^{p-1}
     |x0 - y|^{-n-sp} is summed over lattice cells outside the ball (with
-    fractional weights on straddling cells) out to r_infinity, and closed
-    with the analytic radial integral of the far value past it.
+    fractional weights on straddling cells) out to r_infinity, all in the
+    dilated box since x0 is in the box, and closed with the analytic radial
+    integral of the far value past it.
     """
     check_exponents(s, p)
     if not rho > 0.0:
@@ -414,6 +415,11 @@ def tail(grid: Grid, values, ext_values, far_value: float, x0, rho: float,
     if rho >= grid.r_infinity:
         raise InvalidParamsError("tail radius must stay below r_infinity")
     x0 = grid.point(x0)
+    lo = np.asarray(grid.origin)
+    hi = lo + grid.spacing * (np.asarray(grid.shape) - 1)
+    if not np.all((lo <= x0) & (x0 <= hi)):
+        raise InvalidParamsError(f"tail centre {x0.tolist()} lies outside the box "
+                                 f"from {lo.tolist()} to {hi.tolist()}")
     w_box = _ball_weights(grid, s, p, x0, rho, grid.coordinates())
     w_ext = _ball_weights(grid, s, p, x0, rho, ext_coords)
     total = np.sum(w_box * np.abs(values) ** (p - 1.0), axis=1)

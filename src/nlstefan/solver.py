@@ -45,8 +45,8 @@ from ._linalg import newton_cg
 from .analysis import cylinder_samples
 from .enthalpy import RegularizedEnthalpy
 from .errors import DegenerateCutoffError, InvalidParamsError, NewtonDivergenceError
-from .lattice import (Grid, OperatorWorkspace, PairSums, check_exponents, check_reals,
-                      pair_geometry)
+from .lattice import (Grid, OperatorWorkspace, PairSums, _box_weights, check_exponents,
+                      check_reals)
 
 
 @dataclass
@@ -558,11 +558,13 @@ def caccioppoli_audit(traj: Trajectory, level: float, sign: str, cylinder) -> Ca
     hn = grid.spacing ** grid.dimension
     ball_idx = np.nonzero(in_ball)[0]
     out_box_idx = np.nonzero(~in_ball)[0]
-    # the geometry alone: the estimate carries no kernel scale
+    # the ball's rows of the operator's box weights, split into ball and
+    # rest columns; the geometry alone: the estimate carries no kernel scale
     ws = OperatorWorkspace(grid, problem.s, p)
-    x = grid.coordinates()
-    pair_w = hn * pair_geometry(grid, problem.s, p, x[ball_idx], x[ball_idx])[1]
-    w_out = pair_geometry(grid, problem.s, p, x[ball_idx], x[out_box_idx])[1]
+    rows = _box_weights(ws.table, grid.shape)[np.unravel_index(ball_idx, grid.shape)]
+    rows = rows.reshape(ball_idx.size, -1)
+    pair_w = hn * rows[:, ball_idx]
+    w_out = rows[:, out_box_idx]
     # (u - level)_+ for sign '+', (level - u)_+ = (-(u - level))_+ for '-'
     side = 1.0 if sign == "+" else -1.0
 

@@ -36,7 +36,7 @@ from nlstefan import (
     oscillation_scale,
     sequence_tail_report,
 )
-from nlstefan.analysis import window_rows
+from nlstefan.analysis import M, N2, window_rows
 from nlstefan.lattice import Grid, tail
 from nlstefan.solver import solve
 
@@ -257,8 +257,6 @@ ANCHOR = ((0.0,), 0.0)
 
 
 def test_iteration_params_validation():
-    with pytest.raises(InvalidParamsError, match="m1 must be at least 4"):
-        IterationParams(s=0.5, p=3.0, eps=0.01, omega0=1.0, rho0=1.0, m1=3.0)
     with pytest.raises(InvalidParamsError, match="positive"):
         IterationParams(s=0.5, p=3.0, eps=0.0, omega0=1.0, rho0=1.0)
     with pytest.raises(InvalidParamsError, match="exponents"):
@@ -274,11 +272,18 @@ def test_interior_ladder_first_steps():
     levels = interior_sequences(params)
     assert levels[0].rho == 1.0 and levels[0].omega == 1.0
     assert levels[0].theta == 4.0
-    # f1 = 1/n1, f2 = 1 - 1/n2 at omega = omega0
+    # f1 = 1/N1, f2 = 1 - 1/N2 at omega = omega0
     assert levels[1].rho == 0.25
     assert levels[1].omega == 0.875
-    wide = IterationParams(s=0.5, p=3.0, eps=0.01, omega0=1.0, rho0=1.0, n1=16.0)
-    assert interior_sequences(wide)[1].rho == 0.0625
+
+
+@pytest.mark.parametrize("omega0, margin", [(1.0, 0.106), (2.0, 0.212), (10.0, 1.06)])
+def test_ladder_constants_satisfy_the_slow_iteration_lemma(omega0, margin):
+    # the ladders' oscillation factor 1 - omega^M / (N2 omega0^M) is the
+    # lemma's g with (m2, n2, l2) = (M, N2, M)
+    verdict = lemma_iter_verify(M, N2, M, omega0)
+    assert verdict.passed
+    assert verdict.min_margin == pytest.approx(margin, abs=0.005)
 
 
 def test_interior_ladder_invariants():
@@ -447,8 +452,7 @@ def _params(**changes):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: _params(n2=math.nan), lambda: _params(omega0=math.inf),
-    lambda: _params(p=math.inf), lambda: _params(m1=math.inf),
+    lambda: _params(omega0=math.inf), lambda: _params(p=math.inf),
     lambda: geometric_convergence(math.nan, 2.0, 1.0, 0.1),
     lambda: geometric_convergence(2.0, math.inf, 1.0, 0.1),
     lambda: geometric_convergence(2.0, 2.0, math.nan, 0.1),
@@ -456,13 +460,12 @@ def _params(**changes):
     lambda: lemma_iter_verify(4.0, math.nan, 4.0, 1.0),
     lambda: lemma_iter_verify(4.0, 8.0, 4.0, math.inf),
     lambda: intrinsic_theta(0.0, 3.0)],
-    ids=["n2-nan", "omega0-inf", "p-inf", "m1-inf", "c-nan", "b-inf", "alpha-nan", "a0-inf",
+    ids=["omega0-inf", "p-inf", "c-nan", "b-inf", "alpha-nan", "a0-inf",
          "lemma-n2-nan", "lemma-omega0-inf", "theta-omega-zero"])
 def test_non_finite_lemma_constants_are_rejected(call):
-    # n2 = nan gave NaN ladder radii, c = nan a NaN threshold, b = inf a raw
-    # ZeroDivisionError, and a NaN n2 or an infinite omega0 passed the
-    # iteration lemma with a NaN margin; intrinsic_theta at omega = 0 raised
-    # a raw ZeroDivisionError
+    # c = nan gave a NaN threshold, b = inf a raw ZeroDivisionError, and a
+    # NaN n2 or an infinite omega0 passed the iteration lemma with a NaN
+    # margin; intrinsic_theta at omega = 0 raised a raw ZeroDivisionError
     with pytest.raises(InvalidParamsError, match="finite|exponents"):
         call()
 

@@ -266,7 +266,7 @@ PRESET_ANALYSIS = {
         "default": [0.07775388638593467, 0.17060878482588573, 0.3112753741087529, 0.5],
         "overridden": [0.09406384707762913, 0.17332538754761465, 0.27667740460942, 0.4]}),
     "melt1d": ((0.5,), 0.3, 0.85, None),
-    "twophase1d": ((0.0,), 0.4, 0.65, None),
+    "twophase1d": ((0.25,), 0.4, 0.85, None),
 }
 
 
@@ -629,6 +629,27 @@ def test_malformed_config_exits_2_with_a_path_prefixed_violation(tmp_path, capsy
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "SchemaViolationError"
     assert err["error"]["violations"][0].startswith(path + ":")
+
+
+@pytest.mark.parametrize("payload, violation", [
+    ({"problem": "const1d", "tail": {"center": [2.0]}},
+     "tail.center: must lie in the closed box from [-1.0] to [1.0]"),
+    (dict(INLINE_2D, tail={"center": [0.0, -1.5]}),
+     "tail.center: must lie in the closed box from [-1.0, -1.0] to [1.0, 1.0]")],
+    ids=["preset", "inline-2d"])
+def test_cli_tail_rejects_a_centre_outside_the_box_before_solving(
+        tmp_path, capsys, monkeypatch, payload, violation):
+    # past the dilated box the tail would miss nodes within r_infinity of
+    # the centre
+    def no_solve(*args):
+        raise AssertionError("solved a rejected config")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    out = tmp_path / "tail"
+    assert cli.main(["tail", "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "SchemaViolationError", "violations": [violation]}
+    assert not out.exists()
 
 
 def test_too_few_preset_nodes_exit_2(tmp_path, capsys):

@@ -860,24 +860,34 @@ def test_tail_over_levels_equals_the_per_level_loop():
     assert tail(g, values, ext, far, x0, rho, s, p) == expected
 
 
-def test_tail_about_a_centre_outside_the_box_cuts_every_node_at_r_infinity():
-    # w_far holds the medium past r_infinity, so a box node past it, seen
-    # from a centre outside the box, counted twice when box weights were uncut
+def test_tail_rejects_a_centre_outside_the_box():
+    # about x0 = 2 the lattice nodes in (3.5, 4.5] lie within r_infinity of
+    # x0 but past the dilated box: they were neither summed nor inside
+    # w_far, and the tail read 1.1560595 against the dense sum's 1.1660836
     g = line_grid(n=33, h=0.0625, origin=-1.0, r_inf=2.5)
-    s, p, rho, x0 = 0.5, 3.0, 0.25, 2.0
     values, ext_values, far = constant_level(g, 1.0)
-    nodes = np.concatenate([g.coordinates(), g.exterior_coordinates()])[:, 0]
-    d = np.abs(nodes - x0)
-    assert np.any(d[:g.n_nodes] > g.r_infinity)
+    for x0 in (2.0, -1.0 - 1e-9, 1.0 + 1e-9):
+        with pytest.raises(InvalidParamsError, match="outside the box"):
+            tail(g, values, ext_values, far, (x0,), 0.25, 0.5, 3.0)
+
+
+@pytest.mark.parametrize("x0", [0.5, -1.0, 1.0])
+def test_tail_about_a_centre_in_the_box_sums_every_node_within_r_infinity(x0):
+    # the dense sum runs over lattice indices -400..399, far past the
+    # dilated box; inside the closed box every node within r_infinity of
+    # x0 lies in the dilated box, so tail misses none of them
+    g = line_grid(n=33, h=0.0625, origin=-1.0, r_inf=2.5)
+    s, p, rho = 0.5, 3.0, 0.25
+    values, ext_values, far = constant_level(g, 1.0)
+    d = np.abs(g.origin[0] + g.spacing * np.arange(-400, 400) - x0)
     frac = np.clip(0.5 + (d - rho) / g.spacing, 0.0, 1.0)
     near = (d > 0.0) & (d <= g.r_infinity)
     dense = math.fsum(frac[near] * g.spacing / d[near] ** (1.0 + s * p))
     dense += 2.0 * g.r_infinity ** (-s * p) / (s * p)
     value = tail(g, values, ext_values, far, (x0,), rho, s, p)
     assert value == pytest.approx((rho ** (s * p) * dense) ** (1.0 / (p - 1.0)), rel=1e-12)
-    # 1.158178 with the box nodes past r_infinity counted twice; the
-    # infinite medium's closed form is (2 / (sp))^{1/2} = 1.154701
-    assert value == pytest.approx(1.156059, abs=1e-6)
+    # a node centre: the lattice medium is translation invariant
+    assert value == pytest.approx(1.1660836, abs=1e-7)
 
 
 def test_tail_rejects_zero_levels():

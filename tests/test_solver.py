@@ -33,6 +33,7 @@ from nlstefan import (
     weak_residual,
 )
 from nlstefan import fileio
+from nlstefan.lattice import Grid, pair_geometry
 from nlstefan.solver import _Stepper, stored_times
 
 
@@ -705,6 +706,45 @@ def test_caccioppoli_tail_matches_the_dense_exterior_sum(name):
     assert (band > 0) == (name == "logbdy")
     assert rep.tail_term > 0.0
     assert rep.tail_term == pytest.approx(expected, rel=1e-12)
+
+
+def test_caccioppoli_pair_terms_read_the_operator_table_on_a_diameter_grid():
+    # r_infinity equals the box diameter, and the float distance of a
+    # corner pair exceeds it: pair_geometry cut 4 box pairs that the
+    # operator keeps, and the audit once weighed box pairs with it
+    grid = Grid(spacing=0.1, shape=(4, 5), origin=(0.0, 0.2), r_infinity=0.5)
+    s, p, hn = 0.5, 3.0, grid.spacing ** 2
+    x = grid.coordinates()
+    assert np.count_nonzero(pair_geometry(grid, s, p, x, x)[1] == 0.0) == grid.n_nodes + 4
+
+    def field(coords, t):
+        return 1.0 - 3.0 * coords[:, 0] - (coords[:, 1] - 0.2)
+
+    u = field(x, 0.0)
+    inner = (x[:, 0] > 1e-12) & (x[:, 0] < 0.3 - 1e-12) & (x[:, 1] > 0.2 + 1e-12) \
+        & (x[:, 1] < 0.6 - 1e-12)
+    problem = LatticeProblem(s=s, p=p, grid=grid, unknown_mask=inner, dirichlet=field,
+                             far_value=0.0, initial=u, horizon=0.01, eps=0.05)
+    traj = Trajectory(problem, [0.0, 0.01], [u, u], [])
+    # about one corner, the ball holds the whole box and the far corner
+    cyl = Cylinder(x0=(0.0, 0.2), t0=0.01, rho=0.5, theta=intrinsic_theta(1.0, p))
+    rep = caccioppoli_audit(traj, 0.0, "+", cyl)
+
+    # every box pair's weight from the displacement table, by index
+    table = OperatorWorkspace(grid, s, p).table
+    reach = table.shape[0] // 2
+    index = np.indices(grid.shape).reshape(2, -1).T
+    k = index[None, :, :] - index[:, None, :] + reach
+    w = hn * table[k[..., 0], k[..., 1]]
+    q = np.sqrt(np.sum((x - x[0]) ** 2, axis=1)) / (0.8 * cyl.rho)
+    phi = np.clip(1.0 - q * q, 0.0, None) ** 2
+    above, below = np.clip(u, 0.0, None), np.clip(-u, 0.0, None)
+    cut = above * phi
+    seminorm = 0.01 * np.sum(w * np.abs(cut[:, None] - cut[None, :]) ** p)
+    mixed = 0.01 * np.sum(w * (below ** (p - 1.0))[None, :] * (above * phi ** p)[:, None])
+    assert mixed > 0.0
+    assert rep.seminorm_term == pytest.approx(seminorm, rel=1e-12)
+    assert rep.mixed_term == pytest.approx(mixed, rel=1e-12)
 
 
 def test_caccioppoli_empty_cylinder(small_melt_traj):
